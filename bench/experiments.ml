@@ -929,15 +929,10 @@ let ext9 () =
                     Qac_anneal.Sa.num_reads = 12; num_sweeps = 250; seed = 9 }
           compacted
       in
-      let reads =
-        List.map
-          (fun s ->
-             let full = Array.make physical.Problem.num_vars 1 in
-             Array.iteri (fun k old -> full.(old) <- s.Qac_anneal.Sampler.spins.(k)) old_of_new;
-             (Embedding.unembed e full).Embedding.logical)
-          response.Qac_anneal.Sampler.samples
-      in
-      Qac_anneal.Sampler.response_of_reads sub reads
+      Embedding.unembed_reads ~old_of_new ~problem:physical e
+        response.Qac_anneal.Sampler.samples
+      |> List.map (fun ((u : Embedding.unembedded), _) -> u.Embedding.logical)
+      |> Qac_anneal.Sampler.response_of_reads sub
   in
   let t0 = Unix.gettimeofday () in
   let via_chip =

@@ -10,15 +10,14 @@
       breakdown (times + size counters) for a compile+run of a multiplier.
     - [dune exec bench/main.exe -- parallel] measures domain-parallel SA
       read-batch scaling on a 300-variable spin glass.
-    - [dune exec bench/main.exe -- kernel [smoke]] compares the list-walking
-      baseline sweep kernel against the CSR + incremental-field kernel on
-      Chimera-structured spin glasses and writes [BENCH_ANNEAL.json].
-      [smoke] restricts to small sizes/sweep counts for CI.
-    - [dune exec bench/main.exe -- embed [smoke]] compares the pre-PR minor
-      embedder ({!Embed_baseline}) against the CSR + scratch-reusing
-      [Qac_embed.Cmr] on spin-glass and multiplier interaction graphs,
-      measures the embedding cache cold/warm behaviour, and writes
-      [BENCH_EMBED.json].
+    - [dune exec bench/main.exe -- kernel [smoke]] measures the CSR +
+      incremental-field sweep kernel and the 64-lane bit-parallel kernel on
+      Chimera-structured spin glasses, plus composite valid-read rates, and
+      writes [BENCH_ANNEAL.json].  [smoke] restricts to small sizes/sweep
+      counts for CI.
+    - [dune exec bench/main.exe -- embed [smoke]] times [Qac_embed.Cmr] on
+      spin-glass and multiplier interaction graphs, measures the embedding
+      cache cold/warm behaviour, and writes [BENCH_EMBED.json].
     - [dune exec bench/main.exe -- batch [smoke]] compares batched-tiled
       serving ([Qac_serve] packing jobs onto one C16 via [Qac_embed.Tiler])
       against sequential [Pipeline.run] per job on a fleet of small
@@ -225,37 +224,6 @@ let chimera_glass ~m ~seed =
   in
   Qac_ising.Problem.create ~num_vars:n ~h ~j ()
 
-(* The pre-CSR kernel, verbatim: adjacency as a boxed [(int * float) list]
-   per spin (built by prepending, as [adjacency_of_couplers] did), local
-   field re-derived by a list fold on every proposal. *)
-let baseline_sweeps (p : Qac_ising.Problem.t) ~rng ~schedule ~num_sweeps =
-  let n = p.Qac_ising.Problem.num_vars in
-  let adj = Array.make n [] in
-  Array.iter
-    (fun ((i, j), v) ->
-       adj.(i) <- (j, v) :: adj.(i);
-       adj.(j) <- (i, v) :: adj.(j))
-    p.Qac_ising.Problem.couplers;
-  let module Rng = Qac_anneal.Rng in
-  let spins = Rng.spins rng n in
-  let order = Array.init n (fun i -> i) in
-  for step = 0 to num_sweeps - 1 do
-    let beta = Qac_anneal.Schedule.beta schedule ~step ~num_steps:num_sweeps in
-    Rng.shuffle rng order;
-    Array.iter
-      (fun i ->
-         let field =
-           List.fold_left
-             (fun acc (j, v) -> acc +. (v *. float_of_int spins.(j)))
-             p.Qac_ising.Problem.h.(i) adj.(i)
-         in
-         let delta = -2.0 *. float_of_int spins.(i) *. field in
-         if delta <= 0.0 || Rng.float rng < exp (-.beta *. delta) then
-           spins.(i) <- -spins.(i))
-      order
-  done;
-  Qac_ising.Problem.energy p spins
-
 let csr_sweeps (p : Qac_ising.Problem.t) ~rng ~schedule ~num_sweeps =
   let module State = Qac_anneal.State in
   let st = State.random p rng in
@@ -345,10 +313,8 @@ let kernel_bench ~smoke () =
   in
   let repeats = if smoke then 1 else 3 in
   Printf.printf
-    "annealing kernel: list-walking baseline vs CSR + incremental fields vs \
-     bit-parallel 64-lane blocks\n\
-     (Chimera-structured spin glass, shore 4; identical RNG streams for \
-     baseline/csr)\n";
+    "annealing kernel: CSR + incremental fields vs bit-parallel 64-lane blocks\n\
+     (Chimera-structured spin glass, shore 4)\n";
   let rows =
     List.map
       (fun (m, num_sweeps) ->
@@ -373,7 +339,6 @@ let kernel_bench ~smoke () =
            done;
            !best
          in
-         let baseline_seconds, baseline_energy = time baseline_sweeps in
          let csr_seconds, csr_energy = time csr_sweeps in
          (* The packed kernel anneals 64 replicas per pass; its figure of
             merit is {e aggregate} spin-updates/s across the block.  The
@@ -404,31 +369,23 @@ let kernel_bench ~smoke () =
            !best
          in
          let rate seconds = float_of_int num_sweeps /. seconds in
-         let speedup = baseline_seconds /. csr_seconds in
          let csr_updates = float_of_int (n * num_sweeps) /. csr_seconds in
          let bitpar_agg_updates =
            float_of_int (n * num_sweeps * lanes) /. bitpar_seconds
          in
          let bitpar_ratio = bitpar_agg_updates /. csr_updates in
          Printf.printf
-           "  n=%-5d couplers=%-5d sweeps=%-4d baseline=%8.1f sw/s  csr=%9.1f \
-            sw/s  speedup=%5.2fx  bitpar=%6.0fM agg upd/s (%4.2fx csr)  \
-            (E_base=%g E_csr=%g E_bp=%g)\n"
-           n couplers num_sweeps (rate baseline_seconds) (rate csr_seconds) speedup
-           (bitpar_agg_updates /. 1e6) bitpar_ratio baseline_energy csr_energy
-           bitpar_energy;
+           "  n=%-5d couplers=%-5d sweeps=%-4d csr=%9.1f sw/s  bitpar=%6.0fM agg \
+            upd/s (%4.2fx csr)  (E_csr=%g E_bp=%g)\n"
+           n couplers num_sweeps (rate csr_seconds) (bitpar_agg_updates /. 1e6)
+           bitpar_ratio csr_energy bitpar_energy;
          Printf.sprintf
            "    { \"num_vars\": %d, \"num_couplers\": %d, \"num_sweeps\": %d,\n\
-           \      \"baseline_seconds\": %.6f, \"csr_seconds\": %.6f,\n\
-           \      \"baseline_sweeps_per_sec\": %.1f, \"csr_sweeps_per_sec\": %.1f,\n\
-           \      \"baseline_spin_updates_per_sec\": %.0f, \"csr_spin_updates_per_sec\": %.0f,\n\
-           \      \"speedup\": %.2f,\n\
+           \      \"csr_seconds\": %.6f, \"csr_sweeps_per_sec\": %.1f,\n\
+           \      \"csr_spin_updates_per_sec\": %.0f,\n\
            \      \"bitpar_seconds\": %.6f, \"bitpar_lanes\": %d, \"bitpar_num_threads\": 1,\n\
            \      \"bitpar_agg_spin_updates_per_sec\": %.0f, \"bitpar_vs_csr\": %.2f }"
-           n couplers num_sweeps baseline_seconds csr_seconds (rate baseline_seconds)
-           (rate csr_seconds)
-           (float_of_int (n * num_sweeps) /. baseline_seconds)
-           csr_updates speedup bitpar_seconds lanes bitpar_agg_updates bitpar_ratio)
+           n couplers num_sweeps csr_seconds (rate csr_seconds) csr_updates bitpar_seconds lanes bitpar_agg_updates bitpar_ratio)
       cases
   in
   let composites = composite_rows ~smoke () in
@@ -438,8 +395,7 @@ let kernel_bench ~smoke () =
     \  \"benchmark\": \"anneal-kernel\",\n\
     \  \"mode\": \"%s\",\n\
     \  \"workload\": \"Metropolis sweeps, Chimera-structured spin glass (shore 4), geometric schedule\",\n\
-    \  \"kernels\": { \"baseline\": \"boxed (int * float) list adjacency, field re-derived per proposal\",\n\
-    \                 \"csr\": \"row_start/col/weight arrays + incremental local-field state\",\n\
+    \  \"kernels\": { \"csr\": \"row_start/col/weight arrays + incremental local-field state\",\n\
     \                 \"bitpar\": \"64 replicas per block, integer quantized fields, shared threshold tables; aggregate updates/s, single-threaded (blocks scale across domains via Parallel)\" },\n\
     \  \"results\": [\n%s\n  ],\n\
     \  \"composite_valid_read_rate\": [\n%s\n  ]\n}\n"
@@ -498,13 +454,12 @@ let embed_bench ~smoke () =
         ("C16 spin glass", 16, random_logical ~num_vars:72 ~chords:72 ~seed:13) ]
   in
   let tries = if smoke then 1 else 2 in
-  (* The embedders use their RNG differently, so one seed's trajectory (how
-     many refinement passes until a valid minor) is luck; summing over a few
-     seeds compares the algorithms, not the dice. *)
+  (* One seed's trajectory (how many refinement passes until a valid
+     minor) is luck; summing over a few seeds measures the algorithm, not
+     the dice. *)
   let seeds = if smoke then [ 5 ] else [ 5; 6; 7; 8; 9; 10 ] in
   Printf.printf
-    "minor embedding: pre-PR baseline (tuple heap, per-call arrays, Hashtbl trim)\n\
-     vs CSR + scratch-reusing Cmr (tries=%d, single-threaded, %d seed(s))\n"
+    "minor embedding: CSR + scratch-reusing Cmr (tries=%d, single-threaded, %d seed(s))\n"
     tries (List.length seeds);
   let rows =
     List.map
@@ -518,9 +473,8 @@ let embed_bench ~smoke () =
              (fun (total, best, ok) seed ->
                 (* Per-seed results are deterministic, so the min of two
                    timings measures the same computation with less of the
-                   shared container's scheduling noise.  [Gc.compact] levels
-                   the playing field: whoever runs second must not inherit
-                   the other's major-heap garbage. *)
+                   shared machine's scheduling noise.  [Gc.compact] keeps
+                   each timing from inheriting earlier major-heap garbage. *)
                 let timed_once () =
                   Gc.compact ();
                   let t0 = Unix.gettimeofday () in
@@ -539,13 +493,7 @@ let embed_bench ~smoke () =
                    | _ -> (total, Some (q, e), ok + 1)))
              (0.0, None, 0) seeds
          in
-         let baseline_seconds, baseline_best, baseline_ok =
-           time (fun seed ->
-               Embed_baseline.find
-                 ~params:{ Embed_baseline.default_params with tries; seed }
-                 graph p)
-         in
-         let optimized_seconds, optimized_best, optimized_ok =
+         let cmr_seconds, cmr_best, cmr_ok =
            time (fun seed ->
                Qac_embed.Cmr.find
                  ~params:
@@ -554,36 +502,24 @@ let embed_bench ~smoke () =
          in
          (* Whatever was found must be a valid minor; quality (qubit count,
             success rate) is reported so a speedup can't hide a regression. *)
-         List.iter
-           (fun (who, best, ok) ->
-              if ok = 0 then failwith (who ^ " never embedded " ^ name);
-              match best with
-              | Some (_, e) ->
-                (match Embedding.verify graph p e with
-                 | Ok () -> ()
-                 | Error msg -> failwith (who ^ " invalid on " ^ name ^ ": " ^ msg))
-              | None -> ())
-           [ ("baseline", baseline_best, baseline_ok);
-             ("optimized", optimized_best, optimized_ok) ];
+         if cmr_ok = 0 then failwith ("Cmr never embedded " ^ name);
+         (match cmr_best with
+          | Some (_, e) ->
+            (match Embedding.verify graph p e with
+             | Ok () -> ()
+             | Error msg -> failwith ("Cmr invalid on " ^ name ^ ": " ^ msg))
+          | None -> ());
          let qubits = function Some (q, _) -> q | None -> -1 in
-         let speedup = baseline_seconds /. optimized_seconds in
-         Printf.printf
-           "  %-16s n=%-3d couplers=%-3d qubits=%-5d baseline=%8.3fs (%d qb, %d/%d)  \
-            optimized=%7.3fs (%d qb, %d/%d)  speedup=%5.2fx\n"
-           name p.Qac_ising.Problem.num_vars couplers num_qubits baseline_seconds
-           (qubits baseline_best) baseline_ok (List.length seeds) optimized_seconds
-           (qubits optimized_best) optimized_ok (List.length seeds) speedup;
+         Printf.printf "  %-16s n=%-3d couplers=%-3d qubits=%-5d cmr=%7.3fs (%d qb, %d/%d)\n"
+           name p.Qac_ising.Problem.num_vars couplers num_qubits cmr_seconds
+           (qubits cmr_best) cmr_ok (List.length seeds);
          Printf.sprintf
            "    { \"name\": %S, \"chimera_m\": %d, \"num_qubits\": %d,\n\
            \      \"logical_vars\": %d, \"logical_couplers\": %d, \"tries\": %d, \"seeds\": %d,\n\
-           \      \"baseline_seconds\": %.6f, \"optimized_seconds\": %.6f,\n\
-           \      \"baseline_embedding_qubits\": %d, \"optimized_embedding_qubits\": %d,\n\
-           \      \"baseline_successes\": %d, \"optimized_successes\": %d,\n\
-           \      \"speedup\": %.2f }"
+           \      \"cmr_seconds\": %.6f, \"cmr_embedding_qubits\": %d,\n\
+           \      \"cmr_successes\": %d }"
            name m num_qubits p.Qac_ising.Problem.num_vars couplers tries
-           (List.length seeds) baseline_seconds optimized_seconds
-           (qubits baseline_best) (qubits optimized_best) baseline_ok optimized_ok
-           speedup)
+           (List.length seeds) cmr_seconds (qubits cmr_best) cmr_ok)
       cases
   in
   (* Cache behaviour: a second Pipeline.run of the same circuit shape must
@@ -644,8 +580,7 @@ let embed_bench ~smoke () =
     \  \"benchmark\": \"minor-embedding\",\n\
     \  \"mode\": \"%s\",\n\
     \  \"workload\": \"CMR minor embedding into Chimera (shore 4), spin-glass and multiplier interaction graphs\",\n\
-    \  \"embedders\": { \"baseline\": \"pre-PR: tuple-boxed heap, per-Dijkstra array allocation, Hashtbl trim\",\n\
-    \                   \"optimized\": \"CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim\" },\n\
+    \  \"embedders\": { \"cmr\": \"CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim\" },\n\
     \  \"results\": [\n%s\n  ],\n\
     \  \"cache\": { \"cold_embed_seconds\": %.6f, \"warm_embed_seconds\": %.6f,\n\
     \              \"warm_cache_hits\": %d, \"warm_embed_span_skipped\": %b }\n\

@@ -3,7 +3,10 @@
     Subcommands:
     - [compile]: Verilog -> EDIF / QMASM / MiniZinc on stdout;
     - [run]: compile and execute, forward or backward, with [--pin];
+    - [sat]: solve a DIMACS CNF/WCNF formula;
+    - [qmasm]: assemble and run a standalone QMASM program;
     - [serve]: batch-serve a job file, tiling jobs together onto one graph;
+    - [client]: submit jobs to a running server;
     - [cells]: print the Table 5 standard-cell library with verification;
     - [stats]: the section 6.1 static properties of a module. *)
 
@@ -20,9 +23,9 @@ let read_file path =
 
 (* --- Shared arguments --------------------------------------------------- *)
 
-let src_arg =
-  let doc = "Verilog source file." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+let file_arg doc = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let src_arg = file_arg "Verilog source file."
 
 let top_arg =
   let doc = "Top module name (default: the last module in the file)." in
@@ -136,13 +139,12 @@ let timeout_arg =
   in
   Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
 
-let physical_arg =
-  let doc =
-    "Minor-embed into a size-$(docv) hardware graph before solving (0 = solve \
-     the logical problem directly).  The graph family comes from --topology: \
-     Chimera C$(docv) or Pegasus P$(docv)."
-  in
-  Arg.(value & opt int 0 & info [ "physical" ] ~docv:"M" ~doc)
+let physical_arg ?(default = 0)
+    ?(doc =
+      "Minor-embed into a size-$(docv) hardware graph before solving (0 = solve \
+       the logical problem directly).  The graph family comes from --topology: \
+       Chimera C$(docv) or Pegasus P$(docv).") () =
+  Arg.(value & opt int default & info [ "physical" ] ~docv:"M" ~doc)
 
 let topology_arg =
   let doc = "Hardware graph family for --physical: $(b,chimera) or $(b,pegasus)." in
@@ -208,17 +210,31 @@ let chain_break_arg =
            Qac_embed.Embedding.Vote
        & info [ "chain-break" ] ~docv:"POLICY" ~doc)
 
-let make_solver solver ~reads ~sweeps ~seed =
-  match solver with
-  | `Exact -> P.Exact_solver
-  | `Sa ->
-    P.Sa { Qac_anneal.Sa.default_params with
-           Qac_anneal.Sa.num_reads = reads; num_sweeps = sweeps; seed }
-  | `Sqa ->
-    P.Sqa { Qac_anneal.Sqa.default_params with
-            Qac_anneal.Sqa.num_reads = reads; num_sweeps = sweeps; seed }
-  | `Tabu -> P.Tabu { Qac_anneal.Tabu.default_params with Qac_anneal.Tabu.seed }
-  | `Qbsolv -> P.Qbsolv { Qac_anneal.Qbsolv.default_params with Qac_anneal.Qbsolv.seed }
+(* The one solver term: --solver, --reads, --sweeps and --seed become a
+   [Pipeline.solver], shared by every subcommand that solves. *)
+let solver_term =
+  let make solver reads sweeps seed =
+    match solver with
+    | `Exact -> P.Exact_solver
+    | `Sa ->
+      P.Sa { Qac_anneal.Sa.default_params with
+             Qac_anneal.Sa.num_reads = reads; num_sweeps = sweeps; seed }
+    | `Sqa ->
+      P.Sqa { Qac_anneal.Sqa.default_params with
+              Qac_anneal.Sqa.num_reads = reads; num_sweeps = sweeps; seed }
+    | `Tabu -> P.Tabu { Qac_anneal.Tabu.default_params with Qac_anneal.Tabu.seed }
+    | `Qbsolv -> P.Qbsolv { Qac_anneal.Qbsolv.default_params with Qac_anneal.Qbsolv.seed }
+  in
+  Term.(const make $ solver_arg $ reads_arg $ sweeps_arg $ seed_arg)
+
+let make_target ?(roof = false) ~topology ~broken physical =
+  if physical = 0 then P.Logical
+  else
+    P.Physical
+      { graph = make_graph ~topology ~broken physical;
+        embed_params = None;
+        chain_strength = None;
+        roof_duality = roof }
 
 (* Pins in QMASM syntax ("C[7:0] := 10001111") go to the QMASM parser
    verbatim; the "name=value" shorthand becomes an integer port pin. *)
@@ -243,8 +259,8 @@ let split_pins specs =
     specs
 
 let run_cmd =
-  let run src top steps no_optimize pins solver reads sweeps seed physical topology broken
-      roof all threads timeout_ms store_dir postprocess chain_break trace trace_json =
+  let run src top steps no_optimize pins solver physical topology broken roof all threads
+      timeout_ms store_dir postprocess chain_break trace trace_json =
     try
       let tr = make_trace ~trace ~trace_json in
       let store = Option.map Qac_embed.Store.open_dir store_dir in
@@ -252,16 +268,7 @@ let run_cmd =
       let qmasm_pins, int_pins = split_pins pins in
       let pin_source = String.concat "\n" qmasm_pins in
       let pins = int_pins in
-      let solver = make_solver solver ~reads ~sweeps ~seed in
-      let target =
-        if physical = 0 then P.Logical
-        else
-          P.Physical
-            { graph = make_graph ~topology ~broken physical;
-              embed_params = None;
-              chain_strength = None;
-              roof_duality = roof }
-      in
+      let target = make_target ~roof ~topology ~broken physical in
       let cache =
         (* With a store, use a dedicated store-backed cache: the embedding
            persists across process restarts, not just within this one. *)
@@ -318,18 +325,16 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(ret
             (const run $ src_arg $ top_arg $ steps_arg $ no_optimize_arg $ pins_arg
-             $ solver_arg $ reads_arg $ sweeps_arg $ seed_arg $ physical_arg $ topology_arg
-             $ broken_arg $ roof_arg $ all_arg $ threads_arg $ timeout_arg $ store_arg
-             $ postprocess_arg $ chain_break_arg $ trace_arg $ trace_json_arg))
+             $ solver_term $ physical_arg () $ topology_arg $ broken_arg $ roof_arg $ all_arg
+             $ threads_arg $ timeout_arg $ store_arg $ postprocess_arg $ chain_break_arg
+             $ trace_arg $ trace_json_arg))
 
 (* --- sat ------------------------------------------------------------------ *)
 
 module Sat = Qac_sat.Compile
 module Dimacs = Qac_sat.Dimacs
 
-let sat_file_arg =
-  let doc = "DIMACS CNF or WCNF file (the header picks the mode)." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+let sat_file_arg = file_arg "DIMACS CNF or WCNF file (the header picks the mode)."
 
 let maxsat_arg =
   let doc =
@@ -339,73 +344,16 @@ let maxsat_arg =
   in
   Arg.(value & flag & info [ "maxsat" ] ~doc)
 
-(* Minor-embed a compiled SAT problem, solve on the hardware graph, and
-   unembed — the single-job version of the pipeline's physical target. *)
-let sat_solve_physical ~graph ~chain_break ~threads ?deadline solver p =
-  let eparams =
-    { (Qac_embed.Cmr.params_for graph) with Qac_embed.Cmr.num_threads = threads }
-  in
-  let cache = Qac_embed.Cache.shared () in
-  let key = Qac_embed.Cache.key graph p ~params:eparams in
-  let embedding =
-    match Qac_embed.Cache.find cache key with
-    | Some e -> e
-    | None ->
-      let e =
-        match Qac_embed.Cmr.find ~params:eparams graph p with
-        | Some e -> e
-        | None ->
-          (match Qac_embed.Clique.find graph p with
-           | Some e -> e
-           | None ->
-             Qac_diag.Diag.error ~stage:"sat"
-               "no minor embedding found (formula too large for the topology?)")
-      in
-      Qac_embed.Cache.add cache key e;
-      e
-  in
-  let physical = Qac_embed.Embedding.apply graph p embedding in
-  let compacted, old_of_new = Qac_embed.Embedding.compact physical in
-  let response = P.dispatch_solver ~num_threads:threads ?deadline solver compacted in
-  let logical_samples =
-    List.map
-      (fun (s : Qac_anneal.Sampler.sample) ->
-         let full = Array.make physical.Qac_ising.Problem.num_vars 1 in
-         Array.iteri
-           (fun k old -> full.(old) <- s.Qac_anneal.Sampler.spins.(k))
-           old_of_new;
-         let u =
-           Qac_embed.Embedding.unembed ~policy:chain_break ~problem:physical
-             embedding full
-         in
-         (u.Qac_embed.Embedding.logical, s.Qac_anneal.Sampler.num_occurrences))
-      response.Qac_anneal.Sampler.samples
-  in
-  (logical_samples, Some (Qac_embed.Embedding.num_physical_qubits embedding), response)
-
 let sat_cmd =
-  let run file maxsat solver reads sweeps seed physical topology broken threads
-      timeout_ms chain_break =
+  let run file maxsat solver physical topology broken threads timeout_ms chain_break =
     try
       let formula = Dimacs.parse_file file in
       let compiled = Sat.compile formula in
       let p = compiled.Sat.problem in
-      let exact = solver = `Exact in
-      let solver = make_solver solver ~reads ~sweeps ~seed in
-      let deadline =
-        Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
-      in
-      let samples, physical_qubits, (response : Qac_anneal.Sampler.response) =
-        if physical = 0 then
-          let response = P.dispatch_solver ~num_threads:threads ?deadline solver p in
-          ( List.map
-              (fun (s : Qac_anneal.Sampler.sample) ->
-                 (s.Qac_anneal.Sampler.spins, s.Qac_anneal.Sampler.num_occurrences))
-              response.Qac_anneal.Sampler.samples,
-            None, response )
-        else
-          let graph = make_graph ~topology ~broken physical in
-          sat_solve_physical ~graph ~chain_break ~threads ?deadline solver p
+      let exact = match solver with P.Exact_solver -> true | _ -> false in
+      let solved =
+        P.solve ~num_threads:threads ?timeout_ms ~chain_break ~solver
+          ~target:(make_target ~topology ~broken physical) p
       in
       (* Decode every read and keep the cheapest assignment; [cost] ranks by
          the same objective the Hamiltonian encodes, so a read whose
@@ -419,20 +367,19 @@ let sat_cmd =
              match acc with
              | Some (_, best_c) when best_c <= c -> acc
              | _ -> Some (a, c))
-          None samples
+          None solved.P.reads
       in
       Printf.printf "c %d variables, %d clauses -> %d spins (%d ancillas), %d couplers\n"
         formula.Dimacs.num_vars
         (Array.length formula.Dimacs.clauses)
         p.Qac_ising.Problem.num_vars compiled.Sat.num_ancillas
         (Array.length p.Qac_ising.Problem.couplers);
-      (match physical_qubits with
+      (match solved.P.num_physical_qubits with
        | Some q -> Printf.printf "c physical qubits: %d\n" q
        | None -> ());
-      Printf.printf "c reads: %d  elapsed: %.3fs\n"
-        response.Qac_anneal.Sampler.num_reads
-        response.Qac_anneal.Sampler.elapsed_seconds;
-      if response.Qac_anneal.Sampler.timed_out then
+      Printf.printf "c reads: %d  elapsed: %.3fs\n" solved.P.num_reads
+        solved.P.elapsed_seconds;
+      if solved.P.timed_out then
         print_endline "c timed out: best-so-far";
       let print_v a =
         let buf = Buffer.create (4 * Array.length a) in
@@ -487,9 +434,75 @@ let sat_cmd =
   let doc = "solve a DIMACS CNF/WCNF formula on the annealing substrate" in
   Cmd.v (Cmd.info "sat" ~doc)
     Term.(ret
-            (const run $ sat_file_arg $ maxsat_arg $ solver_arg $ reads_arg $ sweeps_arg
-             $ seed_arg $ physical_arg $ topology_arg $ broken_arg $ threads_arg
-             $ timeout_arg $ chain_break_arg))
+            (const run $ sat_file_arg $ maxsat_arg $ solver_term $ physical_arg ()
+             $ topology_arg $ broken_arg $ threads_arg $ timeout_arg $ chain_break_arg))
+
+(* --- qmasm ------------------------------------------------------------------ *)
+
+let qmasm_pin_arg =
+  let doc = "Pin variables, QMASM syntax: --pin 'C[7:0] := 10001111'.  Repeatable." in
+  Arg.(value & opt_all string [] & info [ "pin" ] ~docv:"PIN" ~doc)
+
+let minizinc_arg =
+  let doc = "Emit the problem as MiniZinc instead of solving." in
+  Arg.(value & flag & info [ "minizinc" ] ~doc)
+
+let merge_arg =
+  let doc = "Merge chained variables into one (qmasm's optimization)." in
+  Arg.(value & flag & info [ "merge-chains" ] ~doc)
+
+module Sampler = Qac_anneal.Sampler
+
+let qmasm_cmd =
+  let run file pins solver minizinc merge_chains threads timeout_ms =
+    try
+      (* Pins are QMASM statements appended to the program, as on the qmasm
+         command line. *)
+      let source = read_file file ^ "\n" ^ String.concat "\n" pins ^ "\n" in
+      let options = { Qac_qmasm.Assemble.default_options with merge_chains } in
+      let program =
+        Qac_qmasm.Qmasm.load ~options ~resolve:Qac_edif2qmasm.Edif2qmasm.resolve source
+      in
+      if minizinc then print_string (Qac_qmasm.Qmasm.to_minizinc program)
+      else begin
+        let problem = program.Qac_qmasm.Assemble.problem in
+        Printf.printf "# %d variables, %d couplers\n" problem.Qac_ising.Problem.num_vars
+          (Qac_ising.Problem.num_interactions problem);
+        let solved = P.solve ~num_threads:threads ?timeout_ms ~solver ~target:P.Logical problem in
+        Printf.printf "# %d reads in %.3fs\n" solved.P.num_reads solved.P.elapsed_seconds;
+        if solved.P.timed_out then print_endline "# timed out: solutions are best-so-far";
+        let response = Sampler.response_of_reads problem (List.map fst solved.P.reads) in
+        Format.printf "%a" (Sampler.pp_histogram ?buckets:None) response;
+        List.iteri
+          (fun i (s : Sampler.sample) ->
+             if i < 10 then begin
+               Printf.printf "solution %d: energy %g, %d occurrence(s)\n" (i + 1)
+                 s.Sampler.energy s.Sampler.num_occurrences;
+               let assignment, checks = Qac_qmasm.Qmasm.report program s.Sampler.spins in
+               List.iter
+                 (fun (name, v) -> Printf.printf "  %s = %s\n" name (if v then "True" else "False"))
+                 assignment;
+               List.iter
+                 (fun (expr, ok) ->
+                    if not ok then
+                      Format.printf "  assertion FAILED: %a@." Qac_qmasm.Ast.pp_bexpr expr)
+                 checks
+             end)
+          response.Sampler.samples
+      end;
+      `Ok ()
+    with
+    | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
+    | Sys_error msg -> `Error (false, msg)
+  in
+  let doc =
+    "assemble a standalone QMASM program and run it on the logical problem, in \
+     the spirit of the paper's qmasm tool"
+  in
+  Cmd.v (Cmd.info "qmasm" ~doc)
+    Term.(ret
+            (const run $ file_arg "QMASM source file." $ qmasm_pin_arg $ solver_term
+             $ minizinc_arg $ merge_arg $ threads_arg $ timeout_arg))
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -509,10 +522,6 @@ let jobs_arg =
      socket)."
   in
   Arg.(value & opt (some file) None & info [ "jobs" ] ~docv:"FILE" ~doc)
-
-let serve_physical_arg =
-  let doc = "Tile jobs onto a size-$(docv) hardware graph (family from --topology)." in
-  Arg.(value & opt int 16 & info [ "physical" ] ~docv:"M" ~doc)
 
 let batch_jobs_arg =
   let doc = "Flush a batch once $(docv) jobs are pending." in
@@ -749,21 +758,17 @@ let print_pool_summary pool =
       (1000.0 *. Qac_diag.Hist.p50 lat) (1000.0 *. Qac_diag.Hist.p99 lat)
 
 let serve_cmd =
-  let run jobs_file physical topology broken solver reads sweeps seed threads batch_jobs
+  let run jobs_file physical topology broken solver threads batch_jobs
       batch_window_ms queue_capacity listen shards routing store_dir postprocess
       chain_break trace trace_json =
     try
       if shards < 1 then failwith "--shards must be >= 1";
       let store = Option.map Qac_embed.Store.open_dir store_dir in
-      let solver_variant = make_solver solver ~reads ~sweeps ~seed in
       (* Per-job solves already run concurrently across the service's
          domains, so each individual solve stays single-threaded.  The
          composite wrapper honors each job's own deadline inside the
          polish loop. *)
-      let solver ~deadline p =
-        Qac_anneal.Composite.wrap ~postprocess ?deadline p
-          ~solve:(fun p -> P.dispatch_solver ~num_threads:1 ?deadline solver_variant p)
-      in
+      let solver = P.composite_solve ~postprocess solver in
       let graph = make_graph ~topology ~broken physical in
       let batch_window_s = batch_window_ms /. 1000.0 in
       (match listen with
@@ -846,8 +851,11 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(ret
-            (const run $ jobs_arg $ serve_physical_arg $ topology_arg $ broken_arg
-             $ solver_arg $ reads_arg $ sweeps_arg $ seed_arg $ threads_arg
+            (const run $ jobs_arg
+             $ physical_arg ~default:16
+                 ~doc:"Tile jobs onto a size-$(docv) hardware graph (family from --topology)."
+                 ()
+             $ topology_arg $ broken_arg $ solver_term $ threads_arg
              $ batch_jobs_arg $ batch_window_arg $ queue_capacity_arg
              $ listen_arg $ shards_arg $ routing_arg $ store_arg
              $ postprocess_arg $ chain_break_arg $ trace_arg $ trace_json_arg))
@@ -1013,7 +1021,7 @@ let stats_cmd =
   in
   let doc = "print the section 6.1 static properties of a module" in
   Cmd.v (Cmd.info "stats" ~doc)
-    Term.(ret (const run $ src_arg $ top_arg $ steps_arg $ no_optimize_arg $ physical_arg
+    Term.(ret (const run $ src_arg $ top_arg $ steps_arg $ no_optimize_arg $ physical_arg ()
                $ topology_arg $ broken_arg))
 
 let () =
@@ -1022,4 +1030,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ compile_cmd; run_cmd; sat_cmd; serve_cmd; client_cmd; cells_cmd; stats_cmd ]))
+          [ compile_cmd; run_cmd; sat_cmd; qmasm_cmd; serve_cmd; client_cmd; cells_cmd;
+            stats_cmd ]))

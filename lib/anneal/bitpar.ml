@@ -68,7 +68,9 @@ let acceptance q schedule ~num_sweeps =
 (* --- Seed derivation --------------------------------------------------------- *)
 
 (* Per-block plan: the visit order (shared by every lane of the block, one
-   shuffle per block as in [Sa.anneal_one]) comes first from the block rng,
+   shuffle per block — sequential-scan SA, as in D-Wave's neal, where a
+   per-sweep reshuffle costs more than the proposals it reorders) comes
+   first from the block rng,
    then one derived seed per lane.  Each lane then expands its own seed
    into initial spins plus a {!Rng.Lanes} stream, so the plan alone pins
    every lane's trajectory. *)

@@ -8,7 +8,6 @@ type params = {
   schedule : [ `Geometric | `Linear ];
   greedy_postprocess : bool;
   seed : int;
-  kernel : [ `Bitpar | `Scalar ];
 }
 
 let default_params =
@@ -18,8 +17,7 @@ let default_params =
     beta_max = None;
     schedule = `Geometric;
     greedy_postprocess = true;
-    seed = 42;
-    kernel = `Bitpar }
+    seed = 42 }
 
 (* Deadline checks sit between sweeps (a sweep is O(vars * degree), so one
    [gettimeofday] per sweep is noise).  [expired None] is a constant-false
@@ -29,54 +27,15 @@ let expired deadline =
   | None -> false
   | Some d -> Unix.gettimeofday () > d
 
-let anneal_one ?deadline (p : Problem.t) ~rng ~num_sweeps ~schedule =
-  let n = p.Problem.num_vars in
-  let st = State.random p rng in
-  (* One random visit order per read (sequential-scan SA, as in D-Wave's
-     neal): a per-sweep reshuffle costs more than the O(1) proposals it
-     reorders. *)
-  let order = Array.init n (fun i -> i) in
-  Rng.shuffle rng order;
-  let step = ref 0 in
-  while !step < num_sweeps && not (expired deadline) do
-    let beta = Schedule.beta schedule ~step:!step ~num_steps:num_sweeps in
-    State.metropolis_sweep st ~beta ~rng ~order;
-    incr step
-  done;
-  st
-
-(* The scalar read loop: one float-kernel anneal per read. *)
-let sample_scalar ~params ?deadline ~schedule (p : Problem.t) =
-  let rng = Rng.create params.seed in
-  let start = Unix.gettimeofday () in
-  (* Best-effort under a deadline: each read checks between sweeps, and the
-     read loop stops early once the deadline passes — whatever state the
-     current read reached is still reported, so a timed-out response
-     carries at least one (partial) read. *)
-  let timed_out = ref false in
-  let rec reads_from k =
-    if k >= params.num_reads then []
-    else begin
-      let st = anneal_one ?deadline p ~rng ~num_sweeps:params.num_sweeps ~schedule in
-      if params.greedy_postprocess && not (expired deadline) then
-        ignore (Greedy.descend_state st);
-      let read = (State.spins st, State.energy st) in
-      if expired deadline then begin
-        timed_out := true;
-        [ read ]
-      end
-      else read :: reads_from (k + 1)
-    end
-  in
-  let reads = reads_from 0 in
-  let elapsed_seconds = Unix.gettimeofday () -. start in
-  Sampler.response_of_evaluated_reads ~elapsed_seconds ~timed_out:!timed_out reads
-
 (* The bit-parallel read loop: reads advance in packed blocks of up to 64
    lanes, one derived block seed per block.  Greedy polish and energy
    evaluation ride on the float [State] per lane, so the response carries
-   incrementally-tracked energies exactly like the scalar path. *)
-let sample_bitpar ~params ?deadline ~schedule (p : Problem.t) =
+   incrementally-tracked energies. *)
+let sample_bitpar ~params ?deadline (p : Problem.t) =
+  let schedule =
+    Schedule.create ~kind:params.schedule ?beta_min:params.beta_min
+      ?beta_max:params.beta_max p
+  in
   let q = Bitpar.quantize p in
   let acceptance = Bitpar.acceptance q schedule ~num_sweeps:params.num_sweeps in
   let rng = Rng.create params.seed in
@@ -105,12 +64,4 @@ let sample_bitpar ~params ?deadline ~schedule (p : Problem.t) =
 let sample ?(params = default_params) ?deadline (p : Problem.t) =
   if p.Problem.num_vars = 0 then
     Sampler.response_of_reads p (List.init params.num_reads (fun _ -> [||]))
-  else begin
-    let schedule =
-      Schedule.create ~kind:params.schedule ?beta_min:params.beta_min
-        ?beta_max:params.beta_max p
-    in
-    match params.kernel with
-    | `Scalar -> sample_scalar ~params ?deadline ~schedule p
-    | `Bitpar -> sample_bitpar ~params ?deadline ~schedule p
-  end
+  else sample_bitpar ~params ?deadline p

@@ -15,15 +15,12 @@ type params = {
   schedule : [ `Geometric | `Linear ];
   greedy_postprocess : bool;  (** descend to a local minimum after the ramp *)
   seed : int;
-  kernel : [ `Bitpar | `Scalar ];
-      (** [`Bitpar] (default) packs up to 64 reads per {!Bitpar} block —
-          integer quantized dynamics, one CSR walk advancing all lanes;
-          [`Scalar] keeps the float {!State} kernel read-by-read. *)
 }
 
 val default_params : params
 (** 100 reads, 200 sweeps, geometric auto schedule, postprocessing on,
-    seed 42, bit-parallel kernel. *)
+    seed 42.  Reads run in {!Bitpar} blocks of up to 64 — integer
+    quantized dynamics, one CSR walk advancing all lanes. *)
 
 (** [sample ?params ?deadline p] — [deadline] is an absolute
     [Unix.gettimeofday] instant; the sampler checks it between sweeps and
@@ -32,14 +29,3 @@ val default_params : params
     [Sampler.response.timed_out] set.  Responses without a deadline are
     bit-identical to previous behaviour. *)
 val sample : ?params:params -> ?deadline:float -> Qac_ising.Problem.t -> Sampler.response
-
-(** [anneal_one p ~rng ~num_sweeps ~schedule] runs a single read and returns
-    the final annealing state (configuration + tracked energy).  A read that
-    hits [deadline] stops after the current sweep. *)
-val anneal_one :
-  ?deadline:float ->
-  Qac_ising.Problem.t ->
-  rng:Rng.t ->
-  num_sweeps:int ->
-  schedule:Schedule.t ->
-  State.t

@@ -238,6 +238,14 @@ type solution = {
   broken_chains : int;
 }
 
+type solve_result = {
+  reads : (Problem.spin array * int) list;
+  num_physical_qubits : int option;
+  num_reads : int;
+  elapsed_seconds : float;
+  timed_out : bool;
+}
+
 type run_result = {
   solutions : solution list;
   num_reads : int;
@@ -260,6 +268,130 @@ let dispatch_solver ?(num_threads = 1) ?deadline solver problem =
   | Sqa params -> Anneal.Parallel.sample_sqa ~num_threads ?deadline ~params problem
   | Tabu params -> Anneal.Parallel.sample_tabu ~num_threads ?deadline ~params problem
   | Qbsolv params -> Anneal.Qbsolv.sample ~params ?deadline problem
+
+(* One solve = composite-wrapped dispatch.  The deadline bounds the base
+   solve {e and} the polish loop: a solve under time pressure returns
+   unpolished samples rather than blowing its budget in post-processing. *)
+let composite_solve ?(num_threads = 1) ?(postprocess = `None) solver ~deadline problem =
+  Anneal.Composite.wrap ~postprocess ?deadline problem
+    ~solve:(fun p -> dispatch_solver ~num_threads ?deadline solver p)
+
+(* Solve stages, each a traced span: (qpbo -> embed) -> solve -> unembed.
+   Logical targets skip the embedding spans.  The embed stage consults
+   [embed_cache] first (keyed on problem structure + topology identity +
+   embedder params): a hit skips the embed span entirely and records the
+   [embed-cache-hit] counter instead.  [timeout_ms] bounds the solve stage:
+   the absolute deadline is computed when the solve span opens, the
+   samplers return best-so-far on expiry, and the [timed-out] counter (0/1)
+   lands on the solve span. *)
+let solve ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ()) ?timeout_ms
+    ?postprocess ?(chain_break = Embedding.Vote) ~solver ~target logical =
+  let span name f = Trace.with_span_opt trace name f in
+  let count key v = Trace.counter_opt trace key v in
+  let solve_span problem =
+    span "solve" (fun () ->
+        let deadline =
+          Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
+        in
+        let r = composite_solve ~num_threads ?postprocess solver ~deadline problem in
+        count "reads" r.Anneal.Sampler.num_reads;
+        count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
+        r)
+  in
+  let result ?num_physical_qubits (response : Anneal.Sampler.response) reads : solve_result =
+    { reads;
+      num_physical_qubits;
+      num_reads = response.Anneal.Sampler.num_reads;
+      elapsed_seconds = response.Anneal.Sampler.elapsed_seconds;
+      timed_out = response.Anneal.Sampler.timed_out }
+  in
+  (* One entry per read: each distinct sample repeats by its count. *)
+  let expand counted = List.concat_map (fun (x, n) -> List.init n (fun _ -> x)) counted in
+  match target with
+  | Logical ->
+    let response = solve_span logical in
+    result response
+      (expand
+         (List.map
+            (fun (s : Anneal.Sampler.sample) ->
+               ((s.Anneal.Sampler.spins, 0), s.Anneal.Sampler.num_occurrences))
+            response.Anneal.Sampler.samples))
+  | Physical { graph; embed_params; chain_strength; roof_duality } ->
+    let num_logical_vars = logical.Problem.num_vars in
+    let simplified =
+      span "qpbo" (fun () ->
+          let simplified =
+            if roof_duality then Qpbo.simplify logical
+            else
+              { Qpbo.reduced = logical;
+                kept = Array.init num_logical_vars (fun i -> i);
+                fixed = [] }
+          in
+          count "kept-vars" (Array.length simplified.Qpbo.kept);
+          count "fixed-vars" (List.length simplified.Qpbo.fixed);
+          simplified)
+    in
+    let to_embed = simplified.Qpbo.reduced in
+    (* vqa's --threads reaches the embedder here: an explicit embed_params
+       wins, otherwise the run-level thread count parallelizes the tries
+       (which by contract cannot change the embedding found). *)
+    let eparams =
+      match embed_params with
+      | Some p -> p
+      | None -> { (Cmr.params_for graph) with Cmr.num_threads }
+    in
+    let cache_key = Qac_embed.Cache.key graph to_embed ~params:eparams in
+    let embedding =
+      match Qac_embed.Cache.find embed_cache cache_key with
+      | Some embedding ->
+        count "embed-cache-hit" 1;
+        count "physical-qubits" (Embedding.num_physical_qubits embedding);
+        embedding
+      | None ->
+        let embedding =
+          span "embed" (fun () ->
+              count "embed-cache-miss" 1;
+              let embedding =
+                match Cmr.find ~params:eparams graph to_embed with
+                | Some e -> e
+                | None ->
+                  (* Dense interaction graphs defeat the path-based heuristic;
+                     fall back to the deterministic clique template when it
+                     applies. *)
+                  (match Qac_embed.Clique.find graph to_embed with
+                   | Some e -> e
+                   | None ->
+                     error "no minor embedding found (problem too large for the topology?)")
+              in
+              count "physical-qubits" (Embedding.num_physical_qubits embedding);
+              count "max-chain-length" (Embedding.max_chain_length embedding);
+              embedding)
+        in
+        Qac_embed.Cache.add embed_cache cache_key embedding;
+        embedding
+    in
+    let physical = Embedding.apply ?chain_strength graph to_embed embedding in
+    let compacted, old_of_new = Embedding.compact physical in
+    let response = solve_span compacted in
+    let reads =
+      span "unembed" (fun () ->
+          let kept =
+            Embedding.unembed_reads ~policy:chain_break ~old_of_new ~problem:physical
+              embedding response.Anneal.Sampler.samples
+          in
+          count "discarded-reads"
+            (response.Anneal.Sampler.num_reads
+             - List.fold_left (fun acc (_, n) -> acc + n) 0 kept);
+          expand
+            (List.map
+               (fun ((u : Embedding.unembedded), n) ->
+                  ( ( Qpbo.restore ~original_num_vars:num_logical_vars simplified
+                        u.Embedding.logical,
+                      u.Embedding.broken_chains ),
+                    n ))
+               kept))
+    in
+    result ~num_physical_qubits:(Embedding.num_physical_qubits embedding) response reads
 
 let port_values t assignment =
   let value_of name width =
@@ -330,31 +462,11 @@ let solution_of_spins t ~program ?(num_occurrences = 1) ?(broken_chains = 0) spi
     pins_respected;
     broken_chains }
 
-(* Run stages, each a traced span: assemble -> (qpbo -> embed) -> solve
-   -> unembed -> verify.  Logical targets skip the embedding spans.  The
-   embed stage consults [embed_cache] first (keyed on problem structure +
-   topology identity + embedder params): a hit skips the embed span
-   entirely and records the [embed-cache-hit] counter instead.
-   [timeout_ms] bounds the solve stage: the absolute deadline is computed
-   when the solve span opens, the samplers return best-so-far on expiry,
-   and the [timed-out] counter (0/1) lands on the solve span. *)
-let run ?(pins = []) ?(pin_source = "") ?trace ?(num_threads = 1)
-    ?(embed_cache = Qac_embed.Cache.shared ()) ?timeout_ms
-    ?(postprocess = `None) ?(chain_break = Embedding.Vote) ~solver ~target t =
+(* Run = assemble span + [solve] + verify span. *)
+let run ?(pins = []) ?(pin_source = "") ?trace ?num_threads ?embed_cache ?timeout_ms
+    ?postprocess ?chain_break ~solver ~target t =
   let span name f = Trace.with_span_opt trace name f in
   let count key v = Trace.counter_opt trace key v in
-  let deadline_of_timeout () =
-    Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
-  in
-  (* One solve = composite-wrapped dispatch.  The deadline computed at
-     span open bounds the base solve {e and} the polish loop: a run under
-     time pressure returns unpolished samples rather than blowing its
-     budget in post-processing. *)
-  let composite_solve problem =
-    let deadline = deadline_of_timeout () in
-    Anneal.Composite.wrap ~postprocess ?deadline problem
-      ~solve:(fun p -> dispatch_solver ~num_threads ?deadline solver p)
-  in
   let program =
     span "assemble" (fun () ->
         let program = assemble_with_pins ~pins ~pin_source t in
@@ -363,139 +475,9 @@ let run ?(pins = []) ?(pin_source = "") ?trace ?(num_threads = 1)
         program)
   in
   let logical = program.Qmasm.Assemble.problem in
-  let num_logical_vars = logical.Problem.num_vars in
-  (* Solve, producing logical-level reads plus chain-break counts. *)
-  let reads_logical, num_physical_qubits, num_reads, elapsed, timed_out =
-    match target with
-    | Logical ->
-      let response =
-        span "solve" (fun () ->
-            let r = composite_solve logical in
-            count "reads" r.Anneal.Sampler.num_reads;
-            count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
-            r)
-      in
-      let reads =
-        List.concat_map
-          (fun s ->
-             List.init s.Anneal.Sampler.num_occurrences (fun _ ->
-                 (s.Anneal.Sampler.spins, 0)))
-          response.Anneal.Sampler.samples
-      in
-      ( reads,
-        None,
-        response.Anneal.Sampler.num_reads,
-        response.Anneal.Sampler.elapsed_seconds,
-        response.Anneal.Sampler.timed_out )
-    | Physical { graph; embed_params; chain_strength; roof_duality } ->
-      let simplified =
-        span "qpbo" (fun () ->
-            let simplified =
-              if roof_duality then Qpbo.simplify logical
-              else
-                { Qpbo.reduced = logical;
-                  kept = Array.init num_logical_vars (fun i -> i);
-                  fixed = [] }
-            in
-            count "kept-vars" (Array.length simplified.Qpbo.kept);
-            count "fixed-vars" (List.length simplified.Qpbo.fixed);
-            simplified)
-      in
-      let to_embed = simplified.Qpbo.reduced in
-      (* vqa's --threads reaches the embedder here: an explicit embed_params
-         wins, otherwise the run-level thread count parallelizes the tries
-         (which by contract cannot change the embedding found). *)
-      let eparams =
-        match embed_params with
-        | Some p -> p
-        | None -> { (Cmr.params_for graph) with Cmr.num_threads }
-      in
-      let cache_key = Qac_embed.Cache.key graph to_embed ~params:eparams in
-      let embedding =
-        match Qac_embed.Cache.find embed_cache cache_key with
-        | Some embedding ->
-          count "embed-cache-hit" 1;
-          count "physical-qubits" (Embedding.num_physical_qubits embedding);
-          embedding
-        | None ->
-          let embedding =
-            span "embed" (fun () ->
-                count "embed-cache-miss" 1;
-                let embedding =
-                  match Cmr.find ~params:eparams graph to_embed with
-                  | Some e -> e
-                  | None ->
-                    (* Dense interaction graphs defeat the path-based heuristic;
-                       fall back to the deterministic clique template when it
-                       applies. *)
-                    (match Qac_embed.Clique.find graph to_embed with
-                     | Some e -> e
-                     | None ->
-                       error "no minor embedding found (problem too large for the topology?)")
-                in
-                count "physical-qubits" (Embedding.num_physical_qubits embedding);
-                count "max-chain-length" (Embedding.max_chain_length embedding);
-                embedding)
-          in
-          Qac_embed.Cache.add embed_cache cache_key embedding;
-          embedding
-      in
-      let physical = Embedding.apply ?chain_strength graph to_embed embedding in
-      let compacted, old_of_new = Embedding.compact physical in
-      let response =
-        span "solve" (fun () ->
-            let r = composite_solve compacted in
-            count "reads" r.Anneal.Sampler.num_reads;
-            count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
-            r)
-      in
-      let reads =
-        span "unembed" (fun () ->
-            let resolved =
-              List.map
-                (fun s ->
-                   let full = Array.make physical.Problem.num_vars 1 in
-                   Array.iteri
-                     (fun k old -> full.(old) <- s.Anneal.Sampler.spins.(k))
-                     old_of_new;
-                   ( Embedding.unembed ~policy:chain_break ~problem:physical
-                       embedding full,
-                     s.Anneal.Sampler.num_occurrences ))
-                response.Anneal.Sampler.samples
-            in
-            (* [Discard] drops broken reads here; an all-broken response
-               falls back to the voted reads so the run stays non-empty. *)
-            let kept =
-              match chain_break with
-              | Embedding.Discard ->
-                let clean =
-                  List.filter
-                    (fun ((u : Embedding.unembedded), _) ->
-                       u.Embedding.broken_chains = 0)
-                    resolved
-                in
-                if clean = [] then resolved else clean
-              | Embedding.Vote | Embedding.Polish -> resolved
-            in
-            let dropped =
-              List.fold_left (fun acc (_, n) -> acc + n) 0 resolved
-              - List.fold_left (fun acc (_, n) -> acc + n) 0 kept
-            in
-            count "discarded-reads" dropped;
-            List.concat_map
-              (fun ((u : Embedding.unembedded), n) ->
-                 let restored =
-                   Qpbo.restore ~original_num_vars:num_logical_vars simplified
-                     u.Embedding.logical
-                 in
-                 List.init n (fun _ -> (restored, u.Embedding.broken_chains)))
-              kept)
-      in
-      ( reads,
-        Some (Embedding.num_physical_qubits embedding),
-        response.Anneal.Sampler.num_reads,
-        response.Anneal.Sampler.elapsed_seconds,
-        response.Anneal.Sampler.timed_out )
+  let solved =
+    solve ?trace ?num_threads ?embed_cache ?timeout_ms ?postprocess ?chain_break ~solver
+      ~target logical
   in
   span "verify" (fun () ->
       (* Aggregate logical reads into named solutions. *)
@@ -507,7 +489,7 @@ let run ?(pins = []) ?(pin_source = "") ?trace ?(num_threads = 1)
            | Some (count, worst_broken) ->
              Hashtbl.replace tbl key (count + 1, max worst_broken broken)
            | None -> Hashtbl.replace tbl key (1, broken))
-        reads_logical;
+        solved.reads;
       let assertion_failures = ref 0 in
       let solutions =
         Hashtbl.fold
@@ -529,12 +511,12 @@ let run ?(pins = []) ?(pin_source = "") ?trace ?(num_threads = 1)
       count "valid-solutions"
         (List.length (List.filter (fun s -> s.valid && s.pins_respected) solutions));
       { solutions;
-        num_reads;
-        elapsed_seconds = elapsed;
-        num_logical_vars;
-        num_physical_qubits;
+        num_reads = solved.num_reads;
+        elapsed_seconds = solved.elapsed_seconds;
+        num_logical_vars = logical.Problem.num_vars;
+        num_physical_qubits = solved.num_physical_qubits;
         assertion_failures = !assertion_failures;
-        timed_out })
+        timed_out = solved.timed_out })
 
 let valid_solutions result =
   List.filter (fun s -> s.valid && s.pins_respected) result.solutions

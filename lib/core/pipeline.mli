@@ -121,6 +121,64 @@ val dispatch_solver :
   Qac_ising.Problem.t ->
   Qac_anneal.Sampler.response
 
+(** [composite_solve ?num_threads ?postprocess solver ~deadline problem] is
+    {!dispatch_solver} wrapped in {!Qac_anneal.Composite.wrap}: the one
+    solve function behind {!solve} and the serving tier's per-job solver.
+    [deadline] bounds the base solve and the polish loop alike. *)
+val composite_solve :
+  ?num_threads:int ->
+  ?postprocess:Qac_anneal.Composite.postprocess ->
+  solver ->
+  deadline:float option ->
+  Qac_ising.Problem.t ->
+  Qac_anneal.Sampler.response
+
+type solve_result = {
+  reads : (Qac_ising.Problem.spin array * int) list;
+      (** one entry per read, in sampler order: the logical spins and that
+          read's broken-chain count (0 on logical targets) *)
+  num_physical_qubits : int option;  (** [Some] for physical targets *)
+  num_reads : int;
+  elapsed_seconds : float;
+  timed_out : bool;
+}
+
+(** [solve ~solver ~target problem] is the execution half of {!run}, for
+    any logical Ising problem — a compiled circuit, a SAT formula or a
+    QMASM program.  [trace] records the spans (qpbo, embed — physical
+    targets only,) solve, unembed.  [num_threads] is forwarded to
+    {!dispatch_solver} and — when [embed_params] is not given — to the
+    embedder's parallel tries ({!Qac_embed.Cmr.params.num_threads}).
+    Physical targets consult [embed_cache] (default: the process-wide
+    {!Qac_embed.Cache.shared}) before embedding: a hit returns the cached
+    embedding, skips the [embed] span, and records an [embed-cache-hit]
+    counter; a miss records [embed-cache-miss] and populates the cache.
+    [timeout_ms] bounds the solve stage: the absolute deadline is computed
+    when solving starts, samplers return best-so-far on expiry, and
+    [timed_out] (plus a [timed-out] counter on the solve span) reports
+    whether it was hit.
+    [postprocess] ({!Qac_anneal.Composite.postprocess}, default [`None])
+    wraps the solve: [`Polish] steepest-descends every sample (the
+    deadline bounds the polish loop too), [`Gauge] solves under a
+    spin-reversal transform.  [chain_break]
+    ({!Qac_embed.Embedding.chain_break}, default [Vote]) sets how broken
+    chains resolve on physical targets
+    ({!Qac_embed.Embedding.unembed_reads}): [Discard] drops broken reads
+    (falling back to voting when every read is broken, with a
+    [discarded-reads] counter on the unembed span), [Polish]
+    greedy-repairs the physical configuration before voting. *)
+val solve :
+  ?trace:Qac_diag.Trace.t ->
+  ?num_threads:int ->
+  ?embed_cache:Qac_embed.Cache.t ->
+  ?timeout_ms:float ->
+  ?postprocess:Qac_anneal.Composite.postprocess ->
+  ?chain_break:Qac_embed.Embedding.chain_break ->
+  solver:solver ->
+  target:target ->
+  Qac_ising.Problem.t ->
+  solve_result
+
 type solution = {
   ports : (string * int) list;  (** every module port, as an integer *)
   assignment : (string * bool) list;  (** all visible symbols *)
@@ -158,28 +216,10 @@ type run_result = {
     in polynomial time and discarded by the caller).
     [pin_source] is raw QMASM pin text (one ["name := value"] per line,
     binary strings sized by the bracket range, as on the qmasm command
-    line); [pins] is the programmatic integer form.
-    [trace] records the spans assemble, (qpbo, embed — physical targets
-    only,) solve, unembed, verify.  [num_threads] is forwarded to
-    {!dispatch_solver} and — when [embed_params] is not given — to the
-    embedder's parallel tries ({!Qac_embed.Cmr.params.num_threads}).
-    Physical targets consult [embed_cache] (default: the process-wide
-    {!Qac_embed.Cache.shared}) before embedding: a hit returns the cached
-    embedding, skips the [embed] span, and records an [embed-cache-hit]
-    counter; a miss records [embed-cache-miss] and populates the cache.
-    [timeout_ms] bounds the solve stage: the absolute deadline is computed
-    when solving starts, samplers return best-so-far on expiry, and
-    [run_result.timed_out] (plus a [timed-out] counter on the solve span)
-    reports whether it was hit.
-    [postprocess] ({!Qac_anneal.Composite.postprocess}, default [`None])
-    wraps the solve: [`Polish] steepest-descends every sample (the
-    deadline bounds the polish loop too), [`Gauge] solves under a
-    spin-reversal transform.  [chain_break]
-    ({!Qac_embed.Embedding.chain_break}, default [Vote]) sets how broken
-    chains resolve on physical targets: [Discard] drops broken reads
-    (falling back to voting when every read is broken, with a
-    [discarded-reads] counter on the unembed span), [Polish]
-    greedy-repairs the physical configuration before voting. *)
+    line); [pins] is the programmatic integer form.  [run] is the
+    assemble span, then {!solve}, then the verify span; the other optional
+    arguments are {!solve}'s, and [trace] also records assemble and
+    verify. *)
 val run :
   ?pins:(string * int) list ->
   ?pin_source:string ->

@@ -1,5 +1,6 @@
 open Qac_ising
 module Chimera = Qac_chimera.Chimera
+module Sampler = Qac_anneal.Sampler
 
 type t = { chains : int array array }
 
@@ -152,9 +153,9 @@ type unembedded = {
    resolve to a logical spin:
    - [Vote]: majority across the chain, first qubit breaking ties — the
      original behaviour, and the tie-breaker for every other policy.
-   - [Discard]: resolves like [Vote] here; callers drop reads whose
-     [broken_chains] is non-zero (and fall back to the voted reads when
-     every read would drop, so responses stay non-empty).
+   - [Discard]: resolves like [Vote] per read; [unembed_reads] drops reads
+     whose [broken_chains] is non-zero (and falls back to the voted reads
+     when every read would drop, so responses stay non-empty).
    - [Polish]: greedy-descend the physical configuration on the embedded
      problem first — the chain couplers pull broken chains back into
      agreement before the vote, so the vote mostly ratifies repaired
@@ -196,6 +197,30 @@ let unembed ?(policy = Vote) ?problem t physical =
          configuration. *)
       { (vote t repaired) with broken_chains = (vote t physical).broken_chains }
   | _ -> vote t physical
+
+(* The one chain-break resolution step every solve path shares: expand each
+   sample to the full physical index space (unused qubits +1), unembed it
+   under [policy] once per distinct sample, and apply [Discard]'s drop. *)
+let unembed_reads ?(policy = Vote) ?old_of_new ~problem t samples =
+  let resolved =
+    List.map
+      (fun (s : Sampler.sample) ->
+         let full =
+           match old_of_new with
+           | None -> s.Sampler.spins
+           | Some old_of_new ->
+             let full = Array.make problem.Problem.num_vars 1 in
+             Array.iteri (fun k old -> full.(old) <- s.Sampler.spins.(k)) old_of_new;
+             full
+         in
+         (unembed ~policy ~problem t full, s.Sampler.num_occurrences))
+      samples
+  in
+  match policy with
+  | Discard ->
+    let clean = List.filter (fun (u, _) -> u.broken_chains = 0) resolved in
+    if clean = [] then resolved else clean
+  | Vote | Polish -> resolved
 
 let compact (p : Problem.t) =
   let used = Array.make p.Problem.num_vars false in

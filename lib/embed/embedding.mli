@@ -41,8 +41,8 @@ type unembedded = {
 }
 
 (** Chain-break resolution policy.  [Vote] takes the majority spin of each
-    chain (first qubit breaks ties).  [Discard] resolves like [Vote] at
-    this level; callers drop reads whose [broken_chains] is non-zero,
+    chain (first qubit breaks ties).  [Discard] resolves like [Vote] per
+    read; {!unembed_reads} drops reads whose [broken_chains] is non-zero,
     falling back to the voted reads when every read would be dropped.
     [Polish] greedy-descends the physical configuration on the embedded
     problem first (the chain couplers pull broken chains back into
@@ -63,6 +63,23 @@ val unembed :
   unembedded
 (** [policy] defaults to [Vote].  [broken_chains] always reports the raw
     read's disagreeing chains, even under [Polish]. *)
+
+(** [unembed_reads ?policy ?old_of_new ~problem t samples] resolves a
+    solver's samples to logical reads: each sample is expanded to
+    [problem]'s full physical index space through [old_of_new] (the map
+    {!compact} returns; unused qubits read +1 — omit it when the samples
+    are already full-length), unembedded under [policy] against the
+    physical [problem], and paired with its occurrence count, in sample
+    order.  Under [Discard], reads with broken chains are dropped; when
+    every read is broken, all of them are kept (voted) so the result stays
+    non-empty. *)
+val unembed_reads :
+  ?policy:chain_break ->
+  ?old_of_new:int array ->
+  problem:Qac_ising.Problem.t ->
+  t ->
+  Qac_anneal.Sampler.sample list ->
+  (unembedded * int) list
 
 (** [compact p] drops variables with no coefficients, returning the smaller
     problem and the map from new to old indices.  Useful before running a

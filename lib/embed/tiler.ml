@@ -266,48 +266,17 @@ let counts t =
 
 (* --- Solving and response plumbing ------------------------------------------ *)
 
-(* Resolve per-sample physical reads to logical reads under a chain-break
-   policy.  [Discard] drops reads whose chains disagreed; when every read is
-   broken it falls back to the voted reads so the job's response stays
-   non-empty.  Each pair carries its occurrence count so the unembed runs
-   once per distinct sample, not once per read. *)
-let resolve_reads ~policy (p : placed) counted_physicals =
-  let resolved =
-    List.map
-      (fun (ph, n) ->
-         (Embedding.unembed ~policy ~problem:p.physical p.embedding ph, n))
-      counted_physicals
-  in
-  let kept =
-    match (policy : Embedding.chain_break) with
-    | Embedding.Discard ->
-      let clean =
-        List.filter (fun ((u : Embedding.unembedded), _) -> u.Embedding.broken_chains = 0)
-          resolved
-      in
-      if clean = [] then resolved else clean
-    | Embedding.Vote | Embedding.Polish -> resolved
-  in
-  List.concat_map
-    (fun ((u : Embedding.unembedded), n) -> List.init n (fun _ -> u.Embedding.logical))
-    kept
-
-(* Physical-sample list -> logical response for one job: fill the local
-   full-graph array (unused qubits +1), resolve the chains under [policy]
-   (majority vote by default), aggregate.  Energies re-evaluate against the
-   job's own logical Hamiltonian. *)
-let logical_response ?(policy = Embedding.Vote) problem (p : placed) ~old_of_new
-    ~elapsed_seconds ~timed_out samples =
-  let counted =
-    List.map
-      (fun (s : Sampler.sample) ->
-         let full = Array.make p.physical.Problem.num_vars 1 in
-         Array.iteri (fun k old -> full.(old) <- s.Sampler.spins.(k)) old_of_new;
-         (full, s.Sampler.num_occurrences))
-      samples
-  in
-  Sampler.response_of_reads problem ~elapsed_seconds ~timed_out
-    (resolve_reads ~policy p counted)
+(* Physical samples (in the job's local index space, or compacted with
+   [old_of_new]) -> logical response for one job: chains resolve under
+   [policy] via {!Embedding.unembed_reads}, each logical read repeats by its
+   occurrence count, and energies re-evaluate against the job's own logical
+   Hamiltonian. *)
+let logical_response ~policy problem (p : placed) ?old_of_new ?elapsed_seconds
+    ~timed_out samples =
+  Embedding.unembed_reads ~policy ?old_of_new ~problem:p.physical p.embedding samples
+  |> List.concat_map (fun ((u : Embedding.unembedded), n) ->
+      List.init n (fun _ -> u.Embedding.logical))
+  |> Sampler.response_of_reads problem ?elapsed_seconds ~timed_out
 
 let solve ?(num_threads = 1) ?(chain_break = Embedding.Vote) ?deadline ~solver t =
   let n = Array.length t.problems in
@@ -388,15 +357,13 @@ let demux ?(chain_break = Embedding.Vote) t (response : Sampler.response) =
                     List.init s.Sampler.num_occurrences (fun _ -> [||]))
                  response.Sampler.samples)
           else
-            let counted =
-              List.map
-                (fun (s : Sampler.sample) ->
-                   ( Array.map (fun q -> s.Sampler.spins.(q)) p.region.qubits,
-                     s.Sampler.num_occurrences ))
-                response.Sampler.samples
-            in
-            Sampler.response_of_reads problem ~timed_out:response.Sampler.timed_out
-              (resolve_reads ~policy:chain_break p counted)
+            logical_response ~policy:chain_break problem p
+              ~timed_out:response.Sampler.timed_out
+              (List.map
+                 (fun (s : Sampler.sample) ->
+                    let spins = Array.map (fun q -> s.Sampler.spins.(q)) p.region.qubits in
+                    { s with Sampler.spins })
+                 response.Sampler.samples)
         in
         jobs := (p.job, r) :: !jobs)
     t.outcomes;

@@ -2,6 +2,7 @@ open Qac_ising
 module Chimera = Qac_chimera.Chimera
 module Embedding = Qac_embed.Embedding
 module Cmr = Qac_embed.Cmr
+module Sampler = Qac_anneal.Sampler
 
 let triangle =
   (* The section 4.4 example: H_log over a 3-cycle, which no bipartite
@@ -47,6 +48,21 @@ let check_ground_preservation graph p e =
     List.map Array.to_list logical_result.Exact.ground_states |> List.sort compare
   in
   Alcotest.(check bool) "ground sets equal" true (unembedded = logical_grounds)
+
+(* Fixture for the shared chain-break step: one 3-qubit chain and one
+   singleton, samples tagged with occurrence counts (two clean, one with
+   the long chain broken). *)
+let chain_embedding = { Embedding.chains = [| [| 0; 1; 2 |]; [| 3 |] |] }
+
+let chain_problem =
+  Problem.create ~num_vars:4 ~h:[| 0.0; 0.0; 0.0; 0.5 |]
+    ~j:[ ((0, 1), -2.0); ((1, 2), -2.0); ((2, 3), 0.1) ]
+    ()
+
+let sample spins num_occurrences = { Sampler.spins; energy = 0.0; num_occurrences }
+
+let mixed_samples =
+  [ sample [| 1; 1; 1; -1 |] 3; sample [| 1; -1; 1; -1 |] 2; sample [| -1; -1; -1; 1 |] 4 ]
 
 let embedding_tests =
   [ Alcotest.test_case "triangle embeds into C2 (needs a chain)" `Quick (fun () ->
@@ -154,6 +170,62 @@ let embedding_tests =
         Alcotest.(check bool) "same resolution" true
           (Embedding.unembed ~policy:Embedding.Discard e read
            = Embedding.unembed e read));
+    Alcotest.test_case "unembed_reads: discard drops broken reads" `Quick (fun () ->
+        let kept =
+          Embedding.unembed_reads ~policy:Embedding.Discard ~problem:chain_problem
+            chain_embedding mixed_samples
+        in
+        Alcotest.(check (list (pair (list int) int))) "clean reads only"
+          [ ([ 1; -1 ], 3); ([ -1; 1 ], 4) ]
+          (List.map
+             (fun ((u : Embedding.unembedded), n) -> (Array.to_list u.Embedding.logical, n))
+             kept));
+    Alcotest.test_case "unembed_reads: discard falls back to voting when all break"
+      `Quick (fun () ->
+        let all_broken = [ sample [| 1; -1; 1; -1 |] 2; sample [| -1; 1; -1; 1 |] 5 ] in
+        Alcotest.(check bool) "same as vote" true
+          (Embedding.unembed_reads ~policy:Embedding.Discard ~problem:chain_problem
+             chain_embedding all_broken
+           = Embedding.unembed_reads ~problem:chain_problem chain_embedding all_broken));
+    Alcotest.test_case "unembed_reads: occurrence counts are conserved" `Quick (fun () ->
+        let total l = List.fold_left (fun acc (_, n) -> acc + n) 0 l in
+        List.iter
+          (fun policy ->
+             let kept =
+               Embedding.unembed_reads ~policy ~problem:chain_problem chain_embedding
+                 mixed_samples
+             in
+             Alcotest.(check int) "every read kept" 9 (total kept))
+          [ Embedding.Vote; Embedding.Polish ];
+        Alcotest.(check int) "discard keeps the clean occurrences" 7
+          (total
+             (Embedding.unembed_reads ~policy:Embedding.Discard ~problem:chain_problem
+                chain_embedding mixed_samples)));
+    Alcotest.test_case "unembed_reads: vote and polish match per-read unembed" `Quick
+      (fun () ->
+         (* Samples over a compacted index space: qubits 4 and 5 are unused
+            and must read +1 after expansion. *)
+         let padded =
+           Problem.create ~num_vars:6 ~h:[| 0.0; 0.0; 0.0; 0.5; 0.0; 0.0 |]
+             ~j:[ ((0, 1), -2.0); ((1, 2), -2.0); ((2, 3), 0.1) ]
+             ()
+         in
+         let old_of_new = [| 0; 1; 2; 3 |] in
+         let full s = Array.append s.Sampler.spins [| 1; 1 |] in
+         List.iter
+           (fun policy ->
+              let expected =
+                List.map
+                  (fun s ->
+                     ( Embedding.unembed ~policy ~problem:padded chain_embedding (full s),
+                       s.Sampler.num_occurrences ))
+                  mixed_samples
+              in
+              Alcotest.(check bool) (Embedding.string_of_chain_break policy) true
+                (Embedding.unembed_reads ~policy ~old_of_new ~problem:padded chain_embedding
+                   mixed_samples
+                 = expected))
+           [ Embedding.Vote; Embedding.Polish ]);
     Alcotest.test_case "chain-break strings round-trip" `Quick (fun () ->
         List.iter
           (fun p ->

@@ -21,6 +21,8 @@ module Shard = Qac_serve.Shard
 module Server = Qac_serve.Server
 module Protocol = Qac_serve.Protocol
 module Diag = Qac_diag.Diag
+module P = Qac_core.Pipeline
+module Embedding = Qac_embed.Embedding
 
 (* --- helpers ------------------------------------------------------------- *)
 
@@ -546,6 +548,45 @@ let serve_tests =
                                      timeout_ms = Some 125.0 }))
   ]
 
+(* The single-job solve path [vqa sat] uses: weak chains and a warm ramp
+   make some reads break, and [Discard] must drop exactly those.  Both runs
+   share the seed and the embedding, so they see the same raw samples. *)
+let chain_break_tests =
+  [ Alcotest.test_case "Pipeline.solve drops broken SAT reads under discard" `Quick
+      (fun () ->
+         let compiled = Compile.compile (Dimacs.parse_file "../examples/demo.cnf") in
+         let target =
+           P.Physical
+             { graph = Chimera.create 4;
+               embed_params = None;
+               chain_strength = Some 0.5;
+               roof_duality = false }
+         in
+         let solver =
+           P.Sa
+             { Sa.default_params with
+               Sa.num_reads = 64;
+               num_sweeps = 50;
+               seed = 7;
+               beta_max = Some 2.0;
+               greedy_postprocess = false }
+         in
+         let solve chain_break =
+           P.solve ~embed_cache:(Cache.create ()) ~chain_break ~solver ~target
+             compiled.Compile.problem
+         in
+         let broken (r : P.solve_result) = List.filter (fun (_, b) -> b > 0) r.P.reads in
+         let voted = solve Embedding.Vote in
+         let num_broken = List.length (broken voted) in
+         Alcotest.(check bool) "weak chains break some reads" true (num_broken > 0);
+         Alcotest.(check bool) "some reads stay clean" true
+           (num_broken < List.length voted.P.reads);
+         let discarded = solve Embedding.Discard in
+         Alcotest.(check int) "no broken read survives" 0 (List.length (broken discarded));
+         Alcotest.(check int) "every clean read survives"
+           (List.length voted.P.reads - num_broken)
+           (List.length discarded.P.reads)) ]
+
 let suite =
   parser_tests @ gadget_tests @ compiler_tests @ guard_tests @ qbsolv_tests
-  @ serve_tests
+  @ serve_tests @ chain_break_tests
