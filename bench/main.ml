@@ -206,6 +206,30 @@ let parallel_scaling () =
          (Qac_anneal.Sampler.best r).Qac_anneal.Sampler.energy)
     [ 1; 2; 4; 8 ]
 
+(* --- BENCH_*.json reports ------------------------------------------------------ *)
+
+module Json = Qac_diag.Json
+
+let int i = Json.Num (float_of_int i)
+let num x = if Float.is_finite x then Json.Num x else Json.Null
+let str s = Json.Str s
+let bool b = Json.Bool b
+
+(* Every report opens with the same three keys: which benchmark, smoke or
+   full mode, and the core count the numbers were measured on. *)
+let write_bench ~smoke file name fields =
+  let oc = open_out file in
+  output_string oc
+    (Json.to_string
+       (Json.Obj
+          (("benchmark", str name)
+           :: ("mode", str (if smoke then "smoke" else "full"))
+           :: ("cores", int (Domain.recommended_domain_count ()))
+           :: fields)));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n" file
+
 (* --- Annealing kernel microbenchmark ---------------------------------------- *)
 
 (* A Chimera-structured spin glass: the native topology of the paper's
@@ -298,11 +322,10 @@ let composite_rows ~smoke () =
          "  postprocess=%-6s chain-break=%-7s  valid %4d / %4d reads  rate=%.3f  \
           (%.2fs)\n"
          pp cb valid total rate seconds;
-       Printf.sprintf
-         "    { \"postprocess\": %S, \"chain_break\": %S, \"num_reads\": %d,\n\
-         \      \"valid_occurrences\": %d, \"emitted_occurrences\": %d,\n\
-         \      \"valid_read_rate\": %.4f, \"seconds\": %.3f }"
-         pp cb reads valid total rate seconds)
+       Json.Obj
+         [ ("postprocess", str pp); ("chain_break", str cb); ("num_reads", int reads);
+           ("valid_occurrences", int valid); ("emitted_occurrences", int total);
+           ("valid_read_rate", num rate); ("seconds", num seconds) ])
     configs
 
 let kernel_bench ~smoke () =
@@ -379,31 +402,31 @@ let kernel_bench ~smoke () =
             upd/s (%4.2fx csr)  (E_csr=%g E_bp=%g)\n"
            n couplers num_sweeps (rate csr_seconds) (bitpar_agg_updates /. 1e6)
            bitpar_ratio csr_energy bitpar_energy;
-         Printf.sprintf
-           "    { \"num_vars\": %d, \"num_couplers\": %d, \"num_sweeps\": %d,\n\
-           \      \"csr_seconds\": %.6f, \"csr_sweeps_per_sec\": %.1f,\n\
-           \      \"csr_spin_updates_per_sec\": %.0f,\n\
-           \      \"bitpar_seconds\": %.6f, \"bitpar_lanes\": %d, \"bitpar_num_threads\": 1,\n\
-           \      \"bitpar_agg_spin_updates_per_sec\": %.0f, \"bitpar_vs_csr\": %.2f }"
-           n couplers num_sweeps csr_seconds (rate csr_seconds) csr_updates bitpar_seconds lanes bitpar_agg_updates bitpar_ratio)
+         Json.Obj
+           [ ("num_vars", int n); ("num_couplers", int couplers);
+             ("num_sweeps", int num_sweeps); ("csr_seconds", num csr_seconds);
+             ("csr_sweeps_per_sec", num (rate csr_seconds));
+             ("csr_spin_updates_per_sec", num csr_updates);
+             ("bitpar_seconds", num bitpar_seconds); ("bitpar_lanes", int lanes);
+             ("bitpar_num_threads", int 1);
+             ("bitpar_agg_spin_updates_per_sec", num bitpar_agg_updates);
+             ("bitpar_vs_csr", num bitpar_ratio) ])
       cases
   in
   let composites = composite_rows ~smoke () in
-  let oc = open_out "BENCH_ANNEAL.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"anneal-kernel\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"Metropolis sweeps, Chimera-structured spin glass (shore 4), geometric schedule\",\n\
-    \  \"kernels\": { \"csr\": \"row_start/col/weight arrays + incremental local-field state\",\n\
-    \                 \"bitpar\": \"64 replicas per block, integer quantized fields, shared threshold tables; aggregate updates/s, single-threaded (blocks scale across domains via Parallel)\" },\n\
-    \  \"results\": [\n%s\n  ],\n\
-    \  \"composite_valid_read_rate\": [\n%s\n  ]\n}\n"
-    (if smoke then "smoke" else "full")
-    (String.concat ",\n" rows)
-    (String.concat ",\n" composites);
-  close_out oc;
-  Printf.printf "wrote BENCH_ANNEAL.json\n"
+  write_bench ~smoke "BENCH_ANNEAL.json" "anneal-kernel"
+    [ ( "workload",
+        str "Metropolis sweeps, Chimera-structured spin glass (shore 4), geometric schedule" );
+      ( "kernels",
+        Json.Obj
+          [ ("csr", str "row_start/col/weight arrays + incremental local-field state");
+            ( "bitpar",
+              str
+                "64 replicas per block, integer quantized fields, shared threshold \
+                 tables; aggregate updates/s, single-threaded (blocks scale across \
+                 domains via Parallel)" ) ] );
+      ("results", Json.Arr rows);
+      ("composite_valid_read_rate", Json.Arr composites) ]
 
 (* --- Minor-embedding microbenchmark ----------------------------------------- *)
 
@@ -513,13 +536,13 @@ let embed_bench ~smoke () =
          Printf.printf "  %-16s n=%-3d couplers=%-3d qubits=%-5d cmr=%7.3fs (%d qb, %d/%d)\n"
            name p.Qac_ising.Problem.num_vars couplers num_qubits cmr_seconds
            (qubits cmr_best) cmr_ok (List.length seeds);
-         Printf.sprintf
-           "    { \"name\": %S, \"chimera_m\": %d, \"num_qubits\": %d,\n\
-           \      \"logical_vars\": %d, \"logical_couplers\": %d, \"tries\": %d, \"seeds\": %d,\n\
-           \      \"cmr_seconds\": %.6f, \"cmr_embedding_qubits\": %d,\n\
-           \      \"cmr_successes\": %d }"
-           name m num_qubits p.Qac_ising.Problem.num_vars couplers tries
-           (List.length seeds) cmr_seconds (qubits cmr_best) cmr_ok)
+         Json.Obj
+           [ ("name", str name); ("chimera_m", int m); ("num_qubits", int num_qubits);
+             ("logical_vars", int p.Qac_ising.Problem.num_vars);
+             ("logical_couplers", int couplers); ("tries", int tries);
+             ("seeds", int (List.length seeds)); ("cmr_seconds", num cmr_seconds);
+             ("cmr_embedding_qubits", int (qubits cmr_best));
+             ("cmr_successes", int cmr_ok) ])
       cases
   in
   (* Cache behaviour: a second Pipeline.run of the same circuit shape must
@@ -574,22 +597,60 @@ let embed_bench ~smoke () =
     "  embed cache      cold=%8.3fs  warm=%8.3fs  warm-hit=%d (embed span %s)\n"
     cold_embed warm_embed warm_hit
     (if warm_embed = 0.0 then "skipped" else "present");
-  let oc = open_out "BENCH_EMBED.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"minor-embedding\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"CMR minor embedding into Chimera (shore 4), spin-glass and multiplier interaction graphs\",\n\
-    \  \"embedders\": { \"cmr\": \"CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim\" },\n\
-    \  \"results\": [\n%s\n  ],\n\
-    \  \"cache\": { \"cold_embed_seconds\": %.6f, \"warm_embed_seconds\": %.6f,\n\
-    \              \"warm_cache_hits\": %d, \"warm_embed_span_skipped\": %b }\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    (String.concat ",\n" rows)
-    cold_embed warm_embed warm_hit (warm_embed = 0.0);
-  close_out oc;
-  Printf.printf "wrote BENCH_EMBED.json\n"
+  write_bench ~smoke "BENCH_EMBED.json" "minor-embedding"
+    [ ( "workload",
+        str
+          "CMR minor embedding into Chimera (shore 4), spin-glass and multiplier \
+           interaction graphs" );
+      ( "embedders",
+        Json.Obj
+          [ ( "cmr",
+              str
+                "CSR rows, reused Dijkstra scratch, decrease-key int heap, \
+                 bool-mask trim" ) ] );
+      ("results", Json.Arr rows);
+      ( "cache",
+        Json.Obj
+          [ ("cold_embed_seconds", num cold_embed);
+            ("warm_embed_seconds", num warm_embed);
+            ("warm_cache_hits", int warm_hit);
+            ("warm_embed_span_skipped", bool (warm_embed = 0.0)) ] ) ]
+
+(* --- Serving fleet ------------------------------------------------------------ *)
+
+(* The serving benchmarks' workload: one [w]-bit add/xor/and/or circuit per
+   width, as (name, width, Verilog source), and the pins of its [i]-th job. *)
+let circuit_fleet ~prefix widths =
+  List.concat_map
+    (fun w ->
+       List.map
+         (fun (opname, op) ->
+            let name = Printf.sprintf "%s%d_%s" prefix w opname in
+            ( name,
+              w,
+              Printf.sprintf
+                "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
+                 output [%d:0] y; assign y = a %s b; endmodule"
+                name (w - 1) (w - 1) w op ))
+         [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ])
+    widths
+
+let fleet_pins i w = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ]
+
+(* CMR wants generous headroom on Chimera (chains eat qubits): slack 6
+   makes the ladder's first block size succeed for nearly every job, so
+   tiling pays one cheap local embed per job instead of climbing through
+   failed attempts at tight sizes. *)
+let fleet_tiler_params ~tries =
+  { Qac_embed.Tiler.default_params with
+    Qac_embed.Tiler.slack = 6.0;
+    embed_params = Some { Qac_embed.Cmr.default_params with tries } }
+
+let fleet_sa_params ~smoke =
+  { Qac_anneal.Sa.default_params with
+    Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
+    num_sweeps = (if smoke then 50 else 200);
+    seed = 42 }
 
 (* --- Batch serving benchmark ------------------------------------------------ *)
 
@@ -602,41 +663,16 @@ let embed_bench ~smoke () =
 let batch_bench ~smoke () =
   let module P = Qac_core.Pipeline in
   let module Serve = Qac_serve.Serve in
-  let module Tiler = Qac_embed.Tiler in
   let module Sampler = Qac_anneal.Sampler in
   let widths = if smoke then [ 1; 2 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let ops = [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ] in
-  let circuits =
-    List.concat_map
-      (fun w ->
-         List.map
-           (fun (opname, op) ->
-              let name = Printf.sprintf "j%d_%s" w opname in
-              let src =
-                Printf.sprintf
-                  "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
-                   output [%d:0] y; assign y = a %s b; endmodule"
-                  name (w - 1) (w - 1) w op
-              in
-              (name, w, P.compile src))
-           ops)
-      widths
-  in
   let jobs =
     List.mapi
-      (fun i (name, w, t) ->
-         let pins = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] in
-         (i, name, t, pins))
-      circuits
+      (fun i (name, w, src) -> (i, name, P.compile src, fleet_pins i w))
+      (circuit_fleet ~prefix:"j" widths)
   in
   let n = List.length jobs in
   let tries = if smoke then 2 else 8 in
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
-      num_sweeps = (if smoke then 50 else 200);
-      seed = 42 }
-  in
+  let sa_params = fleet_sa_params ~smoke in
   let threads = min 8 (Domain.recommended_domain_count ()) in
   let graph = Qac_chimera.Chimera.create 16 in
   Printf.printf
@@ -672,16 +708,8 @@ let batch_bench ~smoke () =
   let sequential_seconds = Unix.gettimeofday () -. t0 in
   (* Batched arm: submit everything, let the scheduler tile and solve. *)
   let batch_cache = Qac_embed.Cache.create () in
-  (* CMR wants generous headroom on Chimera (chains eat qubits): slack 6
-     makes the ladder's first block size succeed for nearly every job, so
-     tiling pays one cheap local embed per job instead of climbing through
-     failed attempts at tight sizes. *)
-  let tiler_params =
-    { Tiler.default_params with
-      Tiler.slack = 6.0;
-      Tiler.embed_params = Some { Qac_embed.Cmr.default_params with tries } }
-  in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
+  let tiler_params = fleet_tiler_params ~tries in
+  let solver = P.composite_solve (P.Sa sa_params) in
   let programs = Hashtbl.create n in
   let t0 = Unix.gettimeofday () in
   let service =
@@ -719,38 +747,28 @@ let batch_bench ~smoke () =
     sequential_seconds (jps sequential_seconds) !seq_valid n batched_seconds
     (jps batched_seconds) !batch_done n !batch_valid n speedup st.Serve.batches
     (100.0 *. st.Serve.mean_occupancy) st.Serve.deferrals hits misses;
-  let oc = open_out "BENCH_BATCH.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"batch-serving\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"pinned adder/xor/and/or circuits, SA %d reads x %d sweeps, embed tries=%d\",\n\
-    \  \"topology\": %S,\n\
-    \  \"num_jobs\": %d,\n\
-    \  \"threads\": %d,\n\
-    \  \"sequential_seconds\": %.6f,\n\
-    \  \"batched_seconds\": %.6f,\n\
-    \  \"sequential_jobs_per_sec\": %.3f,\n\
-    \  \"batched_jobs_per_sec\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"sequential_valid\": %d,\n\
-    \  \"batched_done\": %d,\n\
-    \  \"batched_valid\": %d,\n\
-    \  \"batches\": %d,\n\
-    \  \"mean_occupancy_pct\": %.1f,\n\
-    \  \"deferrals\": %d,\n\
-    \  \"embed_cache_hits\": %d,\n\
-    \  \"embed_cache_misses\": %d\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    sa_params.Qac_anneal.Sa.num_reads sa_params.Qac_anneal.Sa.num_sweeps tries
-    graph.Qac_chimera.Topology.name n threads sequential_seconds batched_seconds
-    (jps sequential_seconds) (jps batched_seconds) speedup !seq_valid !batch_done
-    !batch_valid st.Serve.batches
-    (100.0 *. st.Serve.mean_occupancy)
-    st.Serve.deferrals hits misses;
-  close_out oc;
-  Printf.printf "wrote BENCH_BATCH.json\n"
+  write_bench ~smoke "BENCH_BATCH.json" "batch-serving"
+    [ ( "workload",
+        str
+          (Printf.sprintf
+             "pinned adder/xor/and/or circuits, SA %d reads x %d sweeps, embed tries=%d"
+             sa_params.Qac_anneal.Sa.num_reads sa_params.Qac_anneal.Sa.num_sweeps tries) );
+      ("topology", str graph.Qac_chimera.Topology.name);
+      ("num_jobs", int n);
+      ("threads", int threads);
+      ("sequential_seconds", num sequential_seconds);
+      ("batched_seconds", num batched_seconds);
+      ("sequential_jobs_per_sec", num (jps sequential_seconds));
+      ("batched_jobs_per_sec", num (jps batched_seconds));
+      ("speedup", num speedup);
+      ("sequential_valid", int !seq_valid);
+      ("batched_done", int !batch_done);
+      ("batched_valid", int !batch_valid);
+      ("batches", int st.Serve.batches);
+      ("mean_occupancy_pct", num (100.0 *. st.Serve.mean_occupancy));
+      ("deferrals", int st.Serve.deferrals);
+      ("embed_cache_hits", int hits);
+      ("embed_cache_misses", int misses) ]
 
 (* --- Sharded serving tier ---------------------------------------------------- *)
 
@@ -768,56 +786,27 @@ let serve_bench ~smoke ?store_dir () =
   let module Shard = Qac_serve.Shard in
   let module Server = Qac_serve.Server in
   let module Protocol = Qac_serve.Protocol in
-  let module Tiler = Qac_embed.Tiler in
   let module Sampler = Qac_anneal.Sampler in
   let module Hist = Qac_diag.Hist in
   let module Store = Qac_embed.Store in
-  let widths = if smoke then [ 1; 2 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let ops = [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ] in
-  let specs =
-    List.concat_map
-      (fun w ->
-         List.map
-           (fun (opname, op) ->
-              let name = Printf.sprintf "s%d_%s" w opname in
-              let src =
-                Printf.sprintf
-                  "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
-                   output [%d:0] y; assign y = a %s b; endmodule"
-                  name (w - 1) (w - 1) w op
-              in
-              (name, w, src))
-           ops)
-      widths
-  in
-  let circuits = List.map (fun (name, w, src) -> (name, w, P.compile src)) specs in
-  let pins_of i w = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] in
+  let specs = circuit_fleet ~prefix:"s" (if smoke then [ 1; 2 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ]) in
   let jobs =
     List.mapi
-      (fun i (name, w, t) ->
-         let program = P.assemble_with_pins ~pins:(pins_of i w) t in
+      (fun i (name, w, src) ->
+         let program = P.assemble_with_pins ~pins:(fleet_pins i w) (P.compile src) in
          { Serve.id = Printf.sprintf "%s#%d" name i;
            problem = program.Qac_qmasm.Assemble.problem;
            timeout_ms = None })
-      circuits
+      specs
   in
   let n = List.length jobs in
   let tries = if smoke then 2 else 8 in
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
-      num_sweeps = (if smoke then 50 else 200);
-      seed = 42 }
-  in
+  let sa_params = fleet_sa_params ~smoke in
   let cores = Domain.recommended_domain_count () in
   let threads = min 8 cores in
   let graph = Qac_chimera.Chimera.create 16 in
-  let tiler_params =
-    { Tiler.default_params with
-      Tiler.slack = 6.0;
-      Tiler.embed_params = Some { Qac_embed.Cmr.default_params with tries } }
-  in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
+  let tiler_params = fleet_tiler_params ~tries in
+  let solver = P.composite_solve (P.Sa sa_params) in
   Printf.printf
     "sharded serving: %d mixed circuits on %s, SA %d reads x %d sweeps, \
      tries=%d (%d cores)\n"
@@ -858,21 +847,17 @@ let serve_bench ~smoke ?store_dir () =
   (* One JSON object per shard: how the affinity experiment actually
      distributed work and cache locality, not just the pool aggregate. *)
   let per_shard_json stats =
-    let objs =
-      Array.to_list stats
-      |> List.map (fun (s : Shard.shard_stats) ->
-        let c = s.Shard.cache in
-        let h = c.Qac_embed.Cache.hits and m = c.Qac_embed.Cache.misses in
-        let rate =
-          if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-        in
-        Printf.sprintf
-          "{ \"shard\": %d, \"jobs\": %d, \"cache_hits\": %d, \
-           \"cache_misses\": %d, \"store_hits\": %d, \"hit_rate\": %.4f }"
-          s.Shard.shard s.Shard.serve.Serve.jobs_done h m
-          c.Qac_embed.Cache.store_hits rate)
-    in
-    "[ " ^ String.concat ", " objs ^ " ]"
+    Json.Arr
+      (List.map
+         (fun (s : Shard.shard_stats) ->
+            let c = s.Shard.cache in
+            let h = c.Qac_embed.Cache.hits and m = c.Qac_embed.Cache.misses in
+            let rate = if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m) in
+            Json.Obj
+              [ ("shard", int s.Shard.shard); ("jobs", int s.Shard.serve.Serve.jobs_done);
+                ("cache_hits", int h); ("cache_misses", int m);
+                ("store_hits", int c.Qac_embed.Cache.store_hits); ("hit_rate", num rate) ])
+         (Array.to_list stats))
   in
   let sum_embed_misses stats =
     Array.fold_left
@@ -982,7 +967,7 @@ let serve_bench ~smoke ?store_dir () =
     let arm_jobs =
       List.mapi
         (fun i (name, w, src) ->
-           let pins = pins_of i w in
+           let pins = fleet_pins i w in
            let key = snapshot_key src pins in
            let problem =
              match Store.find_problem store key with
@@ -1112,61 +1097,60 @@ let serve_bench ~smoke ?store_dir () =
          dup_unique ((dup_copies - 1) * dup_unique) dup_placed dup_coalesced);
   if not dup_identical then
     failwith "serve bench: coalesced followers diverged from their leaders";
-  let oc = open_out "BENCH_SERVE.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"sharded-serving\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"mixed %d-circuit add/xor/and/or, SA %d reads x %d sweeps, embed tries=%d\",\n\
-    \  \"topology\": %S,\n\
-    \  \"num_jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"total_threads\": %d,\n\
-    \  \"note\": \"every arm shares the same core budget; threads divide across shards\",\n\
-    \  \"inproc_batch\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f },\n\
-    \  \"one_shard\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \                 \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hit_rate\": %.4f,\n\
-    \                 \"per_shard\": %s },\n\
-    \  \"four_shard_affinity\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \                 \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hit_rate\": %.4f,\n\
-    \                 \"per_shard\": %s },\n\
-    \  \"four_shard_round_robin\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \                 \"cache_hit_rate\": %.4f,\n\
-    \                 \"per_shard\": %s },\n\
-    \  \"socket_one_shard\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f },\n\
-    \  \"store\": {\n\
-    \    \"dir\": %S,\n\
-    \    \"cold\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \               \"problem_snapshot_hits\": %d, \"problem_snapshot_misses\": %d,\n\
-    \               \"embed_misses\": %d, \"cache_hit_rate\": %.4f },\n\
-    \    \"warm_restart\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \               \"problem_snapshot_hits\": %d, \"problem_snapshot_misses\": %d,\n\
-    \               \"embed_misses\": %d, \"cache_hit_rate\": %.4f },\n\
-    \    \"warm_speedup\": %.2f,\n\
-    \    \"warm_zero_embed_misses\": %b,\n\
-    \    \"artifacts\": { \"embeddings\": %d, \"problems\": %d }\n\
-    \  },\n\
-    \  \"duplicate_heavy\": { \"seconds\": %.6f, \"submitted\": %d, \"unique\": %d,\n\
-    \               \"placed\": %d, \"coalesced\": %d,\n\
-    \               \"one_solve_per_unique\": %b, \"bit_identical_responses\": %b },\n\
-    \  \"deterministic_across_arms\": %b\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    n sa_params.Qac_anneal.Sa.num_reads sa_params.Qac_anneal.Sa.num_sweeps tries
-    graph.Qac_chimera.Topology.name n cores threads baseline_seconds
-    (jps baseline_seconds) one_seconds (jps one_seconds) one_p50 one_p99 one_hit
-    (per_shard_json one_stats) four_seconds (jps four_seconds) four_p50 four_p99
-    four_hit (per_shard_json four_stats) rr_seconds (jps rr_seconds) rr_hit
-    (per_shard_json rr_stats) socket_seconds (jps socket_seconds) store_path
-    cold_seconds (jps cold_seconds) cold_snap_hits cold_snap_misses
-    cold_embed_misses cold_hit warm_seconds (jps warm_seconds) warm_snap_hits
-    warm_snap_misses warm_embed_misses warm_hit warm_speedup
-    (warm_embed_misses = 0)
-    store_stats.Store.embeddings store_stats.Store.problems dup_seconds
-    (List.length dup_jobs) dup_unique dup_placed dup_coalesced dup_one_solve
-    dup_identical deterministic;
-  close_out oc;
-  Printf.printf "wrote BENCH_SERVE.json\n"
+  let arm seconds rest =
+    Json.Obj (("seconds", num seconds) :: ("jobs_per_sec", num (jps seconds)) :: rest)
+  in
+  let store_arm seconds snap_hits snap_misses embed_misses hit =
+    arm seconds
+      [ ("problem_snapshot_hits", int snap_hits);
+        ("problem_snapshot_misses", int snap_misses);
+        ("embed_misses", int embed_misses); ("cache_hit_rate", num hit) ]
+  in
+  write_bench ~smoke "BENCH_SERVE.json" "sharded-serving"
+    [ ( "workload",
+        str
+          (Printf.sprintf
+             "mixed %d-circuit add/xor/and/or, SA %d reads x %d sweeps, embed tries=%d" n
+             sa_params.Qac_anneal.Sa.num_reads sa_params.Qac_anneal.Sa.num_sweeps tries) );
+      ("topology", str graph.Qac_chimera.Topology.name);
+      ("num_jobs", int n);
+      ("total_threads", int threads);
+      ("note", str "every arm shares the same core budget; threads divide across shards");
+      ("inproc_batch", arm baseline_seconds []);
+      ( "one_shard",
+        arm one_seconds
+          [ ("p50_ms", num one_p50); ("p99_ms", num one_p99);
+            ("cache_hit_rate", num one_hit); ("per_shard", per_shard_json one_stats) ] );
+      ( "four_shard_affinity",
+        arm four_seconds
+          [ ("p50_ms", num four_p50); ("p99_ms", num four_p99);
+            ("cache_hit_rate", num four_hit); ("per_shard", per_shard_json four_stats) ] );
+      ( "four_shard_round_robin",
+        arm rr_seconds
+          [ ("cache_hit_rate", num rr_hit); ("per_shard", per_shard_json rr_stats) ] );
+      ("socket_one_shard", arm socket_seconds []);
+      ( "store",
+        Json.Obj
+          [ ("dir", str store_path);
+            ( "cold",
+              store_arm cold_seconds cold_snap_hits cold_snap_misses cold_embed_misses
+                cold_hit );
+            ( "warm_restart",
+              store_arm warm_seconds warm_snap_hits warm_snap_misses warm_embed_misses
+                warm_hit );
+            ("warm_speedup", num warm_speedup);
+            ("warm_zero_embed_misses", bool (warm_embed_misses = 0));
+            ( "artifacts",
+              Json.Obj
+                [ ("embeddings", int store_stats.Store.embeddings);
+                  ("problems", int store_stats.Store.problems) ] ) ] );
+      ( "duplicate_heavy",
+        Json.Obj
+          [ ("seconds", num dup_seconds); ("submitted", int (List.length dup_jobs));
+            ("unique", int dup_unique); ("placed", int dup_placed);
+            ("coalesced", int dup_coalesced); ("one_solve_per_unique", bool dup_one_solve);
+            ("bit_identical_responses", bool dup_identical) ] );
+      ("deterministic_across_arms", bool deterministic) ]
 
 (* --- Pegasus vs Chimera ------------------------------------------------------ *)
 
@@ -1241,16 +1225,17 @@ let pegasus_bench ~smoke () =
             max-chain=%d  mean=%.2f  %.3fs\n"
            name problem.Qac_ising.Problem.num_vars cg.Topology.name cq cmax cmean cs
            pg.Topology.name pq pmax pmean ps;
-         Printf.sprintf
-           "    { \"circuit\": %S, \"logical_vars\": %d,\n\
-           \      \"chimera\": { \"graph\": %S, \"working_qubits\": %d, \"embedding_qubits\": %d,\n\
-           \                   \"max_chain\": %d, \"mean_chain\": %.3f, \"embed_seconds\": %.6f },\n\
-           \      \"pegasus\": { \"graph\": %S, \"working_qubits\": %d, \"embedding_qubits\": %d,\n\
-           \                   \"max_chain\": %d, \"mean_chain\": %.3f, \"embed_seconds\": %.6f },\n\
-           \      \"pegasus_max_chain_le_chimera\": %b }"
-           name problem.Qac_ising.Problem.num_vars cg.Topology.name
-           (Topology.num_working_qubits cg) cq cmax cmean cs pg.Topology.name
-           (Topology.num_working_qubits pg) pq pmax pmean ps (pmax <= cmax))
+         let fabric g qubits max_chain mean_chain seconds =
+           Json.Obj
+             [ ("graph", str g.Topology.name);
+               ("working_qubits", int (Topology.num_working_qubits g));
+               ("embedding_qubits", int qubits); ("max_chain", int max_chain);
+               ("mean_chain", num mean_chain); ("embed_seconds", num seconds) ]
+         in
+         Json.Obj
+           [ ("circuit", str name); ("logical_vars", int problem.Qac_ising.Problem.num_vars);
+             ("chimera", fabric cg cq cmax cmean cs); ("pegasus", fabric pg pq pmax pmean ps);
+             ("pegasus_max_chain_le_chimera", bool (pmax <= cmax)) ])
       cases
   in
   (* Native K4: on Pegasus a 4-clique embeds with unit chains; on Chimera
@@ -1265,12 +1250,6 @@ let pegasus_bench ~smoke () =
   Printf.printf "  native K4 on P2 with unit chains: %b\n" k4_unit_chains;
   (* End-to-end: compile once, then Pipeline.run fig2 forward on each
      fabric. *)
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
-      num_sweeps = (if smoke then 50 else 200);
-      seed = 42 }
-  in
   (* The e2e arm gets a fixed SA budget even in smoke mode (it is <1s):
      with the smoke read count the run rarely finds a valid solution, and a
      latency number for a failed solve compares nothing. *)
@@ -1299,29 +1278,14 @@ let pegasus_bench ~smoke () =
     chimera_e2e_seconds chimera_e2e_valid pegasus_e2e_seconds pegasus_e2e_valid;
   (* Tiled serving on Pegasus: a multi-job batch must place, solve, and
      drain with every job Done — the serve-side acceptance criterion. *)
-  let widths = if smoke then [ 1 ] else [ 1; 2 ] in
-  let ops = [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ] in
   let serve_jobs =
-    List.concat_map
-      (fun w ->
-         List.map
-           (fun (opname, op) ->
-              let name = Printf.sprintf "p%d_%s" w opname in
-              let src =
-                Printf.sprintf
-                  "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
-                   output [%d:0] y; assign y = a %s b; endmodule"
-                  name (w - 1) (w - 1) w op
-              in
-              (name, w, P.compile src))
-           ops)
-      widths
+    List.map
+      (fun (name, w, src) -> (name, w, P.compile src))
+      (circuit_fleet ~prefix:"p" (if smoke then [ 1 ] else [ 1; 2 ]))
   in
   let serve_graph = Qac_chimera.Pegasus.create (if smoke then 5 else 6) in
-  let tiler_params =
-    { Tiler.default_params with Tiler.slack = 6.0 }
-  in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
+  let tiler_params = { Tiler.default_params with Tiler.slack = 6.0 } in
+  let solver = P.composite_solve (P.Sa (fleet_sa_params ~smoke)) in
   let threads = min 4 (Domain.recommended_domain_count ()) in
   let njobs = List.length serve_jobs in
   let t0 = Unix.gettimeofday () in
@@ -1331,8 +1295,7 @@ let pegasus_bench ~smoke () =
   in
   List.iteri
     (fun i (name, w, t) ->
-       let pins = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] in
-       let program = P.assemble_with_pins ~pins t in
+       let program = P.assemble_with_pins ~pins:(fleet_pins i w) t in
        Serve.submit service
          { Serve.id = Printf.sprintf "%s#%d" name i;
            problem = program.Qac_qmasm.Assemble.problem;
@@ -1376,41 +1339,37 @@ let pegasus_bench ~smoke () =
          Printf.printf
            "  cell %-5s gap: 2000q=%g (%d anc)  advantage=%g (%d anc)\n" name gap_2000q
            anc_2000q gap_adv anc_adv;
-         Printf.sprintf
-           "    { \"cell\": %S, \"gap_2000q\": %g, \"ancillas_2000q\": %d, \
-            \"gap_advantage\": %g, \"ancillas_advantage\": %d }"
-           name gap_2000q anc_2000q gap_adv anc_adv)
+         Json.Obj
+           [ ("cell", str name); ("gap_2000q", num gap_2000q);
+             ("ancillas_2000q", int anc_2000q); ("gap_advantage", num gap_adv);
+             ("ancillas_advantage", int anc_adv) ])
       cell_tables
   in
-  let oc = open_out "BENCH_PEGASUS.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"pegasus-vs-chimera\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"CMR embedding, end-to-end Pipeline.run, tiled Serve batch, and LP cell rederivation on Pegasus vs Chimera at matched working-qubit budgets\",\n\
-    \  \"embeddings\": [\n%s\n  ],\n\
-    \  \"all_max_chains_within_chimera_baseline\": %b,\n\
-    \  \"native_k4_unit_chains\": %b,\n\
-    \  \"e2e\": { \"circuit\": \"fig2-e1\", \"reads\": %d, \"sweeps\": %d,\n\
-    \           \"note\": \"fixed SA budget in both modes\",\n\
-    \           \"chimera_seconds\": %.6f, \"chimera_valid\": %b,\n\
-    \           \"pegasus_seconds\": %.6f, \"pegasus_valid\": %b },\n\
-    \  \"serve\": { \"graph\": %S, \"jobs\": %d, \"done\": %d, \"seconds\": %.6f,\n\
-    \             \"batches\": %d, \"mean_occupancy_pct\": %.1f, \"deferrals\": %d,\n\
-    \             \"threads\": %d },\n\
-    \  \"cells\": [\n%s\n  ]\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    (String.concat ",\n" embed_rows)
-    !all_within k4_unit_chains e2e_params.Qac_anneal.Sa.num_reads
-    e2e_params.Qac_anneal.Sa.num_sweeps chimera_e2e_seconds chimera_e2e_valid
-    pegasus_e2e_seconds pegasus_e2e_valid serve_graph.Topology.name njobs serve_done
-    serve_seconds st.Serve.batches
-    (100.0 *. st.Serve.mean_occupancy)
-    st.Serve.deferrals threads
-    (String.concat ",\n" cell_rows);
-  close_out oc;
-  Printf.printf "wrote BENCH_PEGASUS.json\n"
+  write_bench ~smoke "BENCH_PEGASUS.json" "pegasus-vs-chimera"
+    [ ( "workload",
+        str
+          "CMR embedding, end-to-end Pipeline.run, tiled Serve batch, and LP cell \
+           rederivation on Pegasus vs Chimera at matched working-qubit budgets" );
+      ("embeddings", Json.Arr embed_rows);
+      ("all_max_chains_within_chimera_baseline", bool !all_within);
+      ("native_k4_unit_chains", bool k4_unit_chains);
+      ( "e2e",
+        Json.Obj
+          [ ("circuit", str "fig2-e1"); ("reads", int e2e_params.Qac_anneal.Sa.num_reads);
+            ("sweeps", int e2e_params.Qac_anneal.Sa.num_sweeps);
+            ("note", str "fixed SA budget in both modes");
+            ("chimera_seconds", num chimera_e2e_seconds);
+            ("chimera_valid", bool chimera_e2e_valid);
+            ("pegasus_seconds", num pegasus_e2e_seconds);
+            ("pegasus_valid", bool pegasus_e2e_valid) ] );
+      ( "serve",
+        Json.Obj
+          [ ("graph", str serve_graph.Topology.name); ("jobs", int njobs);
+            ("done", int serve_done); ("seconds", num serve_seconds);
+            ("batches", int st.Serve.batches);
+            ("mean_occupancy_pct", num (100.0 *. st.Serve.mean_occupancy));
+            ("deferrals", int st.Serve.deferrals); ("threads", int threads) ] );
+      ("cells", Json.Arr cell_rows) ]
 
 (* --- SAT workload through the serving tier --------------------------------- *)
 
@@ -1486,7 +1445,7 @@ let sat_bench ~smoke () =
       num_sweeps = (if smoke then 100 else 400);
       seed = 42 }
   in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
+  let solver = P.composite_solve (P.Sa sa_params) in
   let threads = min 4 (Domain.recommended_domain_count ()) in
   let tiler_params = { Tiler.default_params with Tiler.slack = 6.0 } in
   let run_graph graph =
@@ -1529,41 +1488,36 @@ let sat_bench ~smoke () =
       graph.Topology.name !served num_instances !solved num_instances
       (100.0 *. solved_fraction) st.Serve.jobs_per_second st.Serve.batches
       (100.0 *. st.Serve.mean_occupancy) cache.Cache.hits cache.Cache.misses;
-    Printf.sprintf
-      "    { \"graph\": %S, \"jobs\": %d, \"done\": %d, \"solved\": %d,\n\
-      \      \"solved_fraction\": %.4f, \"jobs_per_second\": %.3f, \"seconds\": %.6f,\n\
-      \      \"batches\": %d, \"mean_occupancy_pct\": %.1f,\n\
-      \      \"embed_cache_hits\": %d, \"embed_cache_misses\": %d }"
-      graph.Topology.name num_instances !served !solved solved_fraction
-      st.Serve.jobs_per_second seconds st.Serve.batches
-      (100.0 *. st.Serve.mean_occupancy)
-      cache.Cache.hits cache.Cache.misses
+    Json.Obj
+      [ ("graph", str graph.Topology.name); ("jobs", int num_instances);
+        ("done", int !served); ("solved", int !solved);
+        ("solved_fraction", num solved_fraction);
+        ("jobs_per_second", num st.Serve.jobs_per_second); ("seconds", num seconds);
+        ("batches", int st.Serve.batches);
+        ("mean_occupancy_pct", num (100.0 *. st.Serve.mean_occupancy));
+        ("embed_cache_hits", int cache.Cache.hits);
+        ("embed_cache_misses", int cache.Cache.misses) ]
   in
   let graphs =
     if smoke then [ Qac_chimera.Chimera.create 6; Qac_chimera.Pegasus.create 4 ]
     else [ Qac_chimera.Chimera.create 16; Qac_chimera.Pegasus.create 6 ]
   in
-  let rows = List.map run_graph graphs in
-  let oc = open_out "BENCH_SAT.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"sat-serve\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"planted random 3-SAT (per-instance variable gauges of one all-positive clause skeleton) compiled to Ising penalties and batch-served through the tiler; gauge changes preserve coupler structure, so every job shares the embedding-cache entry\",\n\
-    \  \"instances\": %d, \"variables\": %d, \"clauses\": %d,\n\
-    \  \"spins_per_instance\": %d, \"shared_structure_digest\": %b,\n\
-    \  \"sa\": { \"reads\": %d, \"sweeps\": %d },\n\
-    \  \"threads\": %d,\n\
-    \  \"graphs\": [\n%s\n  ]\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    num_instances n m
-    compiled.(0).Compile.problem.Qac_ising.Problem.num_vars
-    shared_structure sa_params.Qac_anneal.Sa.num_reads
-    sa_params.Qac_anneal.Sa.num_sweeps threads
-    (String.concat ",\n" rows);
-  close_out oc;
-  Printf.printf "wrote BENCH_SAT.json\n"
+  write_bench ~smoke "BENCH_SAT.json" "sat-serve"
+    [ ( "workload",
+        str
+          "planted random 3-SAT (per-instance variable gauges of one all-positive \
+           clause skeleton) compiled to Ising penalties and batch-served through the \
+           tiler; gauge changes preserve coupler structure, so every job shares the \
+           embedding-cache entry" );
+      ("instances", int num_instances); ("variables", int n); ("clauses", int m);
+      ("spins_per_instance", int compiled.(0).Compile.problem.Qac_ising.Problem.num_vars);
+      ("shared_structure_digest", bool shared_structure);
+      ( "sa",
+        Json.Obj
+          [ ("reads", int sa_params.Qac_anneal.Sa.num_reads);
+            ("sweeps", int sa_params.Qac_anneal.Sa.num_sweeps) ] );
+      ("threads", int threads);
+      ("graphs", Json.Arr (List.map run_graph graphs)) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

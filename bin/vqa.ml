@@ -286,14 +286,15 @@ let run_cmd =
        | Some trace ->
          let stats = Qac_embed.Cache.stats cache in
          Trace.set_summary trace "embed-cache-hits"
-           (stats.Qac_embed.Cache.hits - stats0.Qac_embed.Cache.hits);
+           (float_of_int (stats.Qac_embed.Cache.hits - stats0.Qac_embed.Cache.hits));
          Trace.set_summary trace "embed-cache-misses"
-           (stats.Qac_embed.Cache.misses - stats0.Qac_embed.Cache.misses);
+           (float_of_int (stats.Qac_embed.Cache.misses - stats0.Qac_embed.Cache.misses));
          (match target, result.P.num_physical_qubits with
           | P.Physical { graph; _ }, Some q ->
             let working = Qac_chimera.Topology.num_working_qubits graph in
             if working > 0 then
-              Trace.set_summary trace "occupancy-pct" (100 * q / working)
+              Trace.set_summary trace "occupancy-pct"
+                (float_of_int (100 * q / working))
           | _ -> ()));
       Printf.printf "# logical variables: %d\n" result.P.num_logical_vars;
       (match result.P.num_physical_qubits with
@@ -823,8 +824,10 @@ let serve_cmd =
             | None -> ()
             | Some trace ->
               let stats = Qac_embed.Cache.stats cache in
-              Trace.set_summary trace "embed-cache-hits" stats.Qac_embed.Cache.hits;
-              Trace.set_summary trace "embed-cache-misses" stats.Qac_embed.Cache.misses);
+              Trace.set_summary trace "embed-cache-hits"
+                (float_of_int stats.Qac_embed.Cache.hits);
+              Trace.set_summary trace "embed-cache-misses"
+                (float_of_int stats.Qac_embed.Cache.misses));
            List.iter2 (fun (tp, _) r -> print_serve_result tp r) jobs results;
            let st = Serve.stats service in
            Printf.printf

@@ -140,7 +140,7 @@ let bump_summary trace key =
   match trace with
   | None -> ()
   | Some tr ->
-    Trace.set_summary tr key (1 + Option.value ~default:0 (Trace.find_summary tr key))
+    Trace.set_summary tr key (1.0 +. Option.value ~default:0.0 (Trace.find_summary tr key))
 
 let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_options)
     ?trace verilog_src =

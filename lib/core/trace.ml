@@ -21,7 +21,7 @@ type frame = {
 type t = {
   mutable completed : span list;  (* reverse order *)
   mutable stack : frame list;  (* innermost first *)
-  mutable summaries : (string * int) list;  (* in the order first set *)
+  mutable summaries : (string * float) list;  (* in the order first set *)
 }
 
 let create () = { completed = []; stack = []; summaries = [] }
@@ -47,15 +47,15 @@ let with_span t name f =
     finish ();
     raise e
 
+(* Overwrite [key] in place, or append it: keys keep the order first set. *)
+let rec assoc_set key value = function
+  | [] -> [ (key, value) ]
+  | (k, _) :: rest when k = key -> (k, value) :: rest
+  | kv :: rest -> kv :: assoc_set key value rest
+
 let counter t key value =
   match t.stack with
-  | frame :: _ ->
-    let rec set = function
-      | [] -> [ (key, value) ]
-      | (k, _) :: rest when k = key -> (k, value) :: rest
-      | kv :: rest -> kv :: set rest
-    in
-    frame.fcounters <- set frame.fcounters
+  | frame :: _ -> frame.fcounters <- assoc_set key value frame.fcounters
   | [] ->
     (* Counter outside any span: record it as a zero-duration span so the
        value is not silently lost. *)
@@ -73,15 +73,9 @@ let find_counter t span_name key =
 let total_seconds t =
   List.fold_left (fun acc s -> acc +. s.elapsed_seconds) 0.0 (spans t)
 
-(* Summaries are trace-wide key/value facts (cache hit totals, occupancy
-   percentages, ...) that belong to the run, not to any one span. *)
-let set_summary t key value =
-  let rec set = function
-    | [] -> [ (key, value) ]
-    | (k, _) :: rest when k = key -> (k, value) :: rest
-    | kv :: rest -> kv :: set rest
-  in
-  t.summaries <- set t.summaries
+(* Summaries are trace-wide key/value facts (cache hit totals, occupancy,
+   ...) that belong to the run, not to any one span. *)
+let set_summary t key value = t.summaries <- assoc_set key value t.summaries
 
 let summary t = t.summaries
 let find_summary t key = List.assoc_opt key t.summaries
@@ -116,40 +110,26 @@ let pp fmt t =
   | [] -> ()
   | kvs ->
     Format.fprintf fmt "summary:";
-    List.iter (fun (k, v) -> Format.fprintf fmt " %s=%d" k v) kvs;
+    List.iter
+      (fun (k, v) ->
+         if Float.is_integer v then Format.fprintf fmt " %s=%.0f" k v
+         else Format.fprintf fmt " %s=%g" k v)
+      kvs;
     Format.fprintf fmt "@."
 
 let to_text t = Format.asprintf "%a" pp t
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
+  let open Json in
+  let obj kvs = Obj (List.map (fun (k, v) -> (k, Num v)) kvs) in
   let span_json s =
-    let counters =
-      s.counters
-      |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
-      |> String.concat ","
-    in
-    Printf.sprintf "{\"name\":\"%s\",\"elapsed_seconds\":%.6f,\"counters\":{%s}}"
-      (json_escape s.name) s.elapsed_seconds counters
+    Obj
+      [ ("name", Str s.name);
+        ("elapsed_seconds", Num s.elapsed_seconds);
+        ("counters", obj (List.map (fun (k, v) -> (k, float_of_int v)) s.counters)) ]
   in
-  let summary =
-    t.summaries
-    |> List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
-    |> String.concat ","
-  in
-  Printf.sprintf "{\"total_seconds\":%.6f,\"summary\":{%s},\"spans\":[%s]}"
-    (total_seconds t) summary
-    (String.concat "," (List.map span_json (spans t)))
+  to_string
+    (Obj
+       [ ("total_seconds", Num (total_seconds t));
+         ("summary", obj t.summaries);
+         ("spans", Arr (List.map span_json (spans t))) ])

@@ -30,16 +30,18 @@ val find_span : t -> string -> span option
 val find_counter : t -> string -> string -> int option
 val total_seconds : t -> float
 
-val set_summary : t -> string -> int -> unit
+val set_summary : t -> string -> float -> unit
 (** Set (or overwrite) a trace-wide summary value — a fact about the whole
     run (cache hit totals, tiler occupancy, ...) rather than any one span.
+    Values are plain floats in natural units; integral values print as
+    integers.
     Summaries export as a top-level ["summary"] object in {!to_json} and a
     trailing [summary:] line in {!pp}. *)
 
-val summary : t -> (string * int) list
+val summary : t -> (string * float) list
 (** Summary key/values, in the order first set. *)
 
-val find_summary : t -> string -> int option
+val find_summary : t -> string -> float option
 
 (** No-op variants for optionally-traced code paths. *)
 
@@ -51,4 +53,5 @@ val to_text : t -> string
 
 val to_json : t -> string
 (** [{"total_seconds":..., "summary":{...}, "spans":[{"name":...,
-    "elapsed_seconds":..., "counters":{...}}, ...]}]. *)
+    "elapsed_seconds":..., "counters":{...}}, ...]}], printed by
+    {!Json.to_string}: times at full precision. *)

@@ -159,6 +159,12 @@ let stats t =
         entries = Hashtbl.length t.table;
         store_hits = t.store_hits })
 
+let fields (s : stats) =
+  List.map
+    (fun (k, v) -> (k, float_of_int v))
+    [ ("hits", s.hits); ("misses", s.misses); ("evictions", s.evictions);
+      ("entries", s.entries); ("store_hits", s.store_hits) ]
+
 let clear t =
   with_lock t (fun () ->
       Hashtbl.reset t.table;

@@ -58,6 +58,10 @@ val stats : t -> stats
 (** Counters since creation (or {!clear}); [entries] is instantaneous.
     Surfaced per shard by the serving tier's stats endpoint. *)
 
+val fields : stats -> (string * float) list
+(** Every counter under its record field name, in declaration order: the
+    one list the JSON and Prometheus views render from. *)
+
 val clear : t -> unit
 
 val shared : unit -> t

@@ -352,3 +352,11 @@ let stats t =
         problem_misses = t.problem_misses;
         writes = t.writes;
         load_failures = t.load_failures })
+
+let fields (s : stats) =
+  List.map
+    (fun (k, v) -> (k, float_of_int v))
+    [ ("embeddings", s.embeddings); ("problems", s.problems);
+      ("embed_hits", s.embed_hits); ("embed_misses", s.embed_misses);
+      ("problem_hits", s.problem_hits); ("problem_misses", s.problem_misses);
+      ("writes", s.writes); ("load_failures", s.load_failures) ]

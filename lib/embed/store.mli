@@ -81,6 +81,10 @@ type stats = {
 
 val stats : t -> stats
 
+val fields : stats -> (string * float) list
+(** Every counter under its record field name, in declaration order: the
+    one list the Prometheus view renders from. *)
+
 (** {1 Codec}
 
     Exposed for tests and tooling: full-record encoders/decoders

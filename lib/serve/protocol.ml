@@ -5,13 +5,11 @@ module Sampler = Qac_anneal.Sampler
 module Cache = Qac_embed.Cache
 module Hist = Qac_diag.Hist
 
-exception Protocol_error of string
+exception Protocol_error = Qac_diag.Json.Error
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
-(* --- JSON values ------------------------------------------------------------- *)
-
-type json =
+type json = Qac_diag.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -19,219 +17,8 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-(* %.17g round-trips any finite double exactly; integral values print as
-   integers so tickets and counters stay readable. *)
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
-let escape_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let json_to_string j =
-  let b = Buffer.create 256 in
-  let rec emit = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f ->
-      if Float.is_nan f || Float.abs f = infinity then
-        fail "json_to_string: non-finite number"
-      else Buffer.add_string b (float_repr f)
-    | Str s -> escape_string b s
-    | Arr items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-           if i > 0 then Buffer.add_char b ',';
-           emit x)
-        items;
-      Buffer.add_char b ']'
-    | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-           if i > 0 then Buffer.add_char b ',';
-           escape_string b k;
-           Buffer.add_char b ':';
-           emit v)
-        fields;
-      Buffer.add_char b '}'
-  in
-  emit j;
-  Buffer.contents b
-
-(* Recursive-descent parser.  [pos] always points at the next unread byte. *)
-let json_of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if !pos >= n || s.[!pos] <> c then fail "JSON: expected '%c' at byte %d" c !pos;
-    advance ()
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail "JSON: bad literal at byte %d" !pos
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail "JSON: truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
-  in
-  let add_utf8 b cp =
-    if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char b (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xf0 lor (cp lsr 18)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 12) land 0x3f)));
-      Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "JSON: unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        if !pos >= n then fail "JSON: unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'n' -> Buffer.add_char b '\n'
-         | 'r' -> Buffer.add_char b '\r'
-         | 't' -> Buffer.add_char b '\t'
-         | 'u' ->
-           let cp = parse_hex4 () in
-           (* Surrogate pair: a high surrogate must be followed by \uDC00-DFFF. *)
-           if cp >= 0xd800 && cp <= 0xdbff then begin
-             if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
-               fail "JSON: lone high surrogate";
-             pos := !pos + 2;
-             let lo = parse_hex4 () in
-             if not (lo >= 0xdc00 && lo <= 0xdfff) then
-               fail "JSON: invalid low surrogate";
-             add_utf8 b (0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00))
-           end
-           else if cp >= 0xdc00 && cp <= 0xdfff then fail "JSON: lone low surrogate"
-           else add_utf8 b cp
-         | c -> fail "JSON: bad escape '\\%c'" c);
-        loop ()
-      | c -> Buffer.add_char b c; loop ()
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && numchar s.[!pos] do advance () done;
-    if !pos = start then fail "JSON: expected a value at byte %d" start;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "JSON: bad number at byte %d" start
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "JSON: unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ()
-          | Some '}' -> advance ()
-          | _ -> fail "JSON: expected ',' or '}' at byte %d" !pos
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements ()
-          | Some ']' -> advance ()
-          | _ -> fail "JSON: expected ',' or ']' at byte %d" !pos
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "JSON: trailing bytes at %d" !pos;
-  v
+let json_to_string = Qac_diag.Json.to_string
+let json_of_string = Qac_diag.Json.of_string
 
 (* --- Typed accessors --------------------------------------------------------- *)
 
@@ -360,6 +147,7 @@ let result_of_json j =
 let finite f = if Float.is_nan f || Float.abs f = infinity then 0.0 else f
 
 let stats_to_json (stats : Shard.shard_stats array) =
+  let obj fields = Obj (List.map (fun (k, v) -> (k, Num (finite v))) fields) in
   Arr
     (Array.to_list
        (Array.map
@@ -367,34 +155,15 @@ let stats_to_json (stats : Shard.shard_stats array) =
              let sv = s.Shard.serve and c = s.Shard.cache and lat = s.Shard.latency in
              Obj
                [ ("shard", Num (float_of_int s.Shard.shard));
-                 ( "serve",
-                   Obj
-                     [ ("batches", Num (float_of_int sv.Serve.batches));
-                       ("jobs_done", Num (float_of_int sv.Serve.jobs_done));
-                       ("placed", Num (float_of_int sv.Serve.placed));
-                       ("deferrals", Num (float_of_int sv.Serve.deferrals));
-                       ("retries", Num (float_of_int sv.Serve.retries));
-                       ("failures", Num (float_of_int sv.Serve.failures));
-                       ("timeouts", Num (float_of_int sv.Serve.timeouts));
-                       ("canceled", Num (float_of_int sv.Serve.canceled));
-                       ("coalesced", Num (float_of_int sv.Serve.coalesced));
-                       ("queue_depth", Num (float_of_int sv.Serve.queue_depth));
-                       ("mean_occupancy", Num (finite sv.Serve.mean_occupancy));
-                       ("jobs_per_second", Num (finite sv.Serve.jobs_per_second)) ] );
-                 ( "cache",
-                   Obj
-                     [ ("hits", Num (float_of_int c.Cache.hits));
-                       ("misses", Num (float_of_int c.Cache.misses));
-                       ("evictions", Num (float_of_int c.Cache.evictions));
-                       ("entries", Num (float_of_int c.Cache.entries));
-                       ("store_hits", Num (float_of_int c.Cache.store_hits)) ] );
+                 ("serve", obj (Serve.fields sv));
+                 ("cache", obj (Cache.fields c));
                  ( "latency",
-                   Obj
-                     [ ("count", Num (float_of_int (Hist.count lat)));
-                       ("sum_seconds", Num (finite (Hist.sum lat)));
-                       ("p50_seconds", Num (finite (Hist.p50 lat)));
-                       ("p90_seconds", Num (finite (Hist.p90 lat)));
-                       ("p99_seconds", Num (finite (Hist.p99 lat))) ] ) ])
+                   obj
+                     [ ("count", float_of_int (Hist.count lat));
+                       ("sum_seconds", Hist.sum lat);
+                       ("p50_seconds", Hist.p50 lat);
+                       ("p90_seconds", Hist.p90 lat);
+                       ("p99_seconds", Hist.p99 lat) ] ) ])
           stats))
 
 (* --- Requests and replies ---------------------------------------------------- *)

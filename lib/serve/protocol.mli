@@ -8,21 +8,16 @@
     length prefix is attacker-controlled input and must not size a buffer
     unchecked.
 
-    Floats are printed with enough digits to round-trip bit-exactly
-    ([%.17g]), so a response read back through the socket compares equal to
-    the in-process one — the determinism contract survives serialization.
-
-    The JSON codec is hand-written (the toolchain has no JSON package) and
-    deliberately small: objects, arrays, strings with the standard escapes,
-    numbers, booleans, null.  It accepts any JSON text and emits a
-    canonical form (no whitespace, object keys in construction order). *)
+    The codec is {!Qac_diag.Json}; this module re-exports it under its
+    historical names. *)
 
 exception Protocol_error of string
-(** Malformed frame or JSON, unknown request, or oversized length prefix. *)
+(** Malformed frame or JSON, unknown request, or oversized length prefix.
+    The same exception as {!Qac_diag.Json.Error}. *)
 
 (** {1 JSON} *)
 
-type json =
+type json = Qac_diag.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -77,8 +72,8 @@ val result_to_json : Serve.result -> json
 val result_of_json : json -> Serve.result
 
 val stats_to_json : Shard.shard_stats array -> json
-(** One object per shard: the {!Serve.stats} counters, the embed-cache
-    counters, and a latency summary (count/sum/p50/p90/p99 — the full
+(** One object per shard: [serve] renders {!Serve.fields}, [cache]
+    renders {!Qac_embed.Cache.fields}, and [latency] is a summary (count/sum/p50/p90/p99 — the full
     histogram stays on the {!Metrics} surface). *)
 
 (** {1 Framing} *)

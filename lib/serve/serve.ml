@@ -343,6 +343,15 @@ let stats t =
   Mutex.unlock t.mutex;
   s
 
+let fields s =
+  let int k v = (k, float_of_int v) in
+  [ int "batches" s.batches; int "jobs_done" s.jobs_done; int "placed" s.placed;
+    int "deferrals" s.deferrals; int "retries" s.retries;
+    int "failures" s.failures; int "timeouts" s.timeouts;
+    int "canceled" s.canceled; int "coalesced" s.coalesced;
+    int "queue_depth" s.queue_depth; ("mean_occupancy", s.mean_occupancy);
+    ("jobs_per_second", s.jobs_per_second) ]
+
 let latency t =
   Mutex.lock t.mutex;
   let h = Hist.copy t.latency in
@@ -356,31 +365,20 @@ let queue_depth t =
   d
 
 (* Final service-wide summary, written from the scheduler domain just
-   before it exits (the trace is single-domain by contract). *)
+   before it exits (the trace is single-domain by contract): every
+   {!fields} entry as [serve-<field>], plus latency percentiles. *)
 let write_summary t =
   match t.trace with
   | None -> ()
   | Some trace ->
-    let s = stats t in
-    Trace.set_summary trace "serve-batches" s.batches;
-    Trace.set_summary trace "serve-jobs" s.jobs_done;
-    Trace.set_summary trace "serve-placed" s.placed;
-    Trace.set_summary trace "serve-deferrals" s.deferrals;
-    Trace.set_summary trace "serve-retries" s.retries;
-    Trace.set_summary trace "serve-failures" s.failures;
-    Trace.set_summary trace "serve-timeouts" s.timeouts;
-    Trace.set_summary trace "serve-canceled" s.canceled;
-    Trace.set_summary trace "serve-coalesced" s.coalesced;
-    Trace.set_summary trace "serve-occupancy-pct"
-      (int_of_float (s.mean_occupancy *. 100.0));
-    Trace.set_summary trace "serve-jobs-per-sec-x1000"
-      (int_of_float (s.jobs_per_second *. 1000.0));
+    List.iter
+      (fun (k, v) ->
+         Trace.set_summary trace ("serve-" ^ String.map (function '_' -> '-' | c -> c) k) v)
+      (fields (stats t));
     let lat = latency t in
     if Hist.count lat > 0 then begin
-      Trace.set_summary trace "serve-latency-p50-us"
-        (int_of_float (Hist.p50 lat *. 1e6));
-      Trace.set_summary trace "serve-latency-p99-us"
-        (int_of_float (Hist.p99 lat *. 1e6))
+      Trace.set_summary trace "serve-latency-p50-seconds" (Hist.p50 lat);
+      Trace.set_summary trace "serve-latency-p99-seconds" (Hist.p99 lat)
     end
 
 let rec scheduler_loop t =

@@ -98,8 +98,9 @@ type t
     [max_retries] (default 2) caps embedding-failure retries.
     [trace] records one ["batch"] span per flush (counters: jobs, placed,
     deferred, failed, queue-depth, occupancy-pct) plus service-wide summary
-    values; it is written only from the scheduler domain, so read it after
-    {!drain}. *)
+    values ({!fields} as [serve-<field>], and [serve-latency-p50-seconds] /
+    [serve-latency-p99-seconds]); it is written only from the scheduler
+    domain, so read it after {!drain}. *)
 val create :
   ?queue_capacity:int ->
   ?batch_jobs:int ->
@@ -158,3 +159,9 @@ val drain : t -> result list
 
 val stats : t -> stats
 (** Service counters; stable (and final) once {!drain} returns. *)
+
+val fields : stats -> (string * float) list
+(** Every counter under its record field name, in declaration order.  The
+    one declaration the views render from: the [serve] object of the
+    [stats] reply, the [qac_serve_<field>] Prometheus lines, and the
+    [serve-<field>] trace summaries (underscores as dashes). *)

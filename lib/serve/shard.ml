@@ -201,33 +201,21 @@ let drain t =
 
 let metrics t =
   let b = Buffer.create 4096 in
-  let line name shard fmt =
-    Buffer.add_string b (Printf.sprintf "qac_%s{shard=\"%d\"} " name shard);
-    Printf.ksprintf
-      (fun v ->
-         Buffer.add_string b v;
-         Buffer.add_char b '\n')
-      fmt
+  (* One [qac_<prefix><field><labels> <value>] line per field; counters
+     print as integers, gauges with %g. *)
+  let lines prefix labels fields =
+    List.iter
+      (fun (k, v) ->
+         Buffer.add_string b
+           (if Float.is_integer v then Printf.sprintf "qac_%s%s%s %.0f\n" prefix k labels v
+            else Printf.sprintf "qac_%s%s%s %g\n" prefix k labels v))
+      fields
   in
   Array.iter
     (fun { shard; serve = sv; cache = c; latency = lat } ->
-       line "serve_batches" shard "%d" sv.Serve.batches;
-       line "serve_jobs_done" shard "%d" sv.Serve.jobs_done;
-       line "serve_placed" shard "%d" sv.Serve.placed;
-       line "serve_deferrals" shard "%d" sv.Serve.deferrals;
-       line "serve_retries" shard "%d" sv.Serve.retries;
-       line "serve_failures" shard "%d" sv.Serve.failures;
-       line "serve_timeouts" shard "%d" sv.Serve.timeouts;
-       line "serve_canceled" shard "%d" sv.Serve.canceled;
-       line "serve_coalesced" shard "%d" sv.Serve.coalesced;
-       line "serve_queue_depth" shard "%d" sv.Serve.queue_depth;
-       line "serve_occupancy" shard "%g" sv.Serve.mean_occupancy;
-       line "serve_jobs_per_second" shard "%g" sv.Serve.jobs_per_second;
-       line "embed_cache_hits" shard "%d" c.Cache.hits;
-       line "embed_cache_misses" shard "%d" c.Cache.misses;
-       line "embed_cache_evictions" shard "%d" c.Cache.evictions;
-       line "embed_cache_entries" shard "%d" c.Cache.entries;
-       line "embed_cache_store_hits" shard "%d" c.Cache.store_hits;
+       let labels = Printf.sprintf "{shard=\"%d\"}" shard in
+       lines "serve_" labels (Serve.fields sv);
+       lines "embed_cache_" labels (Cache.fields c);
        (* Cumulative histogram, Prometheus classic shape. *)
        let cumulative = ref 0 in
        List.iter
@@ -244,25 +232,12 @@ let metrics t =
          Buffer.add_string b
            (Printf.sprintf "qac_serve_latency_seconds_bucket{shard=\"%d\",le=\"+Inf\"} %d\n"
               shard (Hist.count lat));
-       line "serve_latency_seconds_sum" shard "%g" (Hist.sum lat);
-       line "serve_latency_seconds_count" shard "%d" (Hist.count lat);
-       line "serve_latency_p50_seconds" shard "%g" (Hist.p50 lat);
-       line "serve_latency_p99_seconds" shard "%g" (Hist.p99 lat))
+       lines "serve_latency_" labels
+         [ ("seconds_sum", Hist.sum lat);
+           ("seconds_count", float_of_int (Hist.count lat));
+           ("p50_seconds", Hist.p50 lat);
+           ("p99_seconds", Hist.p99 lat) ])
     (stats t);
   (* The artifact store is pool-wide, so its counters carry no shard label. *)
-  (match t.store with
-   | None -> ()
-   | Some store ->
-     let st = Store.stats store in
-     let gline name v =
-       Buffer.add_string b (Printf.sprintf "qac_store_%s %d\n" name v)
-     in
-     gline "embeddings" st.Store.embeddings;
-     gline "problems" st.Store.problems;
-     gline "embed_hits" st.Store.embed_hits;
-     gline "embed_misses" st.Store.embed_misses;
-     gline "problem_hits" st.Store.problem_hits;
-     gline "problem_misses" st.Store.problem_misses;
-     gline "writes" st.Store.writes;
-     gline "load_failures" st.Store.load_failures);
+  Option.iter (fun store -> lines "store_" "" (Store.fields (Store.stats store))) t.store;
   Buffer.contents b

@@ -109,15 +109,13 @@ val latency : t -> Qac_diag.Hist.t
 
 val metrics : t -> string
 (** Prometheus-style text exposition: one
-    [qac_<name>{shard="<i>"} <value>] line per counter per shard — the
-    {!Serve} summary counters (jobs, placed, deferrals, retries, failures,
-    timeouts, canceled, coalesced, queue depth, occupancy, jobs/s), the
-    embed-cache hit/miss/eviction/entry/store-hit counts, and the
+    [qac_<name>{shard="<i>"} <value>] line per counter per shard — every
+    {!Serve.fields} entry as [qac_serve_<field>], every
+    {!Qac_embed.Cache.fields} entry as [qac_embed_cache_<field>], and the
     log-bucketed latency histogram (cumulative [_bucket{le="..."}] lines
     plus [_sum]/[_count] and p50/p99 gauges).  When the pool was created
-    with a [store], unlabeled pool-wide [qac_store_*] lines follow:
-    [embeddings], [problems], [embed_hits], [embed_misses],
-    [problem_hits], [problem_misses], [writes], [load_failures]. *)
+    with a [store], unlabeled pool-wide [qac_store_<field>] lines follow,
+    one per {!Qac_embed.Store.fields} entry. *)
 
 val drain : t -> (int * Serve.result) list
 (** Drain every shard and return all results as [(ticket, result)] in

@@ -94,7 +94,72 @@ let json_tests =
              | exception Protocol.Protocol_error _ -> ()
              | _ -> Alcotest.fail (Printf.sprintf "%S should not parse" s))
           [ ""; "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\" 1}"; "1 2";
-            "{\"a\":}"; "nul"; "\xff\xfe" ]) ]
+            "{\"a\":}"; "nul"; "\xff\xfe" ]);
+    Alcotest.test_case "unicode escapes take exactly four hex digits" `Quick (fun () ->
+        (match Protocol.json_of_string "\"\\u00E9\\u00e9\"" with
+         | Protocol.Str s -> Alcotest.(check string) "either case" "\xc3\xa9\xc3\xa9" s
+         | _ -> Alcotest.fail "not a string");
+        List.iter
+          (fun s ->
+             match Protocol.json_of_string s with
+             | exception Protocol.Protocol_error _ -> ()
+             | _ -> Alcotest.fail (Printf.sprintf "%S should not parse" s))
+          [ "\"\\u12g4\""; "\"\\u1_2_\""; "\"\\u+123\""; "\"\\u-123\"";
+            "\"\\u 123\""; "\"\\u0x12\""; "\"\\u12\"" ]);
+    Alcotest.test_case "deep nesting is refused, not a stack overflow" `Quick
+      (fun () ->
+         (* The largest frame the server reads, all open brackets. *)
+         match Protocol.json_of_string (String.make Protocol.max_frame_len '[') with
+         | exception Protocol.Protocol_error _ -> ()
+         | _ -> Alcotest.fail "unterminated nesting parsed") ]
+
+(* Every strict prefix and every single-byte substitution of three
+   canonical request payloads either decodes or raises [Protocol_error]:
+   no other exception may escape the frame decoder, because the server
+   only catches that one.  The alphabet targets the parser's edges: quote
+   and escape bytes, hex and non-hex digits, number syntax, structure. *)
+let fuzz_tests =
+  [ Alcotest.test_case "prefixes and byte substitutions never leak" `Quick
+      (fun () ->
+         let payloads =
+           List.map
+             (fun r -> Protocol.json_to_string (Protocol.request_to_json r))
+             [ Protocol.Submit
+                 { Serve.id = (result ()).Serve.id; problem = problem ();
+                   timeout_ms = Some 250.0 };
+               Protocol.Submit_sat
+                 { id = "sat \"1\""; dimacs = "p cnf 2 2\n1 -2 0\n2 0\n";
+                   timeout_ms = None };
+               Protocol.Poll 42 ]
+         in
+         let alphabet = "\x00\"\\u09g_-e.[{,:x\xff" in
+         let leaks = ref [] in
+         let probe s =
+           match Protocol.request_of_json (Protocol.json_of_string s) with
+           | _ | (exception Protocol.Protocol_error _) -> ()
+           | exception e -> leaks := (s, Printexc.to_string e) :: !leaks
+         in
+         List.iter
+           (fun p ->
+              for len = 0 to String.length p - 1 do
+                probe (String.sub p 0 len)
+              done;
+              String.iteri
+                (fun i _ ->
+                   String.iter
+                     (fun c ->
+                        let b = Bytes.of_string p in
+                        Bytes.set b i c;
+                        probe (Bytes.to_string b))
+                     alphabet)
+                p)
+           payloads;
+         match !leaks with
+         | [] -> ()
+         | (s, e) :: _ ->
+           Alcotest.fail
+             (Printf.sprintf "%d payloads leak; e.g. %S raised %s"
+                (List.length !leaks) s e)) ]
 
 let codec_tests =
   [ Alcotest.test_case "problem round-trips through JSON" `Quick (fun () ->
@@ -242,4 +307,4 @@ let framing_tests =
          | exception Protocol.Protocol_error _ -> ()
          | _ -> Alcotest.fail "oversized write must be rejected") ]
 
-let suite = json_tests @ codec_tests @ framing_tests
+let suite = json_tests @ fuzz_tests @ codec_tests @ framing_tests

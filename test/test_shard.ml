@@ -282,7 +282,60 @@ let pool_tests =
          in
          Alcotest.(check int) "jobs land somewhere" 3 total;
          Alcotest.(check int) "merged latency counts every job" 3
-           (Qac_diag.Hist.count (Shard.latency pool))) ]
+           (Qac_diag.Hist.count (Shard.latency pool)));
+    Alcotest.test_case "stats reply, metrics and trace summary name the same counters"
+      `Quick (fun () ->
+        let graph = Chimera.create 6 in
+        let jobs = List.init 3 (fun i -> job (string_of_int i) (chain_problem (3 + i))) in
+        let pool = Shard.create ~num_shards:2 ~tiler_params ~solver ~graph () in
+        List.iter (fun j -> ignore (Shard.submit pool j)) jobs;
+        ignore (Shard.drain pool);
+        let trace = Qac_diag.Trace.create () in
+        let service = Serve.create ~trace ~tiler_params ~solver ~graph () in
+        List.iter (Serve.submit service) jobs;
+        ignore (Serve.drain service);
+        (* The one declaration, spelled the way each view spells it. *)
+        let declared prefix sep =
+          List.map
+            (fun (k, _) -> prefix ^ String.map (function '_' -> sep | c -> c) k)
+            (Serve.fields (Serve.stats service))
+        in
+        let starts prefix s = String.starts_with ~prefix s in
+        (match Protocol.stats_to_json (Shard.stats pool) with
+         | Protocol.Arr shards ->
+           Alcotest.(check int) "two shards" 2 (List.length shards);
+           List.iter
+             (function
+               | Protocol.Obj kv ->
+                 (match List.assoc "serve" kv with
+                  | Protocol.Obj serve ->
+                    Alcotest.(check (list string)) "stats reply keys"
+                      (declared "" '_') (List.map fst serve)
+                  | _ -> Alcotest.fail "serve is not an object")
+               | _ -> Alcotest.fail "shard entry is not an object")
+             shards
+         | _ -> Alcotest.fail "stats is not an array");
+        let metric_names =
+          List.filter_map
+            (fun line ->
+               match String.index_opt line '{' with
+               | Some k
+                 when starts "qac_serve_" line
+                      && (not (starts "qac_serve_latency" line))
+                      && starts "{shard=\"0\"}" (String.sub line k (String.length line - k)) ->
+                 Some (String.sub line 0 k)
+               | _ -> None)
+            (String.split_on_char '\n' (Shard.metrics pool))
+        in
+        Alcotest.(check (list string)) "metric names" (declared "qac_serve_" '_')
+          metric_names;
+        let summary_keys =
+          List.filter
+            (fun k -> starts "serve-" k && not (starts "serve-latency" k))
+            (List.map fst (Qac_diag.Trace.summary trace))
+        in
+        Alcotest.(check (list string)) "trace summary keys" (declared "serve-" '-')
+          summary_keys) ]
 
 let server_tests =
   [ Alcotest.test_case "socket round-trip equals in-process results" `Quick
@@ -394,6 +447,29 @@ let server_tests =
           | Protocol.Shutdown_ok -> ()
           | _ -> Alcotest.fail "unexpected shutdown reply");
          Unix.close fd2;
-         ignore (Domain.join server_domain)) ]
+         ignore (Domain.join server_domain));
+    Alcotest.test_case "a bad unicode escape earns Error and the connection keeps serving"
+      `Quick (fun () ->
+        let graph = Chimera.create 4 in
+        let pool = Shard.create ~num_shards:1 ~tiler_params ~solver ~graph () in
+        let sock_path = Filename.temp_file "qac_test_shard" ".sock" in
+        let server = Server.create ~pool ~sockaddr:(Unix.ADDR_UNIX sock_path) () in
+        let server_domain = Domain.spawn (fun () -> Server.run server) in
+        let fd = Protocol.connect (Unix.ADDR_UNIX sock_path) in
+        Protocol.write_frame fd "{\"op\":\"poll\",\"ticket\":\"\\u12g4\"}";
+        (match Protocol.read_frame fd with
+         | Some payload ->
+           (match Protocol.reply_of_json (Protocol.json_of_string payload) with
+            | Protocol.Error _ -> ()
+            | _ -> Alcotest.fail "bad escape should earn an Error reply")
+         | None -> Alcotest.fail "server closed on a bad escape");
+        (match Protocol.call fd Protocol.Stats with
+         | Protocol.Stats_json _ -> ()
+         | _ -> Alcotest.fail "stats should still succeed on the same connection");
+        (match Protocol.call fd Protocol.Shutdown with
+         | Protocol.Shutdown_ok -> ()
+         | _ -> Alcotest.fail "unexpected shutdown reply");
+        Unix.close fd;
+        ignore (Domain.join server_domain)) ]
 
 let suite = routing_tests @ pool_tests @ server_tests

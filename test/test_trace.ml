@@ -157,15 +157,16 @@ let suite =
     Alcotest.test_case "summary values overwrite, export and pretty-print" `Quick
       (fun () ->
          let t = Trace.create () in
-         Trace.set_summary t "embed-cache-hits" 2;
-         Trace.set_summary t "occupancy-pct" 40;
-         Trace.set_summary t "embed-cache-hits" 5;
-         Alcotest.(check (list (pair string int))) "ordered, overwritten"
-           [ ("embed-cache-hits", 5); ("occupancy-pct", 40) ]
+         Trace.set_summary t "embed-cache-hits" 2.0;
+         Trace.set_summary t "occupancy-pct" 40.0;
+         Trace.set_summary t "embed-cache-hits" 5.0;
+         Alcotest.(check (list (pair string (float 0.0)))) "ordered, overwritten"
+           [ ("embed-cache-hits", 5.0); ("occupancy-pct", 40.0) ]
            (Trace.summary t);
-         Alcotest.(check (option int)) "lookup" (Some 40)
+         Alcotest.(check (option (float 0.0))) "lookup" (Some 40.0)
            (Trace.find_summary t "occupancy-pct");
-         Alcotest.(check (option int)) "missing" None (Trace.find_summary t "nope");
+         Alcotest.(check (option (float 0.0))) "missing" None
+           (Trace.find_summary t "nope");
          let json = Trace.to_json t in
          let contains haystack needle =
            Qac_qmasm.Str_split.find_substring haystack needle <> None
