@@ -17,10 +17,14 @@ type response = {
   timed_out : bool;  (** the solver hit its deadline and returned best-so-far *)
 }
 
-(* Dedup key: one byte per spin.  Bytes compare/hash without the per-element
-   boxing an [int list] key pays. *)
+(* One byte per spin: the dedup key (bytes compare/hash without the
+   per-element boxing an [int list] key pays) and the retained form of
+   served results. *)
 let pack spins =
   Bytes.init (Array.length spins) (fun i -> if spins.(i) > 0 then '\001' else '\000')
+
+let unpack bytes =
+  Array.init (Bytes.length bytes) (fun i -> if Bytes.get bytes i = '\001' then 1 else -1)
 
 let sorted_samples tbl =
   Hashtbl.fold (fun _ s acc -> s :: acc) tbl []

@@ -17,6 +17,13 @@ type response = {
           results (see the [?deadline] argument of the samplers) *)
 }
 
+val pack : Qac_ising.Problem.spin array -> Bytes.t
+(** One byte per spin ([+1] -> ['\001'], [-1] -> ['\000']): the dedup key
+    of the aggregators below, an eighth the size of the [int] array. *)
+
+val unpack : Bytes.t -> Qac_ising.Problem.spin array
+(** Inverse of {!pack} on [+1]/[-1] arrays. *)
+
 (** Aggregate raw reads: duplicates merge with occurrence counts (keyed on a
     packed byte string of the configuration); samples sort by energy, then
     configuration. *)

@@ -14,6 +14,23 @@ type t = {
   tile_of_qubit : int -> int * int;
 }
 
+(* Every local fabric is a pure function of [k], and a [Topology.t] is never
+   mutated after construction, so each is built on first use and shared
+   from then on.  Tiler ladders call [build_local] from
+   [Parallel.run_tasks] workers, hence the mutex; building under it means
+   concurrent first calls for one [k] still see a single value. *)
+let memoize build =
+  let mutex = Mutex.create () in
+  let built = Hashtbl.create 8 in
+  fun k ->
+    Mutex.protect mutex (fun () ->
+        match Hashtbl.find_opt built k with
+        | Some g -> g
+        | None ->
+          let g = build k in
+          Hashtbl.add built k g;
+          g)
+
 (* --- Chimera ---------------------------------------------------------------- *)
 
 (* Cells with every qubit working; broken qubits knock their whole cell out
@@ -49,7 +66,7 @@ let chimera graph =
     clean = chimera_clean graph ~m ~shore;
     footprint = (fun k -> k);
     block_capacity = (fun k -> 2 * shore * k * k);
-    build_local = (fun k -> Chimera.create ~shore k);
+    build_local = memoize (fun k -> Chimera.create ~shore k);
     block_qubits = (fun ~r0 ~c0 ~block -> chimera_block_qubits ~m ~shore ~r0 ~c0 ~block);
     tile_of_qubit =
       (fun q ->
@@ -105,12 +122,11 @@ let pegasus graph =
   let m = Pegasus.size graph in
   let vertical_shifts = Pegasus.vertical_shifts graph in
   let horizontal_shifts = Pegasus.horizontal_shifts graph in
-  let build_local k =
-    Pegasus.create ~vertical_shifts ~horizontal_shifts (k + 1)
+  let build_local =
+    memoize (fun k -> Pegasus.create ~vertical_shifts ~horizontal_shifts (k + 1))
   in
-  let pristine =
-    Pegasus.create ~vertical_shifts ~horizontal_shifts m
-  in
+  (* The pristine P_m is the largest local fabric, so it joins the memo. *)
+  let pristine = build_local (m - 1) in
   { graph;
     family = "pegasus";
     rows = m;

@@ -34,7 +34,9 @@ type t = {
   build_local : int -> Topology.t;
       (** pristine local fabric a size-[k] block is isomorphic to; its
           [name] is family-distinct, so cache keys never collide across
-          fabrics *)
+          fabrics.  Built on the first call for each [k]; every later call,
+          from any domain, returns that same (physically equal) graph,
+          which callers must treat as immutable *)
   block_qubits : r0:int -> c0:int -> block:int -> int array;
       (** global qubit ids of the block at tile [(r0, c0)], indexed by local
           qubit id of [build_local block] *)
@@ -52,7 +54,8 @@ val pegasus : Pegasus.t -> t
 val of_topology : Topology.t -> t
 (** Dispatch on the graph's identity: a ["shore"] param means Chimera, a
     ["pegasus-"] name prefix means Pegasus.  Raises [Invalid_argument] for
-    anything else. *)
+    anything else.  Each call starts a fresh {!build_local} memo, so build
+    the family once and reuse it (the batch server does, per service). *)
 
 val max_feasible_block : t -> int
 (** Largest block whose footprint fits inside the largest clean square of

@@ -1,7 +1,7 @@
 (** Multi-problem tiling (see tiler.mli for the contract).
 
     The load-bearing invariant is {e composition invariance}: every job is
-    embedded into a freshly built local fabric ([Family.build_local k]) —
+    embedded into the pristine local fabric ([Family.build_local k]) —
     never into its eventual position on the chip — and only clean tiles
     enter the pool, so any placed block is isomorphic (by translation, with
     identical local numbering) to that local graph.  The embedding, local
@@ -54,10 +54,9 @@ type outcome =
   | Failed of string
 
 type t = {
-  graph : Topology.t;
+  family : Family.t;
   problems : Problem.t array;
   outcomes : outcome array;
-  merged : Problem.t;
 }
 
 (* --- Placement geometry ------------------------------------------------------ *)
@@ -179,8 +178,7 @@ let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
 
 (* --- Tiling ----------------------------------------------------------------- *)
 
-let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph problems =
-  let fam = Family.of_topology graph in
+let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) fam problems =
   let kclean = Family.max_feasible_block fam in
   let kmax =
     min fam.Family.max_block
@@ -196,15 +194,6 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph probl
         ladder ?cache ~params ~seed:(seed_of i) ~fam ~kmax ~kclean problems.(i));
   (* Phase 2 — sequential first-fit placement in job order. *)
   let free = Array.map Array.copy fam.Family.clean in
-  let locals = Hashtbl.create 4 in
-  let local_graph k =
-    match Hashtbl.find_opt locals k with
-    | Some g -> g
-    | None ->
-      let g = fam.Family.build_local k in
-      Hashtbl.add locals k g;
-      g
-  in
   let outcomes =
     Array.mapi
       (fun i lr ->
@@ -224,7 +213,7 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph probl
               mark_used free ~r0 ~c0 ~fp;
               let physical =
                 Embedding.apply ?chain_strength:params.chain_strength
-                  (local_graph block) problems.(i) embedding
+                  (fam.Family.build_local block) problems.(i) embedding
               in
               Placed
                 { job = i;
@@ -237,14 +226,18 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph probl
                   physical }))
       ladders
   in
+  { family = fam; problems; outcomes }
+
+let merged t =
+  let graph = t.family.Family.graph in
   let b = Problem.Builder.create ~num_vars:(Topology.num_qubits graph) () in
   Array.iter
     (function
       | Placed p when p.region.block > 0 ->
         Problem.Builder.add_problem b p.physical ~var_map:p.region.qubits
       | Placed _ | Deferred | Failed _ -> ())
-    outcomes;
-  { graph; problems; outcomes; merged = Problem.Builder.build b }
+    t.outcomes;
+  Problem.Builder.build b
 
 let occupancy t =
   let used =
@@ -253,7 +246,8 @@ let occupancy t =
          match o with Placed p -> acc + Array.length p.region.qubits | _ -> acc)
       0 t.outcomes
   in
-  float_of_int used /. float_of_int (max 1 (Topology.num_working_qubits t.graph))
+  let working = Topology.num_working_qubits t.family.Family.graph in
+  float_of_int used /. float_of_int (max 1 working)
 
 let counts t =
   Array.fold_left
@@ -329,9 +323,10 @@ let merge_responses t responses =
          (p, expand_reads r))
       responses
   in
+  let merged = merged t in
   let reads =
     List.init num_reads (fun r ->
-        let global = Array.make t.merged.Problem.num_vars 1 in
+        let global = Array.make merged.Problem.num_vars 1 in
         List.iter
           (fun ((p : placed), reads_of_job) ->
              let local = reads_of_job.(r) in
@@ -340,7 +335,7 @@ let merge_responses t responses =
         global)
   in
   let timed_out = List.exists (fun (_, r) -> r.Sampler.timed_out) responses in
-  Sampler.response_of_reads t.merged ~timed_out reads
+  Sampler.response_of_reads merged ~timed_out reads
 
 let demux ?(chain_break = Embedding.Vote) t (response : Sampler.response) =
   let jobs = ref [] in

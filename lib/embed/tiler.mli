@@ -12,8 +12,8 @@
     translation, with identical local numbering — to the family's local
     fabric [Family.build_local k] ([Chimera.create ~shore k], or a
     translated [P_{k+1}]).  Each problem is therefore embedded into that
-    freshly built local graph, never into its eventual position, which buys
-    two properties at once:
+    local graph, never into its eventual position, which buys two
+    properties at once:
 
     - {b composition invariance}: the embedding, the local physical problem,
       and hence the demuxed response for a job are pure functions of (job,
@@ -72,32 +72,36 @@ type outcome =
   | Failed of string  (** no embedding, or too large for the topology *)
 
 type t = {
-  graph : Qac_chimera.Topology.t;
+  family : Qac_chimera.Family.t;  (** the carved fabric; [family.graph] is the chip *)
   problems : Qac_ising.Problem.t array;
   outcomes : outcome array;  (** parallel to [problems] *)
-  merged : Qac_ising.Problem.t;
-      (** all placed jobs' physical problems summed over the global qubit
-          index space; disjoint regions guarantee no cross-job couplers *)
 }
 
-(** [tile ?params ?cache ?seeds ?num_threads graph problems] carves [graph]
-    and embeds every problem.  The per-job ladder runs across [num_threads]
-    domains (placement itself is sequential and deterministic: first-fit,
-    row-major, in job order).  [cache] memoizes embeddings across jobs and
-    batches.  [seeds] overrides [params.seed] per job — the batch server
-    uses it to retry an embedding-failed job with a fresh seed; a job's seed
-    is part of its identity for composition invariance.  [graph] must belong
-    to a known topology family ({!Qac_chimera.Family.of_topology}: Chimera
-    or Pegasus); raises [Invalid_argument] otherwise.  Problems with zero
+(** [tile ?params ?cache ?seeds ?num_threads family problems] carves
+    [family.graph] and embeds every problem.  The per-job ladder runs across
+    [num_threads] domains (placement itself is sequential and deterministic:
+    first-fit, row-major, in job order).  [cache] memoizes embeddings across
+    jobs and batches.  [seeds] overrides [params.seed] per job — the batch
+    server uses it to retry an embedding-failed job with a fresh seed; a
+    job's seed is part of its identity for composition invariance.  Build
+    [family] once with {!Qac_chimera.Family.of_topology} (which rejects a
+    graph that is neither Chimera nor Pegasus) and pass it to every batch:
+    its local fabrics are built on first use and shared by later calls, so
+    a warm batch costs cache lookups plus placement.  Problems with zero
     variables are placed trivially (empty region). *)
 val tile :
   ?params:params ->
   ?cache:Cache.t ->
   ?seeds:int array ->
   ?num_threads:int ->
-  Qac_chimera.Topology.t ->
+  Qac_chimera.Family.t ->
   Qac_ising.Problem.t array ->
   t
+
+val merged : t -> Qac_ising.Problem.t
+(** All placed jobs' physical problems summed over the global qubit index
+    space; disjoint regions guarantee no cross-job couplers.  Built on each
+    call — serving never needs it, only whole-chip solves and checks do. *)
 
 val occupancy : t -> float
 (** Fraction of the graph's working qubits covered by placed regions. *)

@@ -19,6 +19,7 @@ module Trace = Qac_diag.Trace
 module Hist = Qac_diag.Hist
 module Tiler = Qac_embed.Tiler
 module Cache = Qac_embed.Cache
+module Family = Qac_chimera.Family
 module Sampler = Qac_anneal.Sampler
 open Qac_ising
 
@@ -58,6 +59,35 @@ type stats = {
   jobs_per_second : float;
 }
 
+(* A result as kept until {!drain}: the response's samples move out of it
+   into [packed], their spins one byte each ({!Sampler.pack}) instead of a
+   word each; {!restore} rebuilds the response on every read. *)
+type retained = {
+  result : result;
+  packed : (Bytes.t * float * int) list;  (* spins, energy, occurrences *)
+}
+
+let pack_response = function
+  | None -> (None, [])
+  | Some (r : Sampler.response) ->
+    ( Some { r with Sampler.samples = [] },
+      List.map
+        (fun (s : Sampler.sample) ->
+           (Sampler.pack s.Sampler.spins, s.Sampler.energy, s.Sampler.num_occurrences))
+        r.Sampler.samples )
+
+let restore { result; packed } =
+  match result.response with
+  | None -> result
+  | Some r ->
+    let samples =
+      List.map
+        (fun (bits, energy, num_occurrences) ->
+           { Sampler.spins = Sampler.unpack bits; energy; num_occurrences })
+        packed
+    in
+    { result with response = Some { r with Sampler.samples } }
+
 type pending = {
   pjob : job;
   index : int;  (* submission order; doubles as the caller-facing ticket *)
@@ -90,13 +120,13 @@ type t = {
   max_retries : int;
   trace : Trace.t option;
   solver : deadline:float option -> Problem.t -> Sampler.response;
-  graph : Qac_chimera.Topology.t;
+  family : Family.t;  (* built once; its local fabrics are shared by every batch *)
   latency : Hist.t;  (* submit -> result recorded; guarded by [mutex] *)
   mutable queue : pending list;  (* head = next to serve *)
   mutable next_index : int;
   mutable draining : bool;
   mutable pipe_closed : bool;
-  results : (int, result) Hashtbl.t;
+  results : (int, retained) Hashtbl.t;
   (* In-flight coalescing, all mutex-guarded.  A *work* is a queue entry
      (identified by its leader's ticket = [pending.index]); [active] maps a
      job's content digest to its live work while that work is queued or in
@@ -204,18 +234,22 @@ let record t (p : pending) ~status ~response ~batch ~batch_start ~solve_seconds 
   | None -> ()
   | Some subs ->
     let finished = now () in
+    (* Packed once; every subscriber's retained result shares it. *)
+    let response, packed = pack_response response in
     List.iter
       (fun s ->
          Hist.add t.latency (finished -. s.joined_at);
          Hashtbl.replace t.results s.ticket
-           { id = s.sub_id;
-             status;
-             response;
-             batch;
-             (* A follower can attach after its batch started; its wait is
-                then the full window, never negative. *)
-             wait_seconds = Float.max 0.0 (batch_start -. s.joined_at);
-             solve_seconds };
+           { result =
+               { id = s.sub_id;
+                 status;
+                 response;
+                 batch;
+                 (* A follower can attach after its batch started; its wait
+                    is then the full window, never negative. *)
+                 wait_seconds = Float.max 0.0 (batch_start -. s.joined_at);
+                 solve_seconds };
+             packed };
          Hashtbl.remove t.work_of_ticket s.ticket)
       subs;
     Hashtbl.remove t.subscribers p.index;
@@ -265,7 +299,7 @@ let process_batch t batch ~queue_depth =
         count "queue-depth" queue_depth;
         let tiling =
           Tiler.tile ~params:t.tiler_params ?cache:t.embed_cache ~seeds
-            ~num_threads:t.num_threads t.graph problems
+            ~num_threads:t.num_threads t.family problems
         in
         let placed, deferred, failed = Tiler.counts tiling in
         let occupancy = Tiler.occupancy tiling in
@@ -420,6 +454,8 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
     ?(max_retries = 2) ?trace ~solver ~graph () =
   if queue_capacity < 1 then invalid_arg "Serve.create: queue_capacity must be >= 1";
   if batch_jobs < 1 then invalid_arg "Serve.create: batch_jobs must be >= 1";
+  (* Rejects an unsupported graph here, before any job can be queued. *)
+  let family = Family.of_topology graph in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -438,7 +474,7 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
       max_retries;
       trace;
       solver;
-      graph;
+      family;
       latency = Hist.create ();
       queue = [];
       next_index = 0;
@@ -553,7 +589,7 @@ let peek t ticket =
   Mutex.lock t.mutex;
   let r = Hashtbl.find_opt t.results ticket in
   Mutex.unlock t.mutex;
-  r
+  Option.map restore r
 
 (* Cancel one *delivery*.  A follower may leave at any point before its
    result is recorded — it owns no work.  The leader's delivery can be
@@ -580,12 +616,14 @@ let cancel t ticket =
              let at = now () in
              Hist.add t.latency (at -. sub.joined_at);
              Hashtbl.replace t.results ticket
-               { id = sub.sub_id;
-                 status = Canceled;
-                 response = None;
-                 batch = -1;
-                 wait_seconds = at -. sub.joined_at;
-                 solve_seconds = 0.0 };
+               { result =
+                   { id = sub.sub_id;
+                     status = Canceled;
+                     response = None;
+                     batch = -1;
+                     wait_seconds = at -. sub.joined_at;
+                     solve_seconds = 0.0 };
+                 packed = [] };
              t.n_canceled <- t.n_canceled + 1;
              Hashtbl.remove t.work_of_ticket ticket;
              (match List.filter (fun s -> s.ticket <> ticket) subs with
@@ -629,7 +667,7 @@ let drain t =
   let results =
     List.init t.next_index (fun i ->
         match Hashtbl.find_opt t.results i with
-        | Some r -> r
+        | Some r -> restore r
         | None ->
           (* Unreachable: every submitted job is recorded before the
              scheduler exits. *)

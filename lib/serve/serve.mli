@@ -88,7 +88,11 @@ type stats = {
 
 type t
 
-(** [create ~solver ~graph ()] starts the scheduler domain.
+(** [create ~solver ~graph ()] starts the scheduler domain.  The tile
+    family of [graph] ({!Qac_chimera.Family.of_topology}) is built here,
+    once, and every batch tiles onto it, so each local fabric is built at
+    most once per service; a graph that is neither Chimera nor Pegasus
+    raises [Invalid_argument] here, before any job is accepted.
     [queue_capacity] bounds the submission queue (default 256);
     [batch_jobs] (default 16) and [batch_window_s] (default 0.01) set the
     flush policy; [num_threads] parallelizes tiling ladders and per-job
@@ -133,7 +137,8 @@ val try_submit : t -> job -> int option
 val peek : t -> int -> result option
 (** The result of a ticket, once its batch has been processed.  [None]
     while the job is still queued or in flight.  Safe from any domain at
-    any time. *)
+    any time.  Finished results are retained (spins packed one byte each)
+    until the service is drained; each call rebuilds a fresh response. *)
 
 val cancel : t -> int -> bool
 (** Withdraw one delivery; the ticket's result becomes {!Canceled}.

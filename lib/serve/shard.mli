@@ -56,7 +56,8 @@ type shard_stats = {
     [solver] must be pure up to its arguments — the composition-invariance
     contract makes a job's response independent of the shard that serves
     it, so any routing policy (and any shard count) returns bit-identical
-    results. *)
+    results.  Like {!Serve.create}, raises [Invalid_argument] when [graph]
+    is neither Chimera nor Pegasus, before any shard starts. *)
 val create :
   ?num_shards:int ->
   ?routing:routing ->

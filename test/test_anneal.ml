@@ -377,3 +377,18 @@ let timeout_tests =
            (r.Sampler.num_reads >= 1 && r.Sampler.num_reads < 32)) ]
 
 let suite = suite @ timeout_tests
+
+(* Served results are retained packed; the round trip must be exact. *)
+let pack_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"unpack inverts pack on spin arrays" ~count:200
+         (QCheck.make
+            ~print:QCheck.Print.(array int)
+            QCheck.Gen.(array_size (int_range 0 100) (oneofl [ 1; -1 ])))
+         (fun spins -> Sampler.unpack (Sampler.pack spins) = spins));
+    Alcotest.test_case "pack round-trips the empty array" `Quick (fun () ->
+        Alcotest.(check int) "no bytes" 0 (Bytes.length (Sampler.pack [||]));
+        Alcotest.(check (array int)) "empty back" [||]
+          (Sampler.unpack (Sampler.pack [||]))) ]
+
+let suite = suite @ pack_tests

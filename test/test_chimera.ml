@@ -432,6 +432,40 @@ let family_tests =
         (* P4's 4x4 tile grid fits the (k+1)-tile footprint of k=3 exactly. *)
         Alcotest.(check int) "P4 hosts a 3-block" 3
           (Family.max_feasible_block (Family.pegasus (Pegasus.create 4))));
+    Alcotest.test_case "build_local returns one shared graph per size" `Quick
+      (fun () ->
+         List.iter
+           (fun (fam, fresh) ->
+              for k = 1 to 2 do
+                let g = fam.Family.build_local k in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s k=%d physically shared" fam.Family.family k)
+                  true
+                  (g == fam.Family.build_local k);
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s k=%d equals a fresh build" fam.Family.family k)
+                  true (g = fresh k)
+              done)
+           [ (Family.chimera (Chimera.create 4), fun k -> Chimera.create k);
+             (Family.pegasus (Pegasus.create 4), fun k -> Pegasus.create (k + 1)) ]);
+    Alcotest.test_case "concurrent first calls to build_local share one graph" `Quick
+      (fun () ->
+         List.iter
+           (fun fam ->
+              let got = Array.make 4 None in
+              Qac_anneal.Parallel.run_tasks ~num_workers:4 4 (fun i ->
+                  got.(i) <- Some (fam.Family.build_local 2));
+              let first = Option.get got.(0) in
+              Array.iter
+                (fun g ->
+                   Alcotest.(check bool)
+                     (fam.Family.family ^ ": one value across domains")
+                     true
+                     (Option.get g == first))
+                got;
+              Alcotest.(check bool) (fam.Family.family ^ ": and later calls") true
+                (fam.Family.build_local 2 == first))
+           [ Family.chimera (Chimera.create 4); Family.pegasus (Pegasus.create 4) ]);
   ]
 
 let suite =

@@ -3,6 +3,7 @@
 
 open Qac_ising
 module Chimera = Qac_chimera.Chimera
+module Family = Qac_chimera.Family
 module Tiler = Qac_embed.Tiler
 module Serve = Qac_serve.Serve
 module Sampler = Qac_anneal.Sampler
@@ -98,7 +99,9 @@ let basic_tests =
          in
          List.iteri
            (fun i p ->
-              let alone = Tiler.tile ~params:tiler_params graph [| p |] in
+              let alone =
+                Tiler.tile ~params:tiler_params (Family.of_topology graph) [| p |]
+              in
               match Tiler.solve ~solver alone with
               | [ (0, expected) ] ->
                 check_response (string_of_int i) expected
@@ -270,7 +273,9 @@ let pegasus_tests =
            the reproducibility contract is family-independent. *)
         List.iteri
           (fun i p ->
-             let alone = Tiler.tile ~params:tiler_params graph [| p |] in
+             let alone =
+               Tiler.tile ~params:tiler_params (Family.of_topology graph) [| p |]
+             in
              match Tiler.solve ~solver alone with
              | [ (0, expected) ] ->
                check_response (string_of_int i) expected
@@ -446,6 +451,69 @@ let coalesce_tests =
          check_response "a2" (response_exn (by_id "a"))
            (response_exn (by_id "a2"))) ]
 
+let unsupported_topology_tests =
+  [ Alcotest.test_case "create refuses a graph that is neither Chimera nor Pegasus"
+      `Quick (fun () ->
+          let alien =
+            Qac_chimera.Topology.create ~name:"alien" ~params:[] ~num_qubits:4
+              ~edges:[ (0, 1); (1, 2); (2, 3); (0, 3) ] ()
+          in
+          match Serve.create ~tiler_params ~solver ~graph:alien () with
+          | exception Invalid_argument _ -> ()
+          | t ->
+            ignore (Serve.drain t);
+            Alcotest.fail "create accepted an unsupported graph") ]
+
+let retained_tests =
+  [ Alcotest.test_case "peek and drain rebuild the response Tiler.solve returns"
+      `Quick (fun () ->
+          (* Results are kept packed until drain: a SAT job, a compiled
+             circuit and a zero-variable job must come back unchanged. *)
+          let sat =
+            (Qac_sat.Compile.compile
+               (Qac_sat.Dimacs.parse "p cnf 4 3\n1 2 -3 0\n-2 3 4 0\n-1 -4 0\n"))
+              .Qac_sat.Compile.problem
+          in
+          let circuit =
+            let module Pipeline = Qac_core.Pipeline in
+            let compiled =
+              Pipeline.compile
+                "module and2 (a, b, y); input a; input b; output y;\n\
+                 assign y = a & b; endmodule"
+            in
+            (Pipeline.assemble_with_pins ~pins:[ ("y", 1) ] compiled)
+              .Qac_qmasm.Assemble.problem
+          in
+          let problems =
+            [ ("sat", sat); ("circuit", circuit); ("empty", Problem.empty) ]
+          in
+          let graph = Chimera.create 6 in
+          let t = Serve.create ~batch_jobs:3 ~tiler_params ~solver ~graph () in
+          let tickets =
+            List.map (fun (id, p) -> Serve.submit_ticket t (job id p)) problems
+          in
+          let drained = Serve.drain t in
+          List.iteri
+            (fun i (id, p) ->
+               let expected =
+                 match
+                   Tiler.solve ~solver
+                     (Tiler.tile ~params:tiler_params (Family.of_topology graph) [| p |])
+                 with
+                 | [ (0, r) ] -> r
+                 | _ -> Alcotest.fail (id ^ ": standalone solve failed")
+               in
+               let peeked =
+                 match Serve.peek t (List.nth tickets i) with
+                 | Some r -> response_exn r
+                 | None -> Alcotest.fail (id ^ ": peek after drain")
+               in
+               let from_drain = response_exn (List.nth drained i) in
+               check_response (id ^ " via peek") expected peeked;
+               check_response (id ^ " via drain") expected from_drain;
+               Alcotest.(check bool) (id ^ ": peek = drain") true (peeked = from_drain))
+            problems) ]
+
 let suite =
   basic_tests @ deadline_tests @ failure_tests @ trace_tests @ pegasus_tests
-  @ ticket_tests @ coalesce_tests
+  @ ticket_tests @ coalesce_tests @ unsupported_topology_tests @ retained_tests

@@ -472,4 +472,16 @@ let server_tests =
         Unix.close fd;
         ignore (Domain.join server_domain)) ]
 
-let suite = routing_tests @ pool_tests @ server_tests
+let unsupported_topology_tests =
+  [ Alcotest.test_case "create refuses an unsupported topology" `Quick (fun () ->
+        let alien =
+          Qac_chimera.Topology.create ~name:"alien" ~params:[] ~num_qubits:4
+            ~edges:[ (0, 1); (1, 2); (2, 3); (0, 3) ] ()
+        in
+        match Shard.create ~num_shards:2 ~tiler_params ~solver ~graph:alien () with
+        | exception Invalid_argument _ -> ()
+        | pool ->
+          ignore (Shard.drain pool);
+          Alcotest.fail "create accepted an unsupported graph") ]
+
+let suite = routing_tests @ pool_tests @ server_tests @ unsupported_topology_tests

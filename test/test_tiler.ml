@@ -5,6 +5,7 @@
 
 open Qac_ising
 module Chimera = Qac_chimera.Chimera
+module Family = Qac_chimera.Family
 module Tiler = Qac_embed.Tiler
 module Embedding = Qac_embed.Embedding
 module Cache = Qac_embed.Cache
@@ -67,7 +68,8 @@ let jobs = [| chain_problem 5; ring_problem 4; dense_problem 4; chain_problem 3 
 (* Couplers of the merged problem must stay inside single regions: build the
    qubit -> job map from the placed regions and check every coupler. *)
 let check_isolation t =
-  let owner = Array.make t.Tiler.merged.Problem.num_vars (-1) in
+  let merged = Tiler.merged t in
+  let owner = Array.make merged.Problem.num_vars (-1) in
   Array.iter
     (function
       | Tiler.Placed p ->
@@ -82,16 +84,16 @@ let check_isolation t =
     (fun ((i, j), _) ->
        Alcotest.(check bool) "coupler inside one region" true
          (owner.(i) >= 0 && owner.(i) = owner.(j)))
-    t.Tiler.merged.Problem.couplers;
+    merged.Problem.couplers;
   Array.iteri
     (fun q h -> if h <> 0.0 then
         Alcotest.(check bool) "field inside a region" true (owner.(q) >= 0))
-    t.Tiler.merged.Problem.h
+    merged.Problem.h
 
 let tiling_tests =
   [ Alcotest.test_case "all jobs place on C6 with disjoint regions" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t = Tiler.tile ~params graph jobs in
+        let fam = Family.of_topology (Chimera.create 6) in
+        let t = Tiler.tile ~params fam jobs in
         let placed, deferred, failed = Tiler.counts t in
         Alcotest.(check int) "all placed" (Array.length jobs) placed;
         Alcotest.(check int) "none deferred" 0 deferred;
@@ -100,11 +102,11 @@ let tiling_tests =
         Alcotest.(check bool) "occupancy positive" true (Tiler.occupancy t > 0.0);
         Alcotest.(check bool) "occupancy below 1" true (Tiler.occupancy t < 1.0));
     Alcotest.test_case "tiling is identical at 1 and 4 threads" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t1 = Tiler.tile ~params ~num_threads:1 graph jobs in
-        let t4 = Tiler.tile ~params ~num_threads:4 graph jobs in
+        let fam = Family.of_topology (Chimera.create 6) in
+        let t1 = Tiler.tile ~params ~num_threads:1 fam jobs in
+        let t4 = Tiler.tile ~params ~num_threads:4 fam jobs in
         Alcotest.(check bool) "merged problems equal" true
-          (Problem.equal t1.Tiler.merged t4.Tiler.merged);
+          (Problem.equal (Tiler.merged t1) (Tiler.merged t4));
         Array.iteri
           (fun i _ ->
              let p1 = placed_exn t1 i and p4 = placed_exn t4 i in
@@ -115,8 +117,8 @@ let tiling_tests =
           jobs);
     Alcotest.test_case "broken cells are never used" `Quick (fun () ->
         (* Break one qubit of cell (0,0): the whole cell must leave the pool. *)
-        let graph = Chimera.create ~broken:[ 3 ] 6 in
-        let t = Tiler.tile ~params graph jobs in
+        let fam = Family.of_topology (Chimera.create ~broken:[ 3 ] 6) in
+        let t = Tiler.tile ~params fam jobs in
         let placed, _, failed = Tiler.counts t in
         Alcotest.(check int) "all placed" (Array.length jobs) placed;
         Alcotest.(check int) "none failed" 0 failed;
@@ -131,9 +133,9 @@ let tiling_tests =
           t.Tiler.outcomes;
         check_isolation t);
     Alcotest.test_case "too-large problem fails, batch survives" `Quick (fun () ->
-        let graph = Chimera.create 2 in
+        let fam = Family.of_topology (Chimera.create 2) in
         (* A 40-variable ring cannot fit a C2 (32 qubits). *)
-        let t = Tiler.tile ~params graph [| chain_problem 3; ring_problem 40 |] in
+        let t = Tiler.tile ~params fam [| chain_problem 3; ring_problem 40 |] in
         (match t.Tiler.outcomes.(0) with
          | Tiler.Placed _ -> ()
          | _ -> Alcotest.fail "small job should place");
@@ -141,19 +143,19 @@ let tiling_tests =
          | Tiler.Failed _ -> ()
          | _ -> Alcotest.fail "oversized job should fail"));
     Alcotest.test_case "floor exhaustion defers, never overlaps" `Quick (fun () ->
-        let graph = Chimera.create 2 in
+        let fam = Family.of_topology (Chimera.create 2) in
         (* Each dense 8-var job needs a whole C2-sized block; the second
            cannot fit alongside. *)
         let big = dense_problem 8 in
-        let t = Tiler.tile ~params graph [| big; big; big |] in
+        let t = Tiler.tile ~params fam [| big; big; big |] in
         let placed, deferred, failed = Tiler.counts t in
         Alcotest.(check bool) "at least one placed" true (placed >= 1);
         Alcotest.(check int) "none failed" 0 failed;
         Alcotest.(check bool) "rest deferred" true (deferred = 3 - placed);
         check_isolation t);
     Alcotest.test_case "empty problem places trivially" `Quick (fun () ->
-        let graph = Chimera.create 2 in
-        let t = Tiler.tile ~params graph [| Problem.empty |] in
+        let fam = Family.of_topology (Chimera.create 2) in
+        let t = Tiler.tile ~params fam [| Problem.empty |] in
         let p = placed_exn t 0 in
         Alcotest.(check int) "no qubits" 0 (Array.length p.Tiler.region.Tiler.qubits);
         match Tiler.solve ~solver t with
@@ -162,32 +164,51 @@ let tiling_tests =
         | _ -> Alcotest.fail "expected one response");
     Alcotest.test_case "embedding cache is shared across identical jobs" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
+         let fam = Family.of_topology (Chimera.create 6) in
          let cache = Cache.create () in
          let same = chain_problem 5 in
-         let t = Tiler.tile ~params ~cache graph [| same; same; same; same |] in
+         let t = Tiler.tile ~params ~cache fam [| same; same; same; same |] in
          let placed, _, _ = Tiler.counts t in
          Alcotest.(check int) "all placed" 4 placed;
          let { Cache.hits; misses; _ } = Cache.stats cache in
          Alcotest.(check bool) "cache hits from repeated structure" true (hits >= 3);
          Alcotest.(check bool) "few misses" true (misses <= 4)) ]
 
+let reuse_tests =
+  [ Alcotest.test_case "a reused family tiles like freshly built ones" `Quick
+      (fun () ->
+         (* The family memoizes its local fabrics; sharing them across
+            batches must not change any outcome. *)
+         List.iter
+           (fun graph ->
+              let shared = Family.of_topology graph in
+              List.iter
+                (fun batch ->
+                   let reused = Tiler.tile ~params shared batch in
+                   let fresh = Tiler.tile ~params (Family.of_topology graph) batch in
+                   Alcotest.(check bool) "outcomes bit-identical" true
+                     (reused.Tiler.outcomes = fresh.Tiler.outcomes);
+                   Alcotest.(check bool) "merged problems equal" true
+                     (Problem.equal (Tiler.merged reused) (Tiler.merged fresh)))
+                [ jobs; [| dense_problem 4; chain_problem 5 |]; jobs ])
+           [ Chimera.create 6; Qac_chimera.Pegasus.create 4 ]) ]
+
 let solve_tests =
   [ Alcotest.test_case "composition invariance: alone vs batched" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let batch = Tiler.tile ~params graph jobs in
+        let fam = Family.of_topology (Chimera.create 6) in
+        let batch = Tiler.tile ~params fam jobs in
         let batched = Tiler.solve ~solver batch in
         Array.iteri
           (fun i p ->
-             let alone = Tiler.tile ~params graph [| p |] in
+             let alone = Tiler.tile ~params fam [| p |] in
              match (Tiler.solve ~solver alone, List.assoc_opt i batched) with
              | [ (0, ra) ], Some rb ->
                check_response (Printf.sprintf "job %d" i) ra rb
              | _ -> Alcotest.fail "missing response")
           jobs);
     Alcotest.test_case "solve is identical at 1 and 4 threads" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t = Tiler.tile ~params graph jobs in
+        let fam = Family.of_topology (Chimera.create 6) in
+        let t = Tiler.tile ~params fam jobs in
         let r1 = Tiler.solve ~num_threads:1 ~solver t in
         let r4 = Tiler.solve ~num_threads:4 ~solver t in
         Alcotest.(check int) "same job set" (List.length r1) (List.length r4);
@@ -205,8 +226,8 @@ let solve_tests =
             ~j:(List.init (n - 1) (fun i -> ((i, i + 1), -1.0)))
             ()
         in
-        let graph = Chimera.create 4 in
-        let t = Tiler.tile ~params graph [| ferro |] in
+        let fam = Family.of_topology (Chimera.create 4) in
+        let t = Tiler.tile ~params fam [| ferro |] in
         match Tiler.solve ~solver t with
         | [ (0, r) ] ->
           Alcotest.(check (float 1e-9)) "ground energy"
@@ -214,8 +235,8 @@ let solve_tests =
             (Sampler.best r).Sampler.energy
         | _ -> Alcotest.fail "expected one response");
     Alcotest.test_case "per-job deadline flags only that job" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t = Tiler.tile ~params graph [| chain_problem 5; chain_problem 4 |] in
+        let fam = Family.of_topology (Chimera.create 6) in
+        let t = Tiler.tile ~params fam [| chain_problem 5; chain_problem 4 |] in
         let deadline i = if i = 0 then Some 0.0 else None in
         (match Tiler.solve ~deadline ~solver t with
          | [ (0, r0); (1, r1) ] ->
@@ -228,8 +249,8 @@ let solve_tests =
 let demux_tests =
   [ Alcotest.test_case "merge then demux returns each job's own reads" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
-         let t = Tiler.tile ~params graph jobs in
+         let fam = Family.of_topology (Chimera.create 6) in
+         let t = Tiler.tile ~params fam jobs in
          (* Solve each job's full local physical problem directly. *)
          let locals =
            List.filter_map
@@ -266,8 +287,8 @@ let demux_tests =
               | None -> Alcotest.fail "job missing from demux")
            locals);
     Alcotest.test_case "merge_responses rejects ragged read counts" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t = Tiler.tile ~params graph [| chain_problem 3; chain_problem 3 |] in
+        let fam = Family.of_topology (Chimera.create 6) in
+        let t = Tiler.tile ~params fam [| chain_problem 3; chain_problem 3 |] in
         let p0 = placed_exn t 0 and p1 = placed_exn t 1 in
         let r0 = solver ~deadline:None p0.Tiler.physical in
         let r1 =
@@ -306,56 +327,60 @@ let arbitrary_batch =
       String.concat "\n---\n" (List.map Problem.to_string ps))
     QCheck.Gen.(list_size (int_range 1 5) random_problem)
 
+let families =
+  [ Family.of_topology (Chimera.create 6);
+    Family.of_topology (Qac_chimera.Pegasus.create 4) ]
+
 let qcheck_isolation =
   (* Both families: the isolation and invariance contracts are per-family
      obligations of the carving, not Chimera accidents. *)
   QCheck.Test.make ~name:"random batches: isolation + per-job invariance" ~count:15
     arbitrary_batch (fun problems ->
       List.iter
-        (fun graph ->
+        (fun fam ->
            let batch = Array.of_list problems in
-           let t = Tiler.tile ~params graph batch in
+           let t = Tiler.tile ~params fam batch in
            check_isolation t;
            let batched = Tiler.solve ~solver t in
            Array.iteri
              (fun i p ->
                 match t.Tiler.outcomes.(i) with
                 | Tiler.Placed _ ->
-                  let alone = Tiler.tile ~params graph [| p |] in
+                  let alone = Tiler.tile ~params fam [| p |] in
                   (match (Tiler.solve ~solver alone, List.assoc_opt i batched) with
                    | [ (0, ra) ], Some rb ->
                      check_response (Printf.sprintf "job %d" i) ra rb
                    | _ -> Alcotest.fail "missing response")
                 | Tiler.Deferred | Tiler.Failed _ -> ())
              batch)
-        [ Chimera.create 6; Qac_chimera.Pegasus.create 4 ];
+        families;
       true)
 
 let pegasus_tests =
-  let graph = Qac_chimera.Pegasus.create 4 in
+  let fam = Family.of_topology (Qac_chimera.Pegasus.create 4) in
   [ Alcotest.test_case "all jobs place on P4 with disjoint regions" `Quick (fun () ->
-        let t = Tiler.tile ~params graph jobs in
+        let t = Tiler.tile ~params fam jobs in
         let placed, deferred, failed = Tiler.counts t in
         Alcotest.(check int) "all placed" (Array.length jobs) placed;
         Alcotest.(check int) "none deferred" 0 deferred;
         Alcotest.(check int) "none failed" 0 failed;
         check_isolation t);
     Alcotest.test_case "composition invariance on Pegasus" `Quick (fun () ->
-        let batch = Tiler.tile ~params graph jobs in
+        let batch = Tiler.tile ~params fam jobs in
         let batched = Tiler.solve ~solver batch in
         Array.iteri
           (fun i p ->
-             let alone = Tiler.tile ~params graph [| p |] in
+             let alone = Tiler.tile ~params fam [| p |] in
              match (Tiler.solve ~solver alone, List.assoc_opt i batched) with
              | [ (0, ra) ], Some rb -> check_response (Printf.sprintf "job %d" i) ra rb
              | _ -> Alcotest.fail "missing response")
           jobs);
     Alcotest.test_case "Pegasus tiling is identical at 1 and 4 threads" `Quick
       (fun () ->
-         let t1 = Tiler.tile ~params ~num_threads:1 graph jobs in
-         let t4 = Tiler.tile ~params ~num_threads:4 graph jobs in
+         let t1 = Tiler.tile ~params ~num_threads:1 fam jobs in
+         let t4 = Tiler.tile ~params ~num_threads:4 fam jobs in
          Alcotest.(check bool) "merged problems equal" true
-           (Problem.equal t1.Tiler.merged t4.Tiler.merged);
+           (Problem.equal (Tiler.merged t1) (Tiler.merged t4));
          Array.iteri
            (fun i _ ->
               let p1 = placed_exn t1 i and p4 = placed_exn t4 i in
@@ -367,3 +392,4 @@ let pegasus_tests =
 let suite =
   tiling_tests @ solve_tests @ demux_tests @ pegasus_tests
   @ [ QCheck_alcotest.to_alcotest qcheck_isolation ]
+  @ reuse_tests
