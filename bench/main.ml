@@ -681,10 +681,8 @@ let batch_bench ~smoke () =
     graph.Qac_chimera.Topology.name n sa_params.Qac_anneal.Sa.num_reads
     sa_params.Qac_anneal.Sa.num_sweeps tries threads;
   let count_valid t program (resp : Sampler.response) =
-    List.exists
-      (fun (s : Sampler.sample) ->
-         (P.solution_of_spins t ~program s.Sampler.spins).P.valid)
-      resp.Sampler.samples
+    let verify = P.solution_of_spins t ~program in
+    List.exists (fun (s : Sampler.sample) -> (verify s.Sampler.spins).P.valid) resp.Sampler.samples
   in
   (* Sequential arm: one full-graph embed + solve per job. *)
   let seq_cache = Qac_embed.Cache.create () in

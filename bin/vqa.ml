@@ -474,12 +474,13 @@ let qmasm_cmd =
         if solved.P.timed_out then print_endline "# timed out: solutions are best-so-far";
         let response = Sampler.response_of_reads problem (List.map fst solved.P.reads) in
         Format.printf "%a" (Sampler.pp_histogram ?buckets:None) response;
+        let report = Qac_qmasm.Qmasm.report program in
         List.iteri
           (fun i (s : Sampler.sample) ->
              if i < 10 then begin
                Printf.printf "solution %d: energy %g, %d occurrence(s)\n" (i + 1)
                  s.Sampler.energy s.Sampler.num_occurrences;
-               let assignment, checks = Qac_qmasm.Qmasm.report program s.Sampler.spins in
+               let assignment, checks = report s.Sampler.spins in
                List.iter
                  (fun (name, v) -> Printf.printf "  %s = %s\n" name (if v then "True" else "False"))
                  assignment;

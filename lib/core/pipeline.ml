@@ -393,33 +393,6 @@ let solve ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ()) ?
     in
     result ~num_physical_qubits:(Embedding.num_physical_qubits embedding) response reads
 
-let port_values t assignment =
-  let value_of name width =
-    let v = ref 0 in
-    for i = 0 to width - 1 do
-      match List.assoc_opt (E2Q.port_symbol ~width name i) assignment with
-      | Some true -> v := !v lor (1 lsl i)
-      | Some false | None -> ()
-    done;
-    !v
-  in
-  List.map (fun (name, nets) -> (name, value_of name (Array.length nets))) t.netlist.N.inputs
-  @ List.map
-      (fun (name, signals) -> (name, value_of name (Array.length signals)))
-      t.netlist.N.outputs
-
-let verify_ports t ports =
-  let bit_vector width v = Array.init width (fun i -> (v lsr i) land 1 = 1) in
-  let assignment =
-    List.filter_map
-      (fun (name, v) ->
-         match port_width t name with
-         | Some width -> Some (name, bit_vector width v)
-         | None -> None)
-      ports
-  in
-  Sim.check_relation t.netlist ~assignment
-
 (* Re-assemble with the pins appended (the --pin workflow of section
    4.3.6: program code stays separate from program inputs), reusing the
    assembly options the program was compiled with. *)
@@ -434,33 +407,56 @@ let assemble_with_pins ?(pins = []) ?(pin_source = "") t =
   Qmasm.Assemble.assemble ~options:t.options statements
 
 (* Name and verify one logical configuration: port integers, the netlist
-   relation check (section 5.1), assertion and pin checks. *)
-let solution_of_spins t ~program ?(num_occurrences = 1) ?(broken_chains = 0) spins =
-  let assignment = Qmasm.Assemble.visible_assignment program spins in
-  let full_assignment = Qmasm.Assemble.assignment_of_spins program spins in
-  let lookup name =
-    match List.assoc_opt name full_assignment with
+   relation check (section 5.1), assertion and pin checks.  Applying
+   [t ~program] resolves every name verify reads to its variable, once per
+   program; each read then costs array reads, the assertions and one
+   netlist simulation. *)
+let solution_of_spins t ~program =
+  let module A = Qmasm.Assemble in
+  let assignment = A.visible_assignment program in
+  let check_assertions = A.check_assertions program in
+  let var name =
+    match A.variable program name with
     | Some v -> v
-    | None -> error "assertion references unknown symbol %s" name
+    | None -> error "pin references unknown symbol %s" name
   in
-  let assertions_ok =
-    List.for_all (fun (_, ok) -> ok) (Qmasm.Assemble.check_assertions program lookup)
+  let pins = List.map (fun (name, expected) -> (var name, expected)) program.A.pins in
+  (* Each port's bit variables, LSB first; a bit with no visible symbol
+     reads as 0. *)
+  let port_vars (name, width) =
+    ( name,
+      Array.init width (fun i ->
+          let sym = E2Q.port_symbol ~width name i in
+          if Qmasm.Ast.is_internal_symbol sym then None else A.variable program sym) )
   in
-  let ports = port_values t assignment in
-  let valid = verify_ports t ports in
-  let pins_respected =
-    List.for_all
-      (fun (name, expected) -> lookup name = expected)
-      program.Qmasm.Assemble.pins
+  let ports =
+    List.map (fun (name, nets) -> (name, Array.length nets)) t.netlist.N.inputs
+    @ List.map (fun (name, signals) -> (name, Array.length signals)) t.netlist.N.outputs
+    |> List.map port_vars
   in
-  { ports;
-    assignment;
-    energy = Problem.energy program.Qmasm.Assemble.problem spins;
-    num_occurrences;
-    valid;
-    assertions_ok;
-    pins_respected;
-    broken_chains }
+  let is_set spins v = spins.(v) > 0 in
+  let value bits =
+    let v = ref 0 in
+    Array.iteri (fun i b -> if b then v := !v lor (1 lsl i)) bits;
+    !v
+  in
+  fun ?(num_occurrences = 1) ?(broken_chains = 0) spins ->
+    let assignment = assignment spins in
+    let assertions_ok = List.for_all snd (check_assertions spins) in
+    let bits =
+      List.map
+        (fun (name, vars) ->
+           (name, Array.map (function Some v -> is_set spins v | None -> false) vars))
+        ports
+    in
+    { ports = List.map (fun (name, b) -> (name, value b)) bits;
+      assignment;
+      energy = Problem.energy program.A.problem spins;
+      num_occurrences;
+      valid = Sim.check_relation t.netlist ~assignment:bits;
+      assertions_ok;
+      pins_respected = List.for_all (fun (v, expected) -> is_set spins v = expected) pins;
+      broken_chains }
 
 (* Run = assemble span + [solve] + verify span. *)
 let run ?(pins = []) ?(pin_source = "") ?trace ?num_threads ?embed_cache ?timeout_ms
@@ -480,33 +476,34 @@ let run ?(pins = []) ?(pin_source = "") ?trace ?num_threads ?embed_cache ?timeou
       ~target logical
   in
   span "verify" (fun () ->
-      (* Aggregate logical reads into named solutions. *)
+      (* Aggregate logical reads into named solutions, keyed on every spin
+         (a polymorphic hash of the spin list reads only its first few);
+         [first_seen] keeps distinct reads in the order they arrived. *)
       let tbl = Hashtbl.create 64 in
+      let first_seen = ref [] in
       List.iter
         (fun (spins, broken) ->
-           let key = Array.to_list spins in
+           let key = Anneal.Sampler.pack spins in
            match Hashtbl.find_opt tbl key with
-           | Some (count, worst_broken) ->
-             Hashtbl.replace tbl key (count + 1, max worst_broken broken)
-           | None -> Hashtbl.replace tbl key (1, broken))
+           | Some (spins, count, worst_broken) ->
+             Hashtbl.replace tbl key (spins, count + 1, max worst_broken broken)
+           | None ->
+             Hashtbl.replace tbl key (spins, 1, broken);
+             first_seen := key :: !first_seen)
         solved.reads;
-      let assertion_failures = ref 0 in
+      let verify = solution_of_spins t ~program in
       let solutions =
-        Hashtbl.fold
-          (fun key (count, broken) acc ->
-             let spins = Array.of_list key in
-             let s =
-               solution_of_spins t ~program ~num_occurrences:count
-                 ~broken_chains:broken spins
-             in
-             if not s.assertions_ok then incr assertion_failures;
-             s :: acc)
-          tbl []
-        |> List.sort (fun a b ->
+        List.rev_map
+          (fun key ->
+             let spins, count, broken = Hashtbl.find tbl key in
+             verify ~num_occurrences:count ~broken_chains:broken spins)
+          !first_seen
+        |> List.stable_sort (fun a b ->
             match compare a.energy b.energy with
             | 0 -> compare a.ports b.ports
             | c -> c)
       in
+      let assertion_failures = List.length (List.filter (fun s -> not s.assertions_ok) solutions) in
       count "distinct-solutions" (List.length solutions);
       count "valid-solutions"
         (List.length (List.filter (fun s -> s.valid && s.pins_respected) solutions));
@@ -515,7 +512,7 @@ let run ?(pins = []) ?(pin_source = "") ?trace ?num_threads ?embed_cache ?timeou
         elapsed_seconds = solved.elapsed_seconds;
         num_logical_vars = logical.Problem.num_vars;
         num_physical_qubits = solved.num_physical_qubits;
-        assertion_failures = !assertion_failures;
+        assertion_failures;
         timed_out = solved.timed_out })
 
 let valid_solutions result =

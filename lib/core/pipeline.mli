@@ -197,7 +197,9 @@ type solution = {
 }
 
 type run_result = {
-  solutions : solution list;  (** distinct, ascending energy *)
+  solutions : solution list;
+      (** distinct, by ascending energy, then ports; equal keys keep the
+          order their first reads arrived in *)
   num_reads : int;
   elapsed_seconds : float;
   num_logical_vars : int;
@@ -249,8 +251,11 @@ val solution_of_spins :
   solution
 (** Name and verify one logical configuration against [program] (as built
     by {!assemble_with_pins}): port integers, the netlist relation check,
-    assertion and pin checks.  The verify stage of {!run} applies this to
-    every distinct read. *)
+    assertion and pin checks.  [solution_of_spins t ~program] resolves
+    every symbol, port bit and pin to its variable once; apply it to each
+    read, as the verify stage of {!run} does for every distinct read.
+    Raises [Qac_diag.Diag.Error] when [spins] is not one spin per
+    variable. *)
 
 val valid_solutions : run_result -> solution list
 (** Solutions that satisfy the circuit relation, every assertion, and every

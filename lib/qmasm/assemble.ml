@@ -18,6 +18,7 @@ type t = {
   assertions : Ast.bexpr list;
   chain_strength : float;
   pin_strength : float;
+  index : (string, int) Hashtbl.t;
 }
 
 (* Union-find over symbol names. *)
@@ -43,10 +44,12 @@ let assemble ?(options = default_options) stmts =
   (* Pass 1: symbol table (first-occurrence order) and merges. *)
   let uf = Uf.create () in
   let order = ref [] in
-  let seen = Hashtbl.create 64 in
+  (* Symbol -> variable; each symbol enters with a placeholder, filled in
+     once merging is done. *)
+  let index = Hashtbl.create 64 in
   let touch s =
-    if not (Hashtbl.mem seen s) then begin
-      Hashtbl.replace seen s ();
+    if not (Hashtbl.mem index s) then begin
+      Hashtbl.replace index s (-1);
       order := s :: !order
     end
   in
@@ -82,12 +85,18 @@ let assemble ?(options = default_options) stmts =
   List.iter
     (fun s ->
        let root = Uf.find uf s in
-       if not (Hashtbl.mem var_of_root root) then begin
-         Hashtbl.replace var_of_root root !num_vars;
-         incr num_vars
-       end)
+       let v =
+         match Hashtbl.find_opt var_of_root root with
+         | Some v -> v
+         | None ->
+           let v = !num_vars in
+           Hashtbl.replace var_of_root root v;
+           incr num_vars;
+           v
+       in
+       Hashtbl.replace index s v)
     order;
-  let var s = Hashtbl.find var_of_root (Uf.find uf s) in
+  let var s = Hashtbl.find index s in
   let symbols_of_var = Array.make !num_vars [] in
   List.iter (fun s -> symbols_of_var.(var s) <- s :: symbols_of_var.(var s)) order;
   Array.iteri (fun i syms -> symbols_of_var.(i) <- List.rev syms) symbols_of_var;
@@ -152,76 +161,103 @@ let assemble ?(options = default_options) stmts =
     chains = List.rev !chains;
     assertions = List.rev !assertions;
     chain_strength;
-    pin_strength }
+    pin_strength;
+    index }
 
-let variable t s =
-  let rec scan i =
-    if i >= Array.length t.symbols_of_var then None
-    else if List.mem s t.symbols_of_var.(i) then Some i
-    else scan (i + 1)
-  in
-  scan 0
+let variable t s = Hashtbl.find_opt t.index s
 
-let num_symbols t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.symbols_of_var
+let num_symbols t = Hashtbl.length t.index
 
-let assignment_of_spins t spins =
+let check_length t spins =
   if Array.length spins <> Array.length t.symbols_of_var then
     error "spin vector length %d does not match %d variables" (Array.length spins)
-      (Array.length t.symbols_of_var);
+      (Array.length t.symbols_of_var)
+
+let assignment_of_spins t spins =
+  check_length t spins;
   Array.mapi
     (fun v syms -> List.map (fun s -> (s, spins.(v) > 0)) syms)
     t.symbols_of_var
   |> Array.to_list |> List.concat
 
-let visible_assignment t spins =
-  List.filter (fun (s, _) -> not (Ast.is_internal_symbol s)) (assignment_of_spins t spins)
+let visible_assignment t =
+  let visible =
+    Array.to_list t.symbols_of_var
+    |> List.mapi (fun v syms -> List.map (fun s -> (s, v)) syms)
+    |> List.concat
+    |> List.filter (fun (s, _) -> not (Ast.is_internal_symbol s))
+  in
+  fun spins ->
+    check_length t spins;
+    List.map (fun (s, v) -> (s, spins.(v) > 0)) visible
 
 (* --- Assertion evaluation ----------------------------------------------- *)
 
-let rec eval_aexpr lookup (e : Ast.aexpr) =
+(* Each assertion compiles to a closure over the spin vector: [var]
+   resolves every symbol once, so evaluating a read costs array reads. *)
+let rec compile_aexpr var (e : Ast.aexpr) : Problem.spin array -> int =
+  let bit v spins = if spins.(v) > 0 then 1 else 0 in
   match e with
-  | Ast.Int v -> v
-  | Ast.Sym s -> if lookup s then 1 else 0
-  | Ast.Sym_bit (s, i) -> if lookup (Printf.sprintf "%s[%d]" s i) then 1 else 0
+  | Ast.Int n -> fun _ -> n
+  | Ast.Sym s -> bit (var s)
+  | Ast.Sym_bit (s, i) -> bit (var (Ast.bit_symbol s i))
   | Ast.Sym_range (s, msb, lsb) ->
-    let step = if msb >= lsb then -1 else 1 in
-    let width = abs (msb - lsb) + 1 in
-    let v = ref 0 in
-    for k = 0 to width - 1 do
-      let idx = msb + (k * step) in
-      v := (!v lsl 1) lor (if lookup (Printf.sprintf "%s[%d]" s idx) then 1 else 0)
-    done;
-    !v
-  | Ast.Neg a -> -eval_aexpr lookup a
-  | Ast.Bnot a -> lnot (eval_aexpr lookup a)
-  | Ast.Lnot b -> if eval_bexpr lookup b then 0 else 1
+    let vars = List.map var (Ast.range_symbols s msb lsb) in
+    fun spins -> List.fold_left (fun acc v -> (acc lsl 1) lor bit v spins) 0 vars
+  | Ast.Neg a ->
+    let a = compile_aexpr var a in
+    fun spins -> -a spins
+  | Ast.Bnot a ->
+    let a = compile_aexpr var a in
+    fun spins -> lnot (a spins)
+  | Ast.Lnot b ->
+    let b = compile_bexpr var b in
+    fun spins -> if b spins then 0 else 1
   | Ast.Arith (op, a, b) ->
-    let va = eval_aexpr lookup a and vb = eval_aexpr lookup b in
-    (match op with
-     | Ast.A_add -> va + vb
-     | Ast.A_sub -> va - vb
-     | Ast.A_mul -> va * vb
-     | Ast.A_div -> if vb = 0 then error "assertion divides by zero" else va / vb
-     | Ast.A_mod -> if vb = 0 then error "assertion modulo by zero" else va mod vb
-     | Ast.A_and -> va land vb
-     | Ast.A_or -> va lor vb
-     | Ast.A_xor -> va lxor vb
-     | Ast.A_shl -> va lsl vb
-     | Ast.A_shr -> va asr vb)
+    let a = compile_aexpr var a and b = compile_aexpr var b in
+    let f : int -> int -> int =
+      match op with
+      | Ast.A_add -> ( + )
+      | Ast.A_sub -> ( - )
+      | Ast.A_mul -> ( * )
+      | Ast.A_div -> fun x y -> if y = 0 then error "assertion divides by zero" else x / y
+      | Ast.A_mod -> fun x y -> if y = 0 then error "assertion modulo by zero" else x mod y
+      | Ast.A_and -> ( land )
+      | Ast.A_or -> ( lor )
+      | Ast.A_xor -> ( lxor )
+      | Ast.A_shl -> ( lsl )
+      | Ast.A_shr -> ( asr )
+    in
+    fun spins -> f (a spins) (b spins)
 
-and eval_bexpr lookup (b : Ast.bexpr) =
+and compile_bexpr var (b : Ast.bexpr) : Problem.spin array -> bool =
   match b with
   | Ast.Cmp (op, a, b') ->
-    let va = eval_aexpr lookup a and vb = eval_aexpr lookup b' in
-    (match op with
-     | Ast.C_eq -> va = vb
-     | Ast.C_ne -> va <> vb
-     | Ast.C_lt -> va < vb
-     | Ast.C_le -> va <= vb
-     | Ast.C_gt -> va > vb
-     | Ast.C_ge -> va >= vb)
-  | Ast.And (x, y) -> eval_bexpr lookup x && eval_bexpr lookup y
-  | Ast.Or (x, y) -> eval_bexpr lookup x || eval_bexpr lookup y
+    let a = compile_aexpr var a and b' = compile_aexpr var b' in
+    let f : int -> int -> bool =
+      match op with
+      | Ast.C_eq -> ( = )
+      | Ast.C_ne -> ( <> )
+      | Ast.C_lt -> ( < )
+      | Ast.C_le -> ( <= )
+      | Ast.C_gt -> ( > )
+      | Ast.C_ge -> ( >= )
+    in
+    fun spins -> f (a spins) (b' spins)
+  | Ast.And (x, y) ->
+    let x = compile_bexpr var x and y = compile_bexpr var y in
+    fun spins -> x spins && y spins
+  | Ast.Or (x, y) ->
+    let x = compile_bexpr var x and y = compile_bexpr var y in
+    fun spins -> x spins || y spins
 
-let check_assertions t lookup =
-  List.map (fun b -> (b, eval_bexpr lookup b)) t.assertions
+let check_assertions t =
+  let var s =
+    match variable t s with
+    | Some v -> v
+    | None -> error "assertion references unknown symbol %s" s
+  in
+  let checks = List.map (fun b -> (b, compile_bexpr var b)) t.assertions in
+  fun spins ->
+    check_length t spins;
+    List.map (fun (b, holds) -> (b, holds spins)) checks

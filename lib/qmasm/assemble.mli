@@ -25,24 +25,28 @@ type t = {
   assertions : Ast.bexpr list;
   chain_strength : float;
   pin_strength : float;
+  index : (string, int) Hashtbl.t;
+      (** every symbol's variable; built by {!assemble}, read-only after *)
 }
 
 val assemble : ?options:options -> Ast.stmt list -> t
 
 val variable : t -> string -> int option
-(** Variable index of a symbol (post merging). *)
+(** Variable index of a symbol (post merging): one {!t.index} lookup. *)
 
 val num_symbols : t -> int
 
-(** [assignment_of_spins t spins] names every symbol's Boolean value. *)
+(** [assignment_of_spins t spins] names every symbol's Boolean value.
+    Raises [Qac_diag.Diag.Error] when [spins] is not one spin per
+    variable, as do the checkers below. *)
 val assignment_of_spins : t -> Qac_ising.Problem.spin array -> (string * bool) list
 
 (** Same, restricted to symbols without ["$"] (qmasm hides internal
-    variables by default). *)
+    variables by default).  [visible_assignment t] selects the symbols
+    once; apply the result to each read. *)
 val visible_assignment : t -> Qac_ising.Problem.spin array -> (string * bool) list
 
-(** [check_assertions t lookup] evaluates every [!assert] against a
-    solution.  Returns per-assertion outcomes. *)
-val check_assertions : t -> (string -> bool) -> (Ast.bexpr * bool) list
-
-val eval_bexpr : (string -> bool) -> Ast.bexpr -> bool
+(** [check_assertions t] resolves every symbol of every [!assert] to its
+    variable once; the result evaluates them against one read and returns
+    per-assertion outcomes, in program order. *)
+val check_assertions : t -> Qac_ising.Problem.spin array -> (Ast.bexpr * bool) list

@@ -88,10 +88,21 @@ and pp_bexpr fmt = function
   | And (a, b) -> Format.fprintf fmt "(%a && %a)" pp_bexpr a pp_bexpr b
   | Or (a, b) -> Format.fprintf fmt "(%a || %a)" pp_bexpr a pp_bexpr b
 
-(** Symbols mentioned by a statement (used for macro prefixing). *)
+(** The symbol an indexed reference [s[i]] reads. *)
+let bit_symbol s i = Printf.sprintf "%s[%d]" s i
+
+(** The symbols [s[msb:lsb]] reads, most significant first. *)
+let range_symbols s msb lsb =
+  let step = if msb >= lsb then -1 else 1 in
+  List.init (abs (msb - lsb) + 1) (fun k -> bit_symbol s (msb + (k * step)))
+
+(** Symbols an assertion reads: bit and range references name their
+    per-bit symbols, not the base name. *)
 let rec aexpr_syms = function
   | Int _ -> []
-  | Sym s | Sym_bit (s, _) | Sym_range (s, _, _) -> [ s ]
+  | Sym s -> [ s ]
+  | Sym_bit (s, i) -> [ bit_symbol s i ]
+  | Sym_range (s, msb, lsb) -> range_symbols s msb lsb
   | Neg a | Bnot a -> aexpr_syms a
   | Lnot b -> bexpr_syms b
   | Arith (_, a, b) -> aexpr_syms a @ aexpr_syms b

@@ -11,16 +11,10 @@ let load ?options ?(resolve = fun _ -> None) src =
   Assemble.assemble ?options flat
 
 (** Render a solution the way qmasm does: visible symbols, sorted, with
-    assertion outcomes. *)
-let report (a : Assemble.t) spins =
-  let assignment = Assemble.visible_assignment a spins in
-  let lookup name =
-    match List.assoc_opt name (Assemble.assignment_of_spins a spins) with
-    | Some v -> v
-    | None ->
-      Qac_diag.Diag.error ~stage:"qmasm" "assertion references unknown symbol %s" name
-  in
-  let checks = Assemble.check_assertions a lookup in
-  (List.sort compare assignment, checks)
+    assertion outcomes.  Symbols resolve once per program. *)
+let report (a : Assemble.t) =
+  let assignment = Assemble.visible_assignment a in
+  let checks = Assemble.check_assertions a in
+  fun spins -> (List.sort compare (assignment spins), checks spins)
 
 let to_minizinc = Minizinc.of_program

@@ -12,7 +12,8 @@ val load :
   Assemble.t
 
 (** [report program spins] renders a solution the way qmasm does: visible
-    symbols (no ["$"]), sorted, plus per-assertion outcomes. *)
+    symbols (no ["$"]), sorted, plus per-assertion outcomes.  [report
+    program] resolves every symbol once; apply it to each read. *)
 val report :
   Assemble.t ->
   Qac_ising.Problem.spin array ->

@@ -29,4 +29,5 @@ let () =
       ("protocol", Test_protocol.suite);
       ("shard", Test_shard.suite);
       ("sat", Test_sat.suite);
+      ("verify", Test_verify.suite);
     ]

@@ -177,12 +177,17 @@ let assemble_tests =
         Alcotest.(check (list (pair string bool))) "only A" [ ("A", true) ] visible);
     Alcotest.test_case "assertions evaluate" `Quick (fun () ->
         let a = Qmasm.load "!assert Y = A & B\nA 0\nB 0\nY 0\n" in
-        let lookup = function "A" -> true | "B" -> true | "Y" -> true | _ -> false in
-        (match Assemble.check_assertions a lookup with
+        let spins values =
+          let s = Array.make (Array.length a.Assemble.symbols_of_var) (-1) in
+          List.iter
+            (fun (name, v) -> s.(Option.get (Assemble.variable a name)) <- (if v then 1 else -1))
+            values;
+          s
+        in
+        (match Assemble.check_assertions a (spins [ ("A", true); ("B", true); ("Y", true) ]) with
          | [ (_, true) ] -> ()
          | _ -> Alcotest.fail "assertion should hold");
-        let lookup = function "A" -> true | "B" -> true | "Y" -> false | _ -> false in
-        match Assemble.check_assertions a lookup with
+        match Assemble.check_assertions a (spins [ ("A", true); ("B", true); ("Y", false) ]) with
         | [ (_, false) ] -> ()
         | _ -> Alcotest.fail "assertion should fail");
     Alcotest.test_case "range assertion arithmetic" `Quick (fun () ->
@@ -192,8 +197,11 @@ let assemble_tests =
             ("B[1]", true); ("B[0]", false); (* B = 2 *)
             ("C[3]", false); ("C[2]", true); ("C[1]", true); ("C[0]", false) (* C = 6 *) ]
         in
-        let lookup name = List.assoc name values in
-        match Assemble.check_assertions a lookup with
+        let spins = Array.make (Array.length a.Assemble.symbols_of_var) (-1) in
+        List.iter
+          (fun (name, v) -> spins.(Option.get (Assemble.variable a name)) <- (if v then 1 else -1))
+          values;
+        match Assemble.check_assertions a spins with
         | [ (_, true) ] -> ()
         | _ -> Alcotest.fail "3 * 2 = 6 should hold");
   ]
@@ -498,11 +506,9 @@ let all_cells_via_text =
                     state. *)
                  List.iter
                    (fun spins ->
-                      let v = Assemble.assignment_of_spins a spins in
-                      let lookup name = List.assoc name v in
                       List.iter
                         (fun (_, ok) -> Alcotest.(check bool) "assert" true ok)
-                        (Assemble.check_assertions a lookup))
+                        (Assemble.check_assertions a spins))
                    r.Exact.ground_states)))
     Qac_cells.Cells.all
 
