@@ -6,9 +6,9 @@
     [int64]), while each lane keeps a small integer local-field
     accumulator.  Couplings quantize to integer levels ([quantize]), which
     turns Metropolis acceptance into an integer compare against the
-    per-sweep threshold tables of {!Schedule.acceptance_tables} — no
-    [exp], no float multiply, and a {!Rng.Lanes} draw only for uphill
-    moves that a cold table has not already rejected.
+    sweep's threshold row ({!Schedule.fill_row}) — no [exp] per proposal,
+    and a {!Rng.Lanes} draw only for uphill moves that the row has not
+    already rejected.
 
     Lane independence is the load-bearing contract: a lane's trajectory is
     a pure function of (quantized problem, acceptance tables, visit order,
@@ -112,9 +112,9 @@ let anneal_lane (q : quantized) ~(acceptance : Schedule.acceptance) ~order ~lane
         done;
         !f)
   in
+  let table = Array.make acceptance.Schedule.width 0 in
   for step = 0 to acceptance.Schedule.num_steps - 1 do
-    let table = acceptance.Schedule.thresholds.(step) in
-    let len = Array.length table in
+    let len = Schedule.fill_row acceptance ~step table in
     for idx = 0 to n - 1 do
       let i = order.(idx) in
       let s = spins.(i) in
@@ -152,6 +152,61 @@ let lane_spins ~num_vars ~lo ~hi l =
   else
     let l = l - half in
     Array.init num_vars (fun i -> if (hi.(i) lsr l) land 1 = 1 then 1 else -1)
+
+(* Accept mask of one 32-lane half at one variable, without a
+   data-dependent branch.  Per lane, the uphill delta in quantization levels
+   is [k = -s * field]; [down] is all ones iff [k <= 0] and [inwin] iff
+   [0 < k < len], the only case that consumes a draw: the lane's stream
+   advances by [rinc land inwin], and the drawn bits are compared against
+   [table.(k land inwin)] (the k = 0 sentinel when out of window, masked
+   out of the verdict).  The verdict is [down], or [inwin] and
+   [draw < threshold] by the sign of their difference (both lie in
+   [0, 2^61]).  The draw is {!Rng.Lanes.draw} inlined by hand; the
+   equivalence tests against {!anneal_lane} pin the two paths together. *)
+let[@inline] accept_half ~fields ~states ~table ~len ~rinc ~rmul ~w ~fbase
+    ~lane0 ~count =
+  let m = ref 0 in
+  for l = 0 to count - 1 do
+    let f = Array.unsafe_get fields (fbase + l) in
+    let neg = -((w lsr l) land 1) in
+    let k = (f lxor neg) - neg in
+    let down = (k - 1) asr 62 in
+    let inwin = lnot down land ((k - len) asr 62) in
+    let s = Array.unsafe_get states (lane0 + l) + (rinc land inwin) in
+    Array.unsafe_set states (lane0 + l) s;
+    let z = s lxor (s lsr 30) in
+    let z = z * rmul in
+    let z = z lxor (z lsr 27) in
+    let t = Array.unsafe_get table (k land inwin) in
+    let acc = down lor (inwin land (((z lsr 2) - t) asr 62)) in
+    m := !m lor ((acc land 1) lsl l)
+  done;
+  !m
+
+(* Count of trailing zeros of a nonzero 32-bit word: isolate the lowest
+   set bit and index a de Bruijn table by its product with B(2, 5). *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] ctz32 m =
+  Array.unsafe_get debruijn ((((m land -m) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Flip scatter over the set bits of [mask] (lanes [lane0 + bit]): walk the
+   CSR row [e0..e1] once per flipped lane, adding [dw.(e)] to each
+   neighbor's field in that lane.  [dw] is [w2] ([2 * qw]) for lanes whose
+   old spin was -1 and [neg_w2] for +1; [colx.(e) = col.(e) * lanes].  All
+   three are precomputed per block, so the walk has no multiply. *)
+let[@inline] scatter ~fields ~colx ~dw ~e0 ~e1 ~lane0 mask =
+  let m = ref mask in
+  while !m <> 0 do
+    let l = lane0 + ctz32 !m in
+    m := !m land (!m - 1);
+    for e = e0 to e1 do
+      let slot = Array.unsafe_get colx e + l in
+      Array.unsafe_set fields slot (Array.unsafe_get fields slot + Array.unsafe_get dw e)
+    done
+  done
 
 let anneal_block ?deadline (q : quantized) ~(acceptance : Schedule.acceptance)
     ~lanes ~block_seed =
@@ -203,97 +258,36 @@ let anneal_block ?deadline (q : quantized) ~(acceptance : Schedule.acceptance)
   let states = Rng.Lanes.states lrng in
   let rinc = Rng.Lanes.increment in
   let rmul = 0x2545F4914F6CDD1D in
-  (* Scratch for accepted lanes of one variable: lane index + field step. *)
-  let acc_lane = Array.make lanes 0 in
-  let acc_step = Array.make lanes 0 in
+  let colx = Array.map (fun j -> j * lanes) col in
+  let w2 = Array.map (fun w -> 2 * w) qw in
+  let neg_w2 = Array.map (fun w -> -2 * w) qw in
+  let table = Array.make acceptance.Schedule.width 0 in
   let num_sweeps = acceptance.Schedule.num_steps in
   let timed_out = ref false in
   let step = ref 0 in
   while !step < num_sweeps && not !timed_out do
     if expired deadline then timed_out := true
     else begin
-      let table = acceptance.Schedule.thresholds.(!step) in
-      let len = Array.length table in
+      let len = Schedule.fill_row acceptance ~step:!step table in
       for idx = 0 to n - 1 do
         let i = Array.unsafe_get order idx in
         let base = i * lanes in
-        (* Acceptance pass: per lane, delta in quantization levels is
-           [k = -s * field]; accept downhill outright, reject past the
-           table horizon without consuming randomness, draw otherwise.
-           The draw is [Rng.Lanes.draw] inlined by hand (the equivalence
-           tests against [anneal_lane] pin the two paths together). *)
         let wl = Array.unsafe_get lo i in
-        let ml = ref 0 in
-        for l = 0 to lanes_lo - 1 do
-          let f = Array.unsafe_get fields (base + l) in
-          let neg = -((wl lsr l) land 1) in
-          let k = (f lxor neg) - neg in
-          if k <= 0 then ml := !ml lor (1 lsl l)
-          else if k < len then begin
-            let s = Array.unsafe_get states l + rinc in
-            Array.unsafe_set states l s;
-            let z = s lxor (s lsr 30) in
-            let z = z * rmul in
-            let z = z lxor (z lsr 27) in
-            if z lsr 2 < Array.unsafe_get table k then ml := !ml lor (1 lsl l)
-          end
-        done;
         let wh = Array.unsafe_get hi i in
-        let mh = ref 0 in
-        for l = 0 to lanes_hi - 1 do
-          let f = Array.unsafe_get fields (base + half + l) in
-          let neg = -((wh lsr l) land 1) in
-          let k = (f lxor neg) - neg in
-          if k <= 0 then mh := !mh lor (1 lsl l)
-          else if k < len then begin
-            let s = Array.unsafe_get states (half + l) + rinc in
-            Array.unsafe_set states (half + l) s;
-            let z = s lxor (s lsr 30) in
-            let z = z * rmul in
-            let z = z lxor (z lsr 27) in
-            if z lsr 2 < Array.unsafe_get table k then mh := !mh lor (1 lsl l)
-          end
-        done;
-        let ml = !ml and mh = !mh in
+        let ml = accept_half ~fields ~states ~table ~len ~rinc ~rmul ~w:wl
+            ~fbase:base ~lane0:0 ~count:lanes_lo in
+        let mh = accept_half ~fields ~states ~table ~len ~rinc ~rmul ~w:wh
+            ~fbase:(base + half) ~lane0:half ~count:lanes_hi in
         if ml lor mh <> 0 then begin
-          (* Flip pass: XOR the accept masks into the packed words, then
-             push each accepted lane's field change (+-2 * qw) through the
-             CSR row, edge-outer so one (col, weight) load serves every
-             accepted lane. *)
           Array.unsafe_set lo i (wl lxor ml);
           Array.unsafe_set hi i (wh lxor mh);
-          let count = ref 0 in
-          if ml <> 0 then
-            for l = 0 to lanes_lo - 1 do
-              if (ml lsr l) land 1 = 1 then begin
-                let c = !count in
-                Array.unsafe_set acc_lane c l;
-                (* old spin +1 (bit set): neighbors lose 2w; else gain *)
-                Array.unsafe_set acc_step c (2 - ((wl lsr l) land 1 * 4));
-                count := c + 1
-              end
-            done;
-          if mh <> 0 then
-            for l = 0 to lanes_hi - 1 do
-              if (mh lsr l) land 1 = 1 then begin
-                let c = !count in
-                Array.unsafe_set acc_lane c (half + l);
-                Array.unsafe_set acc_step c (2 - ((wh lsr l) land 1 * 4));
-                count := c + 1
-              end
-            done;
-          let count = !count in
-          for e = Array.unsafe_get row_start i to Array.unsafe_get row_start (i + 1) - 1
-          do
-            let j = Array.unsafe_get col e in
-            let w = Array.unsafe_get qw e in
-            let bj = j * lanes in
-            for c = 0 to count - 1 do
-              let slot = bj + Array.unsafe_get acc_lane c in
-              Array.unsafe_set fields slot
-                (Array.unsafe_get fields slot + (Array.unsafe_get acc_step c * w))
-            done
-          done
+          let e0 = Array.unsafe_get row_start i
+          and e1 = Array.unsafe_get row_start (i + 1) - 1 in
+          (* Old spin +1 (bit set): neighbors lose 2w; old spin -1: gain. *)
+          scatter ~fields ~colx ~dw:neg_w2 ~e0 ~e1 ~lane0:0 (ml land wl);
+          scatter ~fields ~colx ~dw:w2 ~e0 ~e1 ~lane0:0 (ml land lnot wl);
+          scatter ~fields ~colx ~dw:neg_w2 ~e0 ~e1 ~lane0:half (mh land wh);
+          scatter ~fields ~colx ~dw:w2 ~e0 ~e1 ~lane0:half (mh land lnot wh)
         end
       done;
       incr step

@@ -2,9 +2,8 @@
     64 SA replicas pack into one 64-bit spin word per variable and advance
     through a single CSR row walk per proposal.  Couplings quantize to
     integer levels, so acceptance is an integer compare against the
-    per-sweep threshold tables of {!Schedule.acceptance_tables}, with a
-    {!Rng.Lanes} draw only for uphill moves the table has not already
-    rejected.
+    sweep's threshold row ({!Schedule.fill_row}), with a {!Rng.Lanes}
+    draw only for uphill moves the row has not already rejected.
 
     The lane contract (see also [lib/anneal/README.md]): a lane's
     trajectory is a pure function of (quantized problem, acceptance
@@ -39,8 +38,9 @@ val delta_unit : quantized -> float
 
 val acceptance :
   quantized -> Schedule.t -> num_sweeps:int -> Schedule.acceptance
-(** The per-sweep threshold tables for this quantization — built once per
-    sample call and shared by every block and scalar lane. *)
+(** The per-sweep acceptance thresholds for this quantization — built
+    once per sample call and shared by every block and scalar lane, each
+    of which fills one sweep's row at a time. *)
 
 val block_plan :
   num_vars:int -> lanes:int -> block_seed:int -> int array * int array

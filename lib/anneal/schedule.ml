@@ -54,7 +54,7 @@ let beta t ~step ~num_steps =
     | `Geometric -> t.beta_min *. ((t.beta_max /. t.beta_min) ** fraction)
   end
 
-(* --- Precomputed acceptance threshold tables -------------------------------- *)
+(* --- Acceptance threshold rows ------------------------------------------------ *)
 
 (* Integer scale of the threshold tables: draws and thresholds live in
    [0, 2^61), the widest power-of-two range that still fits a native int
@@ -64,38 +64,37 @@ let acceptance_scale = 1 lsl 61
 type acceptance = {
   num_steps : int;
   delta_unit : float;
-  thresholds : int array array;
+  width : int;
+  factors : float array;
 }
 
-(* Per-sweep table: thresholds.(step).(k) = round(exp(-beta * delta_unit * k)
-   * 2^61), the acceptance threshold for an uphill move of k quantization
-   levels.  Built iteratively (t_k = t_{k-1} * a, one [exp] per sweep, one
-   multiply per level) and truncated at the first zero entry: a level at or
-   beyond the table length is an automatic rejection, which subsumes the
+(* Row [step]: thresholds.(k) = round(exp(-beta * delta_unit * k) * 2^61),
+   the acceptance threshold for an uphill move of k quantization levels.
+   Built iteratively (t_k = t_{k-1} * a, one multiply per level from the
+   step's factor [a]) and cut at the first zero entry: a level at or beyond
+   the returned length is an automatic rejection, which subsumes the
    beta*delta > 30 auto-reject cutoff of the scalar kernel (exp(-43) * 2^61
    rounds to 0, and 43 > 30). *)
+let fill_row acc ~step row =
+  if Array.length row < acc.width then invalid_arg "Schedule.fill_row: row too short";
+  let a = acc.factors.(step) in
+  Array.unsafe_set row 0 acceptance_scale;
+  let v = ref (float_of_int acceptance_scale) and k = ref 1 and live = ref true in
+  while !live && !k < acc.width do
+    v := !v *. a;
+    let th = int_of_float (Float.round !v) in
+    if th <= 0 then live := false
+    else begin
+      Array.unsafe_set row !k th;
+      incr k
+    end
+  done;
+  !k
+
 let acceptance_tables t ~num_steps ~delta_unit ~max_level =
   if delta_unit <= 0.0 then invalid_arg "Schedule.acceptance_tables: delta_unit <= 0";
   if max_level < 0 then invalid_arg "Schedule.acceptance_tables: max_level < 0";
-  let scale = float_of_int acceptance_scale in
-  let thresholds =
-    Array.init num_steps (fun step ->
-        let b = beta t ~step ~num_steps in
-        let a = exp (-.b *. delta_unit) in
-        (* Worst case one entry per level plus the k=0 sentinel. *)
-        let buf = Array.make (max_level + 1) 0 in
-        buf.(0) <- acceptance_scale;
-        let len = ref 1 in
-        let v = ref scale in
-        (try
-           for k = 1 to max_level do
-             v := !v *. a;
-             let th = int_of_float (Float.round !v) in
-             if th <= 0 then raise Exit;
-             buf.(k) <- th;
-             incr len
-           done
-         with Exit -> ());
-        Array.sub buf 0 !len)
+  let factors =
+    Array.init num_steps (fun step -> exp (-.beta t ~step ~num_steps *. delta_unit))
   in
-  { num_steps; delta_unit; thresholds }
+  { num_steps; delta_unit; width = max_level + 1; factors }

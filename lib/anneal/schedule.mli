@@ -32,20 +32,27 @@ val acceptance_scale : int
 type acceptance = {
   num_steps : int;
   delta_unit : float;  (** energy per quantization level (2 * eps) *)
-  thresholds : int array array;
-      (** [thresholds.(step).(k)]: accept an uphill move of [k] levels at
-          sweep [step] iff a uniform draw in [0, {!acceptance_scale})
-          is below it.  [k = 0] holds the always-accept sentinel; [k] at
-          or past the row length is an automatic rejection (the row stops
-          at the first zero threshold, which subsumes the scalar kernel's
-          [beta * delta > 30] cutoff). *)
+  width : int;  (** [max_level + 1]: the longest row {!fill_row} writes *)
+  factors : float array;  (** per step, [exp (-. beta *. delta_unit)] *)
 }
 
-(** [acceptance_tables t ~num_steps ~delta_unit ~max_level] precomputes the
+val fill_row : acceptance -> step:int -> int array -> int
+(** [fill_row a ~step row] writes sweep [step]'s thresholds into the
+    first entries of [row] (at least [a.width] long) and returns their
+    count [len].  An uphill move of [k] levels is accepted iff [k < len]
+    and a uniform draw in [0, {!acceptance_scale}) is below [row.(k)];
+    [row.(0)] is the always-accept sentinel.  The row stops at the first
+    zero threshold, which subsumes the scalar kernel's
+    [beta * delta > 30] cutoff.  Raises [Invalid_argument] when [row] is
+    shorter than [a.width] or [step] is out of range. *)
+
+(** [acceptance_tables t ~num_steps ~delta_unit ~max_level] describes the
     per-sweep Metropolis acceptance thresholds for deltas quantized to
-    multiples of [delta_unit], up to [max_level] levels — one [exp] per
-    sweep and one multiply per level, instead of an [exp] per proposal in
-    the kernels.  Shared by the bit-packed block kernel and its scalar
-    lane reference ({!Bitpar}). *)
+    multiples of [delta_unit], up to [max_level] levels: one [exp] per
+    sweep here, then one multiply per level in {!fill_row}, instead of an
+    [exp] per proposal in the kernels.  The kernels fill one row buffer
+    per sweep rather than keeping [num_steps] rows alive, so a solve
+    allocates no per-sweep tables.  Shared by the bit-packed block kernel
+    and its scalar lane reference ({!Bitpar}). *)
 val acceptance_tables :
   t -> num_steps:int -> delta_unit:float -> max_level:int -> acceptance

@@ -50,7 +50,10 @@ let read_int c =
     advance c
   done;
   if c.pos = start then error "expected number at column %d" start;
-  int_of_string (String.sub c.src start (c.pos - start))
+  let digits = String.sub c.src start (c.pos - start) in
+  match int_of_string_opt digits with
+  | Some v -> v
+  | None -> error "number %s out of range at column %d" digits start
 
 (* Symbol, possibly with [i] or [msb:lsb]. *)
 let read_operand_symbol c =

@@ -111,7 +111,10 @@ let read_based_value lx ~base ~line =
     (fun c ->
        if c <> '_' then
          match digit_value base c with
-         | Some v -> value := (!value * base) + v
+         | Some v ->
+           if !value > (max_int - v) / base then
+             error "line %d: based literal %s out of range" line digits;
+           value := (!value * base) + v
          | None -> error "line %d: bad digit %c for base %d" line c base)
     digits;
   !value
@@ -124,7 +127,9 @@ let next lx =
   | Some c when is_digit c ->
     let digits = read_while lx (fun ch -> is_digit ch || ch = '_') in
     let value =
-      int_of_string (String.concat "" (String.split_on_char '_' digits))
+      match int_of_string_opt (String.concat "" (String.split_on_char '_' digits)) with
+      | Some v -> v
+      | None -> error "line %d: integer literal %s out of range" line digits
     in
     (* A size prefix?  [4'b1010] *)
     if peek_char lx = Some '\'' then begin

@@ -1,7 +1,7 @@
 (** The bit-parallel kernel's lane contract: a packed lane is bit-identical
     to the scalar reference lane with the same derived seed, block width
-    never changes a lane's trajectory, and the quantization + threshold
-    tables behave as specified.  Composite post-processors must preserve
+    never changes a lane's trajectory, golden digests pin whole [Sa.sample]
+    responses, and the quantization + threshold rows behave as specified.  Composite post-processors must preserve
     the [Sampler.response] invariants. *)
 
 open Qac_ising
@@ -74,42 +74,51 @@ let quantize_tests =
         Alcotest.(check bool) "levels" true (q.Bitpar.max_level >= 1));
   ]
 
+(* Row [step], cut at its length. *)
+let table_row (a : Schedule.acceptance) step =
+  let row = Array.make a.Schedule.width 0 in
+  Array.sub row 0 (Schedule.fill_row a ~step row)
+
 let table_tests =
   [ Alcotest.test_case "thresholds decrease in k and match exp" `Quick (fun () ->
         let p = random_problem ~seed:3 ~n:8 ~density:0.5 in
         let s = Schedule.create ~beta_min:0.2 ~beta_max:4.0 p in
         let a = Schedule.acceptance_tables s ~num_steps:10 ~delta_unit:0.5 ~max_level:40 in
-        Alcotest.(check int) "one table per sweep" 10 (Array.length a.Schedule.thresholds);
-        Array.iteri
-          (fun step table ->
-             let beta = Schedule.beta s ~step ~num_steps:10 in
-             Alcotest.(check int) "k=0 sentinel" Schedule.acceptance_scale table.(0);
-             for k = 1 to Array.length table - 1 do
-               Alcotest.(check bool) "monotone" true (table.(k) <= table.(k - 1));
-               let exact =
-                 exp (-.beta *. 0.5 *. float_of_int k)
-                 *. float_of_int Schedule.acceptance_scale
-               in
-               Alcotest.(check bool) "within rounding of exp" true
-                 (Float.abs (float_of_int table.(k) -. exact) <= 1.0 +. exact *. 1e-9)
-             done)
-          a.Schedule.thresholds);
+        Alcotest.(check int) "one factor per sweep" 10 (Array.length a.Schedule.factors);
+        Alcotest.check_raises "short row refused"
+          (Invalid_argument "Schedule.fill_row: row too short") (fun () ->
+            ignore (Schedule.fill_row a ~step:0 (Array.make 40 0)));
+        for step = 0 to 9 do
+          let table = table_row a step in
+          let beta = Schedule.beta s ~step ~num_steps:10 in
+          Alcotest.(check int) "k=0 sentinel" Schedule.acceptance_scale table.(0);
+          Alcotest.(check bool) "fits the row" true (Array.length table <= 41);
+          for k = 1 to Array.length table - 1 do
+            Alcotest.(check bool) "monotone" true (table.(k) <= table.(k - 1));
+            let exact =
+              exp (-.beta *. 0.5 *. float_of_int k)
+              *. float_of_int Schedule.acceptance_scale
+            in
+            Alcotest.(check bool) "within rounding of exp" true
+              (Float.abs (float_of_int table.(k) -. exact) <= 1.0 +. exact *. 1e-9)
+          done
+        done);
     Alcotest.test_case "colder sweeps have shorter horizons" `Quick (fun () ->
         let p = random_problem ~seed:4 ~n:8 ~density:0.5 in
         let s = Schedule.create ~beta_min:0.1 ~beta_max:50.0 p in
         let a =
           Schedule.acceptance_tables s ~num_steps:20 ~delta_unit:1.0 ~max_level:10_000
         in
-        let first = Array.length a.Schedule.thresholds.(0) in
-        let last = Array.length a.Schedule.thresholds.(19) in
+        let first = Array.length (table_row a 0) in
+        let last = Array.length (table_row a 19) in
         Alcotest.(check bool) "horizon shrinks" true (last < first));
   ]
 
 (* --- Packed vs scalar lane equivalence -------------------------------------- *)
 
-let check_block_equivalence p ~lanes ~block_seed ~num_sweeps =
+let check_block_equivalence ?beta_max p ~lanes ~block_seed ~num_sweeps =
   let q = Bitpar.quantize p in
-  let schedule = Schedule.create p in
+  let schedule = Schedule.create ?beta_max p in
   let acceptance = Bitpar.acceptance q schedule ~num_sweeps in
   let r = Bitpar.anneal_block q ~acceptance ~lanes ~block_seed in
   Alcotest.(check bool) "block completed" false r.Bitpar.timed_out;
@@ -141,6 +150,31 @@ let equivalence_tests =
     Alcotest.test_case "packed lanes == scalar lanes (Pegasus glass)" `Quick (fun () ->
         let p = family_glass ~pegasus:true ~size:2 ~seed:12 in
         check_block_equivalence p ~lanes:37 ~block_seed:6 ~num_sweeps:25);
+    Alcotest.test_case "packed lanes == scalar lanes (truncated rows)" `Quick (fun () ->
+        (* A cold ramp cuts the late rows short, so lanes reach k >= len
+           and reject without a draw. *)
+        let p = family_glass ~pegasus:false ~size:2 ~seed:14 in
+        let q = Bitpar.quantize p in
+        List.iter
+          (fun beta_max ->
+             let a = Bitpar.acceptance q (Schedule.create ~beta_max p) ~num_sweeps:60 in
+             Alcotest.(check bool) "last row truncated" true
+               (Array.length (table_row a 59) < a.Schedule.width);
+             check_block_equivalence ~beta_max p ~lanes:64 ~block_seed:8 ~num_sweeps:60)
+          [ 8.0; 20.0; 200.0 ]);
+    Alcotest.test_case "packed lanes == scalar lanes (32 and 33 lanes)" `Quick (fun () ->
+        let p = family_glass ~pegasus:true ~size:2 ~seed:15 in
+        check_block_equivalence p ~lanes:32 ~block_seed:10 ~num_sweeps:25;
+        check_block_equivalence p ~lanes:33 ~block_seed:10 ~num_sweeps:25);
+    Alcotest.test_case "packed lanes == scalar lanes (zero fields)" `Quick (fun () ->
+        (* Every visit has k = 0: each lane flips every variable every sweep. *)
+        let p = Problem.create ~num_vars:6 ~h:(Array.make 6 0.0) ~j:[] () in
+        check_block_equivalence p ~lanes:64 ~block_seed:11 ~num_sweeps:7);
+    Alcotest.test_case "packed lanes == scalar lanes (negative h only)" `Quick (fun () ->
+        let rng = Rng.create 16 in
+        let h = Array.init 12 (fun _ -> -.(0.1 +. Rng.float rng)) in
+        let p = Problem.create ~num_vars:12 ~h ~j:[] () in
+        check_block_equivalence p ~lanes:45 ~block_seed:12 ~num_sweeps:20);
     Alcotest.test_case "narrow block is a prefix of a wide block" `Quick (fun () ->
         let p = random_problem ~seed:21 ~n:10 ~density:0.4 in
         let q = Bitpar.quantize p in
@@ -174,6 +208,50 @@ let equivalence_tests =
         Alcotest.(check bool) "flagged" true r.Bitpar.timed_out;
         Alcotest.(check int) "single read" 1 (Array.length r.Bitpar.reads));
   ]
+
+(* --- Golden reads ------------------------------------------------------------ *)
+
+(* Digests of full [Sa.sample] responses, recorded before the packed kernel
+   was last rewritten: any change to the reads (spins, energies, counts or
+   order) must come with new digests here, on purpose. *)
+let response_digest (r : Sampler.response) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d;" r.Sampler.num_reads;
+  List.iter
+    (fun (s : Sampler.sample) ->
+       Array.iter (fun x -> Buffer.add_char b (if x > 0 then '+' else '-')) s.Sampler.spins;
+       Printf.bprintf b " %h %d;" s.Sampler.energy s.Sampler.num_occurrences)
+    r.Sampler.samples;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Section 5.3's backward multiplier: [w]-bit factors, product pinned. *)
+let pinned_multiplier ~w ~product =
+  let module P = Qac_core.Pipeline in
+  let src =
+    Printf.sprintf
+      "module mult (a, b, p); input [%d:0] a; input [%d:0] b; output [%d:0] p;\n\
+       assign p = a * b; endmodule"
+      (w - 1) (w - 1) ((2 * w) - 1)
+  in
+  (P.assemble_with_pins ~pins:[ ("p", product) ] (P.compile src)).Qac_qmasm.Assemble.problem
+
+let golden_params = { Sa.default_params with Sa.num_reads = 64; num_sweeps = 100; seed = 42 }
+
+let golden_tests =
+  List.map
+    (fun (w, product, digest) ->
+       Alcotest.test_case (Printf.sprintf "golden reads: %d-bit pinned multiplier" w) `Quick
+         (fun () ->
+            let p = pinned_multiplier ~w ~product in
+            Alcotest.(check string) "digest" digest
+              (response_digest (Sa.sample ~params:golden_params p))))
+    [ (3, 15, "b302ebc362785a544a76d42dc400b033"); (4, 143, "0a66844a6265d224e2253a026858107c"); (5, 899, "933d2fceaa5e65a2eba5fb8f9a0f7f66") ]
+  @ [ Alcotest.test_case "golden reads: 2-thread Pegasus glass" `Quick (fun () ->
+        let p = family_glass ~pegasus:true ~size:3 ~seed:17 in
+        let params = { golden_params with Sa.num_reads = 128; num_sweeps = 50; seed = 7 } in
+        Alcotest.(check string) "digest" "905023fb639b35d3a7b833b7be7bc563"
+          (response_digest (Parallel.sample_sa ~num_threads:2 ~params p)));
+    ]
 
 (* --- Composite post-processors --------------------------------------------- *)
 
@@ -281,4 +359,5 @@ let composite_tests =
           (Composite.postprocess_of_string "frobnicate" = None));
   ]
 
-let suite = quantize_tests @ table_tests @ equivalence_tests @ composite_tests
+let suite =
+  quantize_tests @ table_tests @ equivalence_tests @ golden_tests @ composite_tests

@@ -108,6 +108,23 @@ let parser_tests =
           Alcotest.(check bool) "mentions line" true
             (String.length msg > 4 && String.sub msg 0 4 = "line")
         | _ -> Alcotest.fail "expected parse error");
+    Alcotest.test_case "oversized literals are lex errors with the line" `Quick (fun () ->
+        List.iter
+          (fun literal ->
+             let src =
+               Printf.sprintf
+                 "module t (a, y); input [3:0] a; output [3:0] y;\nassign y = a & %s;\nendmodule"
+                 literal
+             in
+             match Verilog.parse src with
+             | exception Qac_diag.Diag.Error d ->
+               Alcotest.(check string) "stage" "verilog-lex" d.Qac_diag.Diag.stage;
+               Alcotest.(check bool) "names line 2" true
+                 (String.length d.Qac_diag.Diag.message > 7
+                  && String.sub d.Qac_diag.Diag.message 0 7 = "line 2:")
+             | _ -> Alcotest.fail ("expected a lex error for " ^ literal))
+          [ "99999999999999999999999999"; "4'd99999999999999999999";
+            "64'hFFFF_FFFF_FFFF_FFFF" ]);
     Alcotest.test_case "block comments and directives skipped" `Quick (fun () ->
         let src = "`timescale 1ns/1ps\nmodule t (o); /* multi\nline */ output o; assign o = 1; // eol\nendmodule" in
         match Verilog.parse src with
