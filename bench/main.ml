@@ -1037,8 +1037,10 @@ let serve_bench ~smoke ?store_dir () =
   (* Duplicate-heavy arm: each of the first [dup_unique] jobs submitted 4x.
      Coalescing must collapse every group onto one leader: exactly one
      solve per unique problem, every follower answered with the leader's
-     bit-identical response.  The wide batch window keeps the flush from
-     racing ahead of the duplicate submissions. *)
+     bit-identical response.  An idle scheduler dispatches as soon as the
+     queue fills its threads, so a blocker job is held in flight first: the
+     pool's solves wait at a turnstile until every duplicate is submitted,
+     and the whole group attaches before any solve. *)
   let dup_base = List.filteri (fun i _ -> i < 8) jobs in
   let dup_unique = List.length dup_base in
   let dup_copies = 4 in
@@ -1050,16 +1052,36 @@ let serve_bench ~smoke ?store_dir () =
            else { j with Serve.id = Printf.sprintf "%s~d%d" j.Serve.id k }))
       dup_base
   in
+  let entered = Semaphore.Binary.make false and turnstile = Semaphore.Binary.make false in
+  let gated ~deadline p =
+    Semaphore.Binary.release entered;
+    Semaphore.Binary.acquire turnstile;
+    Semaphore.Binary.release turnstile;
+    solver ~deadline p
+  in
   let dup_pool =
     Shard.create ~num_shards:1 ~batch_jobs:(List.length dup_jobs + 1)
-      ~batch_window_s:0.25 ~num_threads:threads ~tiler_params ~solver ~graph ()
+      ~batch_window_s:0.25 ~num_threads:threads ~tiler_params ~solver:gated ~graph ()
   in
+  let blocker =
+    { Serve.id = "blocker";
+      problem =
+        Qac_ising.Problem.create ~num_vars:2 ~h:[| 0.5; -0.25 |] ~j:[ ((0, 1), -1.0) ] ();
+      timeout_ms = None }
+  in
+  ignore (Shard.submit dup_pool blocker);
+  Semaphore.Binary.acquire entered;
   let dt0 = Unix.gettimeofday () in
   List.iter (fun job -> ignore (Shard.submit dup_pool job)) dup_jobs;
-  let dup_results = List.map snd (Shard.drain dup_pool) in
+  Semaphore.Binary.release turnstile;
+  let dup_results =
+    List.filter
+      (fun (r : Serve.result) -> r.Serve.id <> blocker.Serve.id)
+      (List.map snd (Shard.drain dup_pool))
+  in
   let dup_seconds = Unix.gettimeofday () -. dt0 in
   let dup_sv = (Shard.stats dup_pool).(0).Shard.serve in
-  let dup_placed = dup_sv.Serve.placed in
+  let dup_placed = dup_sv.Serve.placed - 1 (* the blocker *) in
   let dup_coalesced = dup_sv.Serve.coalesced in
   let base_id id =
     match String.index_opt id '~' with

@@ -526,11 +526,17 @@ let jobs_arg =
   Arg.(value & opt (some file) None & info [ "jobs" ] ~docv:"FILE" ~doc)
 
 let batch_jobs_arg =
-  let doc = "Flush a batch once $(docv) jobs are pending." in
+  let doc = "Flush a batch once $(docv) jobs are pending (at most $(docv) per batch)." in
   Arg.(value & opt int 16 & info [ "batch-jobs" ] ~docv:"K" ~doc)
 
 let batch_window_arg =
-  let doc = "Flush a batch once the oldest pending job has waited $(docv) ms." in
+  let doc =
+    "Flush a batch once the oldest pending job has waited $(docv) ms.  An \
+     idle scheduler does not wait this long once the pending jobs fill \
+     every --threads thread, so at one thread a lone job dispatches at \
+     once; the window bounds how long a job waits for batch-mates at more \
+     threads."
+  in
   Arg.(value & opt float 10.0 & info [ "batch-window-ms" ] ~docv:"MS" ~doc)
 
 let queue_capacity_arg =
@@ -759,6 +765,14 @@ let print_pool_summary pool =
     Printf.printf "# latency p50 %.1f ms  p99 %.1f ms\n"
       (1000.0 *. Qac_diag.Hist.p50 lat) (1000.0 *. Qac_diag.Hist.p99 lat)
 
+(* [Serve.create] and [Shard.create] reject a bad setting (a limit or
+   thread count below 1, a NaN or negative window) with
+   [Invalid_argument]: a usage error, not an internal one. *)
+exception Usage of string
+
+let usage_checked create =
+  try create () with Invalid_argument msg -> raise (Usage msg)
+
 let serve_cmd =
   let run jobs_file physical topology broken solver threads batch_jobs
       batch_window_ms queue_capacity listen shards routing store_dir postprocess
@@ -776,8 +790,10 @@ let serve_cmd =
       (match listen with
        | Some addr ->
          let pool =
-           Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
-             ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver ~graph ()
+           usage_checked (fun () ->
+               Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
+                 ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
+                 ~graph ())
          in
          let server = Server.create ~pool ~sockaddr:(parse_addr addr) () in
          Printf.printf "listening on %s (%d shard%s, %s routing)\n%!"
@@ -801,8 +817,10 @@ let serve_cmd =
          let jobs = build_jobs ?store ?trace:tr jobs_file in
          if shards > 1 then begin
            let pool =
-             Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
-               ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver ~graph ()
+             usage_checked (fun () ->
+                 Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
+                   ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
+                   ~graph ())
            in
            List.iter (fun (_, job) -> ignore (Shard.submit pool job)) jobs;
            let results = Shard.drain pool in
@@ -815,9 +833,10 @@ let serve_cmd =
          else begin
            let cache = Qac_embed.Cache.create ?store () in
            let service =
-             Serve.create ~queue_capacity ~batch_jobs ~batch_window_s
-               ~num_threads:threads ~chain_break ~embed_cache:cache ?trace:tr
-               ~solver ~graph ()
+             usage_checked (fun () ->
+                 Serve.create ~queue_capacity ~batch_jobs ~batch_window_s
+                   ~num_threads:threads ~chain_break ~embed_cache:cache ?trace:tr
+                   ~solver ~graph ())
            in
            List.iter (fun (_, job) -> Serve.submit service job) jobs;
            let results = Serve.drain service in
@@ -843,6 +862,7 @@ let serve_cmd =
          end);
       `Ok ()
     with
+    | Usage msg -> `Error (true, msg)
     | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
     | Failure msg -> `Error (false, msg)
     | Sys_error msg -> `Error (false, msg)

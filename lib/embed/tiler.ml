@@ -178,7 +178,11 @@ let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
 
 (* --- Tiling ----------------------------------------------------------------- *)
 
-let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) fam problems =
+type ladder = (int * Embedding.t, string) result
+
+(* Phase 1 — the per-job ladders are independent of the grid and of each
+   other, so they parallelize freely (the cache is mutex-guarded). *)
+let ladders ?(params = default_params) ?cache ?seeds ?(num_threads = 1) fam problems =
   let kclean = Family.max_feasible_block fam in
   let kmax =
     min fam.Family.max_block
@@ -186,13 +190,15 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) fam problem
   in
   let n = Array.length problems in
   let seed_of i = match seeds with Some s -> s.(i) | None -> params.seed in
-  (* Phase 1 — the per-job ladders are independent of the grid and of each
-     other, so they parallelize freely (the cache is mutex-guarded). *)
-  let ladders = Array.make n (Error "not attempted") in
+  let out = Array.make n (Error "not attempted") in
   Parallel.run_tasks ~num_workers:num_threads n (fun i ->
-      ladders.(i) <-
-        ladder ?cache ~params ~seed:(seed_of i) ~fam ~kmax ~kclean problems.(i));
-  (* Phase 2 — sequential first-fit placement in job order. *)
+      out.(i) <- ladder ?cache ~params ~seed:(seed_of i) ~fam ~kmax ~kclean problems.(i));
+  out
+
+(* Phase 2 — sequential first-fit placement in job order. *)
+let place ?(params = default_params) fam problems ladders =
+  if Array.length ladders <> Array.length problems then
+    invalid_arg "Tiler.place: one ladder per problem";
   let free = Array.map Array.copy fam.Family.clean in
   let outcomes =
     Array.mapi
@@ -227,6 +233,9 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) fam problem
       ladders
   in
   { family = fam; problems; outcomes }
+
+let tile ?params ?cache ?seeds ?num_threads fam problems =
+  place ?params fam problems (ladders ?params ?cache ?seeds ?num_threads fam problems)
 
 let merged t =
   let graph = t.family.Family.graph in

@@ -78,12 +78,13 @@ type t = {
 }
 
 (** [tile ?params ?cache ?seeds ?num_threads family problems] carves
-    [family.graph] and embeds every problem.  The per-job ladder runs across
-    [num_threads] domains (placement itself is sequential and deterministic:
-    first-fit, row-major, in job order).  [cache] memoizes embeddings across
-    jobs and batches.  [seeds] overrides [params.seed] per job — the batch
-    server uses it to retry an embedding-failed job with a fresh seed; a
-    job's seed is part of its identity for composition invariance.  Build
+    [family.graph] and embeds every problem: {!place} applied to
+    {!ladders}.  The per-job ladder runs across [num_threads] domains
+    (placement itself is sequential and deterministic: first-fit,
+    row-major, in job order).  [cache] memoizes embeddings across jobs and
+    batches.  [seeds] overrides [params.seed] per job — the batch server
+    uses it to retry an embedding-failed job with a fresh seed; a job's
+    seed is part of its identity for composition invariance.  Build
     [family] once with {!Qac_chimera.Family.of_topology} (which rejects a
     graph that is neither Chimera nor Pegasus) and pass it to every batch:
     its local fabrics are built on first use and shared by later calls, so
@@ -97,6 +98,32 @@ val tile :
   Qac_chimera.Family.t ->
   Qac_ising.Problem.t array ->
   t
+
+type ladder = (int * Embedding.t, string) result
+(** One job's ladder outcome: [Ok (block, embedding)], the embedding into
+    [Family.build_local block] ([block = 0] for a zero-variable problem),
+    or the reason the job cannot be placed on this family at all.  A pure
+    function of (problem, params, seed), so a caller may keep it across
+    batches: a deferred job needs no new ladder. *)
+
+val ladders :
+  ?params:params ->
+  ?cache:Cache.t ->
+  ?seeds:int array ->
+  ?num_threads:int ->
+  Qac_chimera.Family.t ->
+  Qac_ising.Problem.t array ->
+  ladder array
+(** The first phase of {!tile}: each problem's ladder, parallel to
+    [problems], independent of the grid and of the other problems. *)
+
+val place :
+  ?params:params -> Qac_chimera.Family.t -> Qac_ising.Problem.t array -> ladder array -> t
+(** The second phase of {!tile}: first-fit placement of the [Ok] ladders,
+    in job order, on a floor that starts empty ([Error] ladders become
+    [Failed], ladders that find no room [Deferred]), and the local
+    physical problem of each placed job ([params.chain_strength]).  Raises
+    [Invalid_argument] unless [ladders] is parallel to [problems]. *)
 
 val merged : t -> Qac_ising.Problem.t
 (** All placed jobs' physical problems summed over the global qubit index

@@ -9,11 +9,12 @@
     The scheduler never polls.  The stdlib [Condition] has no timed wait, so
     the batching window is implemented with a self-pipe: the scheduler
     blocks in [Unix.select] on the read end — indefinitely while the queue
-    is empty, for exactly the window remainder while a batch is filling —
-    and [submit]/[cancel]/[drain] write one wake byte after mutating the
-    queue.  An idle service costs zero CPU, and a submit that completes a
-    batch (or arrives at an empty queue with a zero window) dispatches in
-    microseconds instead of waiting out a poll quantum. *)
+    is empty, for the window remainder (at most [max_sleep_s] per select)
+    while a batch is filling — and [submit]/[cancel]/[drain] write one wake
+    byte after mutating the queue.  An idle service costs zero CPU, and a
+    submit that fills every solver thread (at one thread: any submit to an
+    idle scheduler) dispatches in microseconds instead of waiting out a
+    poll quantum. *)
 
 module Trace = Qac_diag.Trace
 module Hist = Qac_diag.Hist
@@ -46,6 +47,10 @@ type result = {
 
 type stats = {
   batches : int;
+  full_flushes : int;
+  idle_flushes : int;
+  window_flushes : int;
+  drain_flushes : int;
   jobs_done : int;
   placed : int;
   deferrals : int;
@@ -94,6 +99,9 @@ type pending = {
   submitted_at : float;
   deadline : float option;  (* absolute; fixed at submit *)
   tries : int;  (* embedding-failure retries so far *)
+  ladder : Tiler.ladder option;
+      (* run once, at the job's first batch, and kept across deferrals;
+         a retry (new seed) clears it *)
 }
 
 (* One delivery of a coalesced computation's result.  The leader's own
@@ -139,6 +147,10 @@ type t = {
   work_of_ticket : (int, int) Hashtbl.t;
   (* counters, all mutex-guarded *)
   mutable n_batches : int;
+  mutable n_full_flushes : int;
+  mutable n_idle_flushes : int;
+  mutable n_window_flushes : int;
+  mutable n_drain_flushes : int;
   mutable n_placed : int;
   mutable n_deferrals : int;
   mutable n_retries : int;
@@ -153,8 +165,9 @@ type t = {
 
 let now = Unix.gettimeofday
 
+(* A job whose deadline is now has no time left to solve. *)
 let expired deadline t =
-  match deadline with None -> false | Some d -> t > d
+  match deadline with None -> false | Some d -> t >= d
 
 (* Per-(job, retry) tiling seed: retry 0 is exactly [params.seed], so a
    never-failing job tiles identically to a plain [Tiler.tile] call — the
@@ -210,9 +223,16 @@ let drain_wake_pipe t =
   in
   loop ()
 
+(* The longest single select.  A timeout past what the kernel accepts
+   (a huge or infinite window) raises [EINVAL]; a capped sleep just wakes
+   to re-check the window. *)
+let max_sleep_s = 60.0
+
 (* Block until woken or [timeout] elapses ([None] = forever). *)
 let wait_wake t timeout =
-  let tv = match timeout with None -> -1.0 | Some s -> Float.max s 0.0 in
+  let tv =
+    match timeout with None -> -1.0 | Some s -> Float.min max_sleep_s (Float.max s 0.0)
+  in
   match Unix.select [ t.wake_r ] [] [] tv with
   | [], _, _ -> ()
   | _ -> drain_wake_pipe t
@@ -271,11 +291,10 @@ let rec take n = function
 (* One flush: already-expired jobs fail fast, the rest tile onto the graph;
    placed jobs solve with their own deadlines, deferred jobs requeue at the
    front (first-of-batch always sees an empty floor, so progress is
-   guaranteed), embedding failures retry with a fresh seed. *)
-let process_batch t batch ~queue_depth =
+   guaranteed) with their ladders, embedding failures retry with a fresh
+   seed. *)
+let process_batch t batch ~batch_no ~queue_depth =
   let batch_start = now () in
-  let batch_no = t.n_batches in
-  t.n_batches <- batch_no + 1;
   let stale, live =
     List.partition (fun p -> expired p.deadline batch_start) batch
   in
@@ -290,16 +309,31 @@ let process_batch t batch ~queue_depth =
   if live <> [] then begin
     let jobs = Array.of_list live in
     let problems = Array.map (fun p -> p.pjob.problem) jobs in
-    let seeds =
-      Array.map (fun p -> retry_seed t.tiler_params.Tiler.seed p.tries) jobs
-    in
     Trace.with_span_opt t.trace "batch" (fun () ->
         let count k v = Trace.counter_opt t.trace k v in
         count "jobs" (Array.length jobs);
         count "queue-depth" queue_depth;
+        (* Ladders only for jobs new to the floor (or retrying); a deferred
+           job's (block, embedding) is a pure function of the job and its
+           seed, so the one it brought back is the one it would find. *)
+        let fresh =
+          List.init (Array.length jobs) Fun.id
+          |> List.filter (fun i -> Option.is_none jobs.(i).ladder)
+          |> Array.of_list
+        in
+        let found =
+          Tiler.ladders ~params:t.tiler_params ?cache:t.embed_cache
+            ~seeds:
+              (Array.map
+                 (fun i -> retry_seed t.tiler_params.Tiler.seed jobs.(i).tries)
+                 fresh)
+            ~num_threads:t.num_threads t.family
+            (Array.map (fun i -> problems.(i)) fresh)
+        in
+        Array.iteri (fun k i -> jobs.(i) <- { (jobs.(i)) with ladder = Some found.(k) }) fresh;
         let tiling =
-          Tiler.tile ~params:t.tiler_params ?cache:t.embed_cache ~seeds
-            ~num_threads:t.num_threads t.family problems
+          Tiler.place ~params:t.tiler_params t.family problems
+            (Array.map (fun p -> Option.get p.ladder) jobs)
         in
         let placed, deferred, failed = Tiler.counts tiling in
         let occupancy = Tiler.occupancy tiling in
@@ -336,7 +370,7 @@ let process_batch t batch ~queue_depth =
              | Tiler.Failed msg ->
                if p.tries < t.max_retries then begin
                  t.n_retries <- t.n_retries + 1;
-                 requeue := { p with tries = p.tries + 1 } :: !requeue
+                 requeue := { p with tries = p.tries + 1; ladder = None } :: !requeue
                end
                else begin
                  t.n_failures <- t.n_failures + 1;
@@ -355,6 +389,10 @@ let process_batch t batch ~queue_depth =
 let stats_locked t =
   let jobs_done = Hashtbl.length t.results in
   { batches = t.n_batches;
+    full_flushes = t.n_full_flushes;
+    idle_flushes = t.n_idle_flushes;
+    window_flushes = t.n_window_flushes;
+    drain_flushes = t.n_drain_flushes;
     jobs_done;
     placed = t.n_placed;
     deferrals = t.n_deferrals;
@@ -379,7 +417,10 @@ let stats t =
 
 let fields s =
   let int k v = (k, float_of_int v) in
-  [ int "batches" s.batches; int "jobs_done" s.jobs_done; int "placed" s.placed;
+  [ int "batches" s.batches; int "full_flushes" s.full_flushes;
+    int "idle_flushes" s.idle_flushes; int "window_flushes" s.window_flushes;
+    int "drain_flushes" s.drain_flushes; int "jobs_done" s.jobs_done;
+    int "placed" s.placed;
     int "deferrals" s.deferrals; int "retries" s.retries;
     int "failures" s.failures; int "timeouts" s.timeouts;
     int "canceled" s.canceled; int "coalesced" s.coalesced;
@@ -431,22 +472,39 @@ let rec scheduler_loop t =
   | oldest :: _ ->
     let depth = List.length t.queue in
     let window_left = t.batch_window_s -. (now () -. oldest.submitted_at) in
-    let flush = depth >= t.batch_jobs || t.draining || window_left <= 0.0 in
-    if flush then begin
+    (* The scheduler is idle here.  Placed jobs solve one after another on
+       each of [num_threads] threads, and a job's answer does not depend on
+       its batch-mates, so once the queue fills every thread, waiting for
+       more finishes nobody sooner.  The first cause that holds is the one
+       counted. *)
+    let cause =
+      if depth >= t.batch_jobs then Some `Full
+      else if depth >= t.num_threads then Some `Idle
+      else if window_left <= 0.0 then Some `Window
+      else if t.draining then Some `Drain
+      else None
+    in
+    match cause with
+    | Some cause ->
+      (match cause with
+       | `Full -> t.n_full_flushes <- t.n_full_flushes + 1
+       | `Idle -> t.n_idle_flushes <- t.n_idle_flushes + 1
+       | `Window -> t.n_window_flushes <- t.n_window_flushes + 1
+       | `Drain -> t.n_drain_flushes <- t.n_drain_flushes + 1);
+      let batch_no = t.n_batches in
+      t.n_batches <- batch_no + 1;
       let batch, rest = take t.batch_jobs t.queue in
       t.queue <- rest;
       Condition.broadcast t.not_full;
       Mutex.unlock t.mutex;
-      process_batch t batch ~queue_depth:depth;
+      process_batch t batch ~batch_no ~queue_depth:depth;
       scheduler_loop t
-    end
-    else begin
+    | None ->
       Mutex.unlock t.mutex;
-      (* Sleep out the window remainder; an early wake (batch filled,
+      (* Sleep out the window remainder; an early wake (threads filled,
          drain, cancel) re-evaluates the flush condition immediately. *)
       wait_wake t (Some window_left);
       scheduler_loop t
-    end
 
 let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
     ?(num_threads = 1) ?(tiler_params = Tiler.default_params)
@@ -454,6 +512,9 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
     ?(max_retries = 2) ?trace ~solver ~graph () =
   if queue_capacity < 1 then invalid_arg "Serve.create: queue_capacity must be >= 1";
   if batch_jobs < 1 then invalid_arg "Serve.create: batch_jobs must be >= 1";
+  if Float.is_nan batch_window_s || batch_window_s < 0.0 then
+    invalid_arg "Serve.create: batch_window_s must be a number >= 0";
+  if num_threads < 1 then invalid_arg "Serve.create: num_threads must be >= 1";
   (* Rejects an unsupported graph here, before any job can be queued. *)
   let family = Family.of_topology graph in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -486,6 +547,10 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
       subscribers = Hashtbl.create 64;
       work_of_ticket = Hashtbl.create 64;
       n_batches = 0;
+      n_full_flushes = 0;
+      n_idle_flushes = 0;
+      n_window_flushes = 0;
+      n_drain_flushes = 0;
       n_placed = 0;
       n_deferrals = 0;
       n_retries = 0;
@@ -508,7 +573,8 @@ let enqueue_locked t job =
       index = t.next_index;
       submitted_at;
       deadline = Option.map (fun ms -> submitted_at +. (ms /. 1000.0)) job.timeout_ms;
-      tries = 0 }
+      tries = 0;
+      ladder = None }
   in
   t.next_index <- t.next_index + 1;
   t.queue <- t.queue @ [ pending ];

@@ -5,13 +5,30 @@
     Jobs enter a bounded submission queue — {!submit} blocks when it is full
     (backpressure), {!try_submit} rejects instead (the admission-control
     path the shard pool builds on).  A scheduler running on its own OCaml
-    domain flushes the queue into batches — when [batch_jobs] jobs are
-    pending, when the oldest pending job has waited [batch_window_s], or at
-    {!drain} — tiles each batch onto the graph, and solves the placed jobs
-    concurrently.  The scheduler is event-driven, not polling: it sleeps in
-    [select] on a self-pipe that submissions, cancellations and drain poke,
-    so an idle service burns no CPU and a batch-completing submit dispatches
-    immediately rather than after a poll quantum.
+    domain flushes the queue into batches, tiles each batch onto the graph,
+    and solves the placed jobs concurrently.
+
+    {b Flush contract.}  The scheduler is work-conserving: whenever it is
+    idle (no batch in flight), a batch of up to [batch_jobs] jobs leaves as
+    soon as the first of these holds, and that cause is counted in
+    {!stats}:
+    - [full]: [batch_jobs] jobs are pending;
+    - [idle]: the pending jobs fill every solver thread
+      ([queue depth >= num_threads]);
+    - [window]: the oldest pending job has waited [batch_window_s];
+    - [drain]: {!drain} was called.
+
+    A batch solves its placed jobs one after another on each of
+    [num_threads] threads, and a job's answer does not depend on its
+    batch-mates, so waiting for more batch-mates than threads would finish
+    nobody sooner.  At one thread an idle service dispatches a lone job at
+    once, and jobs that arrive while a batch is in flight leave together
+    when it ends; at [T > 1] threads, [batch_window_s] bounds how long a
+    job waits for [T] batch-mates.  The scheduler is event-driven, not
+    polling: it sleeps in [select] on a self-pipe that submissions,
+    cancellations and drain poke, so an idle service burns no CPU and a
+    flushing submit dispatches immediately rather than after a poll
+    quantum.
 
     Per-job deadlines are enforced twice: a job whose deadline passes while
     queued is failed without solving, and the deadline is handed to the
@@ -20,8 +37,11 @@
 
     Jobs the tiler defers (no floor space in this batch) requeue at the
     {e front}, which guarantees progress: the first job of a batch always
-    sees an empty floor.  Jobs whose embedding fails retry with a fresh
-    tiling seed up to [max_retries] times before failing for good.
+    sees an empty floor.  A job's embedding ladder
+    ({!Qac_embed.Tiler.ladders}) runs once, in its first batch, and its
+    (block, embedding) rides along across deferrals.  Jobs whose embedding
+    fails retry with a fresh tiling seed — and a fresh ladder — up to
+    [max_retries] times before failing for good.
 
     The solver is a closure so this layer stays independent of the compiler
     ([Qac_core]); callers typically wrap [Pipeline.dispatch_solver].  For
@@ -70,6 +90,14 @@ type result = {
 
 type stats = {
   batches : int;
+  full_flushes : int;  (** batches released by [batch_jobs] pending *)
+  idle_flushes : int;
+      (** batches released because the pending jobs filled every solver
+          thread (the first cause that held wins, in this order) *)
+  window_flushes : int;  (** batches released by [batch_window_s] expiring *)
+  drain_flushes : int;
+      (** batches released only by {!drain}; the four flush counts sum to
+          [batches] *)
   jobs_done : int;
   placed : int;  (** successful placements (= jobs solved) *)
   deferrals : int;  (** requeues for floor space; can exceed the job count *)
@@ -94,12 +122,17 @@ type t
     most once per service; a graph that is neither Chimera nor Pegasus
     raises [Invalid_argument] here, before any job is accepted.
     [queue_capacity] bounds the submission queue (default 256);
-    [batch_jobs] (default 16) and [batch_window_s] (default 0.01) set the
-    flush policy; [num_threads] parallelizes tiling ladders and per-job
+    [batch_jobs] (default 16), [batch_window_s] (default 0.01) and
+    [num_threads] (default 1) set the flush policy (see the flush contract
+    above); [num_threads] also parallelizes tiling ladders and per-job
     solves; [tiler_params]/[embed_cache] are handed to {!Qac_embed.Tiler};
     [chain_break] ({!Qac_embed.Embedding.chain_break}, default [Vote])
     sets how broken chains resolve when responses unembed;
     [max_retries] (default 2) caps embedding-failure retries.
+    Raises [Invalid_argument] when [queue_capacity], [batch_jobs] or
+    [num_threads] is below 1, or [batch_window_s] is NaN or negative (an
+    infinite window is allowed: batches then leave only by the other
+    causes).
     [trace] records one ["batch"] span per flush (counters: jobs, placed,
     deferred, failed, queue-depth, occupancy-pct) plus service-wide summary
     values ({!fields} as [serve-<field>], and [serve-latency-p50-seconds] /

@@ -57,6 +57,25 @@ let response_exn (r : Serve.result) =
   | Some resp -> resp
   | None -> Alcotest.fail (r.Serve.id ^ ": no response")
 
+(* The blocker a held test keeps in flight: distinct from every job queued
+   behind it, so it neither coalesces with them nor shares their answers. *)
+let blocker = job "blocker" (chain_problem 6)
+
+(* A one-thread service whose solves wait at a {!Gate}, returned once its
+   blocker is in flight: jobs submitted next stay queued, whatever the
+   flush rule, until [Gate.release].  The wide batch limit and window then
+   send them out as one batch.  Counts of solved jobs include the
+   blocker. *)
+let held_service ?queue_capacity ?(graph = Chimera.create 6) () =
+  let gate = Gate.create () in
+  let t =
+    Serve.create ?queue_capacity ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params
+      ~solver:(Gate.solver gate solver) ~graph ()
+  in
+  Serve.submit t blocker;
+  Gate.await gate;
+  (t, gate)
+
 let serve_all ?num_threads ?batch_jobs ?queue_capacity ?trace graph jobs =
   let t =
     Serve.create ?num_threads ?batch_jobs ?queue_capacity ?trace
@@ -216,9 +235,13 @@ let failure_tests =
            across batches via deferral.  Distinct biases keep the three
            jobs from coalescing into one solve. *)
         let big i = dense_problem ~bias:(0.1 +. (0.01 *. float_of_int i)) 8 in
-        let results, stats =
-          serve_all graph (List.init 3 (fun i -> job (string_of_int i) (big i)))
-        in
+        (* Held behind a blocker, the three leave as one batch, so two of
+           them defer there. *)
+        let t, gate = held_service ~graph () in
+        List.iter (Serve.submit t) (List.init 3 (fun i -> job (string_of_int i) (big i)));
+        Gate.release gate;
+        let results = Serve.drain t in
+        let stats = Serve.stats t in
         List.iter
           (fun (r : Serve.result) ->
              match r.Serve.status with
@@ -226,7 +249,7 @@ let failure_tests =
              | _ -> Alcotest.fail (r.Serve.id ^ " should finish"))
           results;
         Alcotest.(check bool) "deferrals happened" true (stats.Serve.deferrals >= 1);
-        Alcotest.(check int) "all placed eventually" 3 stats.Serve.placed) ]
+        Alcotest.(check int) "all placed eventually" (3 + 1) stats.Serve.placed) ]
 
 let trace_tests =
   [ Alcotest.test_case "batch spans and service summary reach the trace" `Quick
@@ -297,16 +320,13 @@ let ticket_tests =
          | None -> Alcotest.fail "peek after drain should see the result");
     Alcotest.test_case "cancel removes a queued job, not a served one" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
-         (* Huge batch limit + window: jobs stay queued until drain. *)
-         let t =
-           Serve.create ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params
-             ~solver ~graph ()
-         in
+         (* Both jobs stay queued behind the held blocker. *)
+         let t, gate = held_service () in
          let keep = Serve.submit_ticket t (job "keep" (chain_problem 4)) in
          let kill = Serve.submit_ticket t (job "kill" (chain_problem 4)) in
          Alcotest.(check bool) "queued job cancels" true (Serve.cancel t kill);
          Alcotest.(check bool) "unknown ticket doesn't" false (Serve.cancel t 99);
+         Gate.release gate;
          ignore (Serve.drain t);
          Alcotest.(check bool) "served job doesn't cancel" false
            (Serve.cancel t keep);
@@ -315,14 +335,10 @@ let ticket_tests =
           | _ -> Alcotest.fail "canceled job should report Canceled, no batch");
          let stats = Serve.stats t in
          Alcotest.(check int) "canceled counted" 1 stats.Serve.canceled;
-         Alcotest.(check int) "canceled jobs are not solved" 1 stats.Serve.placed);
+         Alcotest.(check int) "canceled jobs are not solved" (1 + 1) stats.Serve.placed);
     Alcotest.test_case "try_submit rejects only when the queue is full" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
-         let t =
-           Serve.create ~queue_capacity:2 ~batch_jobs:100 ~batch_window_s:60.0
-             ~tiler_params ~solver ~graph ()
-         in
+         let t, gate = held_service ~queue_capacity:2 () in
          Alcotest.(check bool) "first fits" true
            (Serve.try_submit t (job "a" (chain_problem 3)) <> None);
          Alcotest.(check bool) "second fits" true
@@ -330,6 +346,7 @@ let ticket_tests =
          Alcotest.(check (option int)) "third sheds" None
            (Serve.try_submit t (job "c" (chain_problem 5)));
          Alcotest.(check int) "queue depth visible" 2 (Serve.queue_depth t);
+         Gate.release gate;
          ignore (Serve.drain t));
     Alcotest.test_case "latency histogram counts every finished job" `Quick
       (fun () ->
@@ -345,20 +362,19 @@ let ticket_tests =
 
 let coalesce_tests =
   [ Alcotest.test_case "identical jobs coalesce onto one solve" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        (* A huge batch window keeps everything queued until drain forces
-           the flush, so all three duplicates attach before any solve. *)
-        let t =
-          Serve.create ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params
-            ~solver ~graph ()
-        in
+        (* Everything stays queued behind the held blocker, so all three
+           duplicates attach before any solve. *)
+        let t, gate = held_service () in
         let p = chain_problem 4 in
         List.iter (Serve.submit t)
           [ job "a0" p; job "a1" p; job "a2" p; job "b" (chain_problem 5) ];
-        let results = Serve.drain t in
+        Gate.release gate;
+        let results =
+          List.filter (fun (r : Serve.result) -> r.Serve.id <> "blocker") (Serve.drain t)
+        in
         let stats = Serve.stats t in
         Alcotest.(check int) "four results" 4 (List.length results);
-        Alcotest.(check int) "one solve per unique problem" 2 stats.Serve.placed;
+        Alcotest.(check int) "one solve per unique problem" (2 + 1) stats.Serve.placed;
         Alcotest.(check int) "followers counted" 2 stats.Serve.coalesced;
         List.iter
           (fun (r : Serve.result) ->
@@ -374,15 +390,12 @@ let coalesce_tests =
         check_response "a2" leader (response_exn (by_id "a2")));
     Alcotest.test_case "canceling a follower leaves the leader solving" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
-         let t =
-           Serve.create ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params
-             ~solver ~graph ()
-         in
+         let t, gate = held_service () in
          let p = chain_problem 4 in
          let lead = Serve.submit_ticket t (job "lead" p) in
          let dup = Serve.submit_ticket t (job "dup" p) in
          Alcotest.(check bool) "follower cancels" true (Serve.cancel t dup);
+         Gate.release gate;
          ignore (Serve.drain t);
          (match Serve.peek t lead with
           | Some { Serve.status = Serve.Done; response = Some _; _ } -> ()
@@ -392,18 +405,15 @@ let coalesce_tests =
           | _ -> Alcotest.fail "follower should report Canceled");
          let stats = Serve.stats t in
          Alcotest.(check int) "one cancel" 1 stats.Serve.canceled;
-         Alcotest.(check int) "one solve" 1 stats.Serve.placed);
+         Alcotest.(check int) "one solve" (1 + 1) stats.Serve.placed);
     Alcotest.test_case "canceling the leader keeps followers served" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
-         let t =
-           Serve.create ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params
-             ~solver ~graph ()
-         in
+         let t, gate = held_service () in
          let p = chain_problem 4 in
          let lead = Serve.submit_ticket t (job "lead" p) in
          let dup = Serve.submit_ticket t (job "dup" p) in
          Alcotest.(check bool) "leader delivery cancels" true (Serve.cancel t lead);
+         Gate.release gate;
          ignore (Serve.drain t);
          (match Serve.peek t lead with
           | Some { Serve.status = Serve.Canceled; response = None; _ } -> ()
@@ -411,14 +421,10 @@ let coalesce_tests =
          (match Serve.peek t dup with
           | Some { Serve.status = Serve.Done; response = Some _; _ } -> ()
           | _ -> Alcotest.fail "follower should be served anyway");
-         Alcotest.(check int) "solved once" 1 (Serve.stats t).Serve.placed);
+         Alcotest.(check int) "solved once" (1 + 1) (Serve.stats t).Serve.placed);
     Alcotest.test_case "canceling every subscriber releases the queue slot"
       `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t =
-          Serve.create ~queue_capacity:1 ~batch_jobs:100 ~batch_window_s:60.0
-            ~tiler_params ~solver ~graph ()
-        in
+        let t, gate = held_service ~queue_capacity:1 () in
         let p = chain_problem 4 in
         let a = Serve.submit_ticket t (job "a" p) in
         let b = Serve.submit_ticket t (job "b" p) in
@@ -427,14 +433,11 @@ let coalesce_tests =
         Alcotest.(check int) "slot released" 0 (Serve.queue_depth t);
         Alcotest.(check bool) "a fresh job fits" true
           (Serve.try_submit t (job "c" (chain_problem 5)) <> None);
+        Gate.release gate;
         ignore (Serve.drain t));
     Alcotest.test_case "try_submit admits a duplicate at capacity" `Quick
       (fun () ->
-         let graph = Chimera.create 6 in
-         let t =
-           Serve.create ~queue_capacity:1 ~batch_jobs:100 ~batch_window_s:60.0
-             ~tiler_params ~solver ~graph ()
-         in
+         let t, gate = held_service ~queue_capacity:1 () in
          let p = chain_problem 4 in
          Alcotest.(check bool) "leader fits" true
            (Serve.try_submit t (job "a" p) <> None);
@@ -443,7 +446,10 @@ let coalesce_tests =
            (Serve.try_submit t (job "a2" p) <> None);
          Alcotest.(check (option int)) "distinct job sheds" None
            (Serve.try_submit t (job "b" (chain_problem 5)));
-         let results = Serve.drain t in
+         Gate.release gate;
+         let results =
+           List.filter (fun (r : Serve.result) -> r.Serve.id <> "blocker") (Serve.drain t)
+         in
          Alcotest.(check int) "both answered" 2 (List.length results);
          let by_id id =
            List.find (fun (r : Serve.result) -> r.Serve.id = id) results
@@ -514,6 +520,197 @@ let retained_tests =
                Alcotest.(check bool) (id ^ ": peek = drain") true (peeked = from_drain))
             problems) ]
 
+(* Poll [ticket] until its result lands; fail after [within] seconds. *)
+let await_result ?(within = 10.0) t ticket =
+  let give_up = Unix.gettimeofday () +. within in
+  let rec poll () =
+    match Serve.peek t ticket with
+    | Some r -> r
+    | None ->
+      if Unix.gettimeofday () > give_up then
+        Alcotest.failf "no result within %.1f s" within;
+      Unix.sleepf 0.002;
+      poll ()
+  in
+  poll ()
+
+let check_flush_sum (s : Serve.stats) =
+  Alcotest.(check int) "flush causes sum to batches" s.Serve.batches
+    (s.Serve.full_flushes + s.Serve.idle_flushes + s.Serve.window_flushes
+     + s.Serve.drain_flushes)
+
+(* Planted 3-SAT on one fixed clause skeleton: job [i] flips literal
+   polarities to satisfy its own hidden assignment.  Gauges keep the
+   compiled coupler structure, so every job shares one embedding. *)
+let planted_sat =
+  let n = 8 and m = 26 in
+  let rng = Random.State.make [| 17 |] in
+  let skeleton =
+    Array.init m (fun _ ->
+        let a = Random.State.int rng n in
+        let b = (a + 1 + Random.State.int rng (n - 1)) mod n in
+        let rec pick () =
+          let c = Random.State.int rng n in
+          if c = a || c = b then pick () else c
+        in
+        [| a; b; pick () |])
+  in
+  fun i ->
+    let gauge = Random.State.make [| i |] in
+    let truth = Array.init n (fun _ -> Random.State.bool gauge) in
+    let b = Buffer.create 512 in
+    Printf.bprintf b "p cnf %d %d\n" n m;
+    Array.iter
+      (fun vars ->
+         Array.iter (fun v -> Printf.bprintf b "%d " (if truth.(v) then v + 1 else -(v + 1))) vars;
+         Buffer.add_string b "0\n")
+      skeleton;
+    (Qac_sat.Compile.compile (Qac_sat.Dimacs.parse (Buffer.contents b))).Qac_sat.Compile.problem
+
+let flush_tests =
+  [ Alcotest.test_case "one thread: a lone job on an idle service leaves at once"
+      `Quick (fun () ->
+          let graph = Chimera.create 6 in
+          let t =
+            Serve.create ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params ~solver
+              ~graph ()
+          in
+          let ticket = Serve.submit_ticket t (job "lone" (chain_problem 4)) in
+          let r = await_result ~within:2.0 t ticket in
+          Alcotest.(check bool) "done" true (r.Serve.status = Serve.Done);
+          Alcotest.(check bool)
+            (Printf.sprintf "waited %.3f s, not the window" r.Serve.wait_seconds)
+            true (r.Serve.wait_seconds < 1.0);
+          ignore (Serve.drain t);
+          let s = Serve.stats t in
+          Alcotest.(check int) "released by the idle thread" 1 s.Serve.idle_flushes;
+          check_flush_sum s);
+    Alcotest.test_case "two threads: a lone job waits for the window, a pair does not"
+      `Quick (fun () ->
+          let graph = Chimera.create 6 in
+          let t =
+            Serve.create ~num_threads:2 ~batch_window_s:0.3 ~tiler_params ~solver ~graph ()
+          in
+          let lone = await_result t (Serve.submit_ticket t (job "lone" (chain_problem 4))) in
+          Alcotest.(check bool)
+            (Printf.sprintf "lone job waited %.3f s" lone.Serve.wait_seconds)
+            true (lone.Serve.wait_seconds >= 0.25);
+          let first = Serve.submit_ticket t (job "first" (chain_problem 3)) in
+          let second = Serve.submit_ticket t (job "second" (chain_problem 5)) in
+          let r1 = await_result t first and r2 = await_result t second in
+          Alcotest.(check bool)
+            (Printf.sprintf "first job waited %.3f s" r1.Serve.wait_seconds)
+            true (r1.Serve.wait_seconds < 0.25);
+          Alcotest.(check int) "the pair leaves together" r1.Serve.batch r2.Serve.batch;
+          ignore (Serve.drain t);
+          let s = Serve.stats t in
+          Alcotest.(check int) "one window flush" 1 s.Serve.window_flushes;
+          Alcotest.(check int) "one idle flush" 1 s.Serve.idle_flushes;
+          check_flush_sum s);
+    Alcotest.test_case "jobs queued behind a held batch leave as one batch" `Quick
+      (fun () ->
+         let t, gate = held_service () in
+         let tickets =
+           List.map
+             (fun n -> Serve.submit_ticket t (job (string_of_int n) (chain_problem n)))
+             [ 3; 4; 5 ]
+         in
+         Gate.release gate;
+         ignore (Serve.drain t);
+         let batches =
+           List.map
+             (fun k ->
+                match Serve.peek t k with
+                | Some { Serve.status = Serve.Done; batch; _ } -> batch
+                | _ -> Alcotest.fail "queued job not done")
+             tickets
+         in
+         Alcotest.(check (list int)) "one batch after the blocker's" [ 1; 1; 1 ] batches;
+         let s = Serve.stats t in
+         Alcotest.(check int) "two batches" 2 s.Serve.batches;
+         check_flush_sum s);
+    Alcotest.test_case "a deferred job keeps its ladder: one embed lookup per job"
+      `Quick (fun () ->
+          (* Each 34-spin job needs a block-2 Pegasus region, and one such
+             region fills the P4 floor: a 16-deep batch places one job and
+             defers fifteen, then 14 of 15, and so on. *)
+          let graph = Qac_chimera.Pegasus.create 4 in
+          let jobs = List.init 17 (fun i -> job (Printf.sprintf "sat%d" i) (planted_sat i)) in
+          let cache = Qac_embed.Cache.create () in
+          let gate = Gate.create () in
+          let t =
+            Serve.create ~batch_jobs:16 ~embed_cache:cache ~tiler_params
+              ~solver:(Gate.solver gate solver) ~graph ()
+          in
+          (* The first job is the blocker; the other sixteen queue behind it. *)
+          Serve.submit t (List.hd jobs);
+          Gate.await gate;
+          List.iter (Serve.submit t) (List.tl jobs);
+          Gate.release gate;
+          let results = Serve.drain t in
+          let s = Serve.stats t and c = Qac_embed.Cache.stats cache in
+          Alcotest.(check int) "all placed" 17 s.Serve.placed;
+          Alcotest.(check int) "deferrals: 15 + 14 + ... + 1" 120 s.Serve.deferrals;
+          Alcotest.(check int) "one embed lookup per job" 17
+            (c.Qac_embed.Cache.hits + c.Qac_embed.Cache.misses);
+          (* Standalone tiles share a cache of their own: one search, the
+             same embedding the service found. *)
+          let fam = Family.of_topology graph and alone = Qac_embed.Cache.create () in
+          List.iter2
+            (fun (j : Serve.job) (r : Serve.result) ->
+               match
+                 Tiler.solve ~solver
+                   (Tiler.tile ~params:tiler_params ~cache:alone fam [| j.Serve.problem |])
+               with
+               | [ (0, expected) ] -> check_response j.Serve.id expected (response_exn r)
+               | _ -> Alcotest.fail (j.Serve.id ^ ": standalone solve failed"))
+            jobs results);
+    Alcotest.test_case "create rejects a NaN or negative window and zero threads" `Quick
+      (fun () ->
+         let graph = Chimera.create 4 in
+         List.iter
+           (fun (name, create) ->
+              match create () with
+              | exception Invalid_argument _ -> ()
+              | t ->
+                ignore (Serve.drain t);
+                Alcotest.fail (name ^ " accepted"))
+           [ ("NaN window", fun () ->
+                 Serve.create ~batch_window_s:Float.nan ~tiler_params ~solver ~graph ());
+             ("negative window", fun () ->
+                 Serve.create ~batch_window_s:(-1.0) ~tiler_params ~solver ~graph ());
+             ("zero threads", fun () ->
+                 Serve.create ~num_threads:0 ~tiler_params ~solver ~graph ());
+             ("zero batch", fun () ->
+                 Serve.create ~batch_jobs:0 ~tiler_params ~solver ~graph ());
+             ("NaN window in a pool", fun () ->
+                 let pool =
+                   Qac_serve.Shard.create ~num_shards:2 ~batch_window_s:Float.nan
+                     ~tiler_params ~solver ~graph ()
+                 in
+                 ignore (Qac_serve.Shard.drain pool);
+                 Serve.create ~tiler_params ~solver ~graph ()) ]);
+    Alcotest.test_case "a huge or infinite window leaves the scheduler alive" `Quick
+      (fun () ->
+         let graph = Chimera.create 6 in
+         List.iter
+           (fun window ->
+              let t =
+                Serve.create ~num_threads:2 ~batch_window_s:window ~tiler_params ~solver
+                  ~graph ()
+              in
+              Serve.submit t (job "lone" (chain_problem 4));
+              (* Long enough for the scheduler to sleep on the window. *)
+              Unix.sleepf 0.05;
+              (match Serve.drain t with
+               | [ { Serve.status = Serve.Done; _ } ] -> ()
+               | _ -> Alcotest.failf "window %g: job not done" window);
+              let s = Serve.stats t in
+              Alcotest.(check int) "released by drain" 1 s.Serve.drain_flushes;
+              check_flush_sum s)
+           [ 1e300; Float.infinity ]) ]
+
 let suite =
   basic_tests @ deadline_tests @ failure_tests @ trace_tests @ pegasus_tests
   @ ticket_tests @ coalesce_tests @ unsupported_topology_tests @ retained_tests
+  @ flush_tests

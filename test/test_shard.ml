@@ -50,6 +50,14 @@ let response_exn (r : Serve.result) =
   | Some resp -> resp
   | None -> Alcotest.fail (r.Serve.id ^ ": no response")
 
+(* Same interaction structure as [chain_problem n], so it routes to the
+   same shard, but different fields, so it coalesces with nothing. *)
+let blocker_for n =
+  job (Printf.sprintf "blocker%d" n)
+    (Problem.create ~num_vars:n ~h:(Array.make n 0.125)
+       ~j:(List.init (n - 1) (fun i -> ((i, i + 1), 0.75)))
+       ())
+
 let digests n =
   List.init n (fun i -> Digest.string (Printf.sprintf "problem-%d" i))
 
@@ -208,17 +216,26 @@ let pool_tests =
     Alcotest.test_case "poll and cancel work through global tickets" `Quick
       (fun () ->
          let graph = Chimera.create 6 in
-         (* Manual-flush setup: a huge batch_jobs and window keep jobs
-            queued until drain, so cancel has a stable target. *)
+         (* A blocker held in flight on each job's shard keeps both jobs
+            queued until the gate opens, so cancel has a stable target. *)
+         let gate = Gate.create () in
          let pool =
            Shard.create ~num_shards:2 ~batch_jobs:100 ~batch_window_s:60.0
-             ~tiler_params ~solver ~graph ()
+             ~tiler_params ~solver:(Gate.solver gate solver) ~graph ()
          in
+         let sizes =
+           if Shard.route pool (chain_problem 4) = Shard.route pool (chain_problem 5)
+           then [ 4 ]
+           else [ 4; 5 ]
+         in
+         List.iter (fun n -> ignore (Shard.submit pool (blocker_for n))) sizes;
+         Gate.await ~n:(List.length sizes) gate;
          let t0 = Shard.submit pool (job "keep" (chain_problem 4)) in
          let t1 = Shard.submit pool (job "kill" (chain_problem 5)) in
          Alcotest.(check bool) "nothing finished yet" true
            (Shard.poll pool t0 = None);
          Alcotest.(check bool) "cancel queued job" true (Shard.cancel pool t1);
+         Gate.release gate;
          ignore (Shard.drain pool);
          (match Shard.poll pool t0 with
           | Some { Serve.status = Serve.Done; _ } -> ()
@@ -232,10 +249,15 @@ let pool_tests =
     Alcotest.test_case "try_submit sheds load with a retry hint" `Quick
       (fun () ->
          let graph = Chimera.create 6 in
+         (* The held blocker keeps "first" queued, so the queue stays full. *)
+         let gate = Gate.create () in
          let pool =
            Shard.create ~num_shards:1 ~queue_capacity:1 ~batch_jobs:100
-             ~batch_window_s:60.0 ~tiler_params ~solver ~graph ()
+             ~batch_window_s:60.0 ~tiler_params ~solver:(Gate.solver gate solver)
+             ~graph ()
          in
+         ignore (Shard.submit pool (blocker_for 4));
+         Gate.await gate;
          (match Shard.try_submit pool (job "first" (chain_problem 4)) with
           | Shard.Accepted { shard; _ } -> Alcotest.(check int) "shard 0" 0 shard
           | Shard.Rejected _ -> Alcotest.fail "empty queue must accept");
@@ -249,6 +271,7 @@ let pool_tests =
             Alcotest.(check bool) "hint respects the 10ms floor" true
               (retry_after_ms >= 10.0)
           | Shard.Accepted _ -> Alcotest.fail "full queue must reject");
+         Gate.release gate;
          ignore (Shard.drain pool));
     Alcotest.test_case "metrics exposition carries per-shard counters" `Quick
       (fun () ->
@@ -335,7 +358,24 @@ let pool_tests =
             (List.map fst (Qac_diag.Trace.summary trace))
         in
         Alcotest.(check (list string)) "trace summary keys" (declared "serve-" '-')
-          summary_keys) ]
+          summary_keys;
+        (* What released each batch is part of that declaration, and every
+           batch has exactly one cause. *)
+        List.iter
+          (fun k ->
+             Alcotest.(check bool) (k ^ " declared") true (List.mem k (declared "" '_')))
+          [ "full_flushes"; "idle_flushes"; "window_flushes"; "drain_flushes" ];
+        let causes_sum (s : Serve.stats) =
+          s.Serve.full_flushes + s.Serve.idle_flushes + s.Serve.window_flushes
+          + s.Serve.drain_flushes
+        in
+        let st = Serve.stats service in
+        Alcotest.(check int) "flush causes sum to batches" st.Serve.batches (causes_sum st);
+        Array.iter
+          (fun (x : Shard.shard_stats) ->
+             Alcotest.(check int) "per shard, causes sum to batches"
+               x.Shard.serve.Serve.batches (causes_sum x.Shard.serve))
+          (Shard.stats pool)) ]
 
 let server_tests =
   [ Alcotest.test_case "socket round-trip equals in-process results" `Quick

@@ -389,7 +389,30 @@ let pegasus_tests =
            jobs);
   ]
 
+let ladder_tests =
+  [ Alcotest.test_case "a deferred job's kept ladder places as a fresh tile" `Quick
+      (fun () ->
+         let fam = Family.of_topology (Chimera.create 2) in
+         let jobs = [| dense_problem 8; dense_problem 8; dense_problem 8 |] in
+         let ladders = Tiler.ladders ~params fam jobs in
+         let first = Tiler.place ~params fam jobs ladders in
+         Alcotest.(check bool) "place after ladders is tile" true
+           (first.Tiler.outcomes = (Tiler.tile ~params fam jobs).Tiler.outcomes);
+         (* The next batch: the deferred jobs bring their ladders back. *)
+         let deferred =
+           List.filter (fun i -> first.Tiler.outcomes.(i) = Tiler.Deferred) [ 0; 1; 2 ]
+           |> Array.of_list
+         in
+         Alcotest.(check int) "two deferred" 2 (Array.length deferred);
+         let pick a = Array.map (fun i -> a.(i)) deferred in
+         Alcotest.(check bool) "kept ladders place as fresh ones" true
+           ((Tiler.place ~params fam (pick jobs) (pick ladders)).Tiler.outcomes
+            = (Tiler.tile ~params fam (pick jobs)).Tiler.outcomes);
+         Alcotest.check_raises "one ladder per problem"
+           (Invalid_argument "Tiler.place: one ladder per problem") (fun () ->
+             ignore (Tiler.place ~params fam jobs (pick ladders)))) ]
+
 let suite =
   tiling_tests @ solve_tests @ demux_tests @ pegasus_tests
   @ [ QCheck_alcotest.to_alcotest qcheck_isolation ]
-  @ reuse_tests
+  @ reuse_tests @ ladder_tests
