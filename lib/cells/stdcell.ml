@@ -51,21 +51,22 @@ let macro_of_cell (cell : Cells.t) =
   add "!end_macro %s\n" cell.Cells.name;
   Buffer.contents buf
 
+(* Built when the module is initialised, before any domain can start, so
+   concurrent first calls cannot race. *)
 let text =
-  lazy
-    (let buf = Buffer.create 4096 in
-     Buffer.add_string buf
-       "# stdcell.qmasm --- standard-cell library (Table 5 of the paper)\n\
-        # Cells are quadratic pseudo-Boolean penalty functions: each macro's\n\
-        # Hamiltonian is minimized exactly on the cell's valid input/output rows.\n\n";
-     List.iter
-       (fun cell ->
-          Buffer.add_string buf (macro_of_cell cell);
-          Buffer.add_char buf '\n')
-       Cells.all;
-     Buffer.contents buf)
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "# stdcell.qmasm --- standard-cell library (Table 5 of the paper)\n\
+     # Cells are quadratic pseudo-Boolean penalty functions: each macro's\n\
+     # Hamiltonian is minimized exactly on the cell's valid input/output rows.\n\n";
+  List.iter
+    (fun cell ->
+       Buffer.add_string buf (macro_of_cell cell);
+       Buffer.add_char buf '\n')
+    Cells.all;
+  Buffer.contents buf
 
-let contents () = Lazy.force text
+let contents () = text
 
 (** Number of statement-bearing lines, for the section 6.1 metrics (the
     paper reports 232 lines for its stdcell.qmasm). *)

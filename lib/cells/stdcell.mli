@@ -6,7 +6,8 @@
     [!assert] stating the cell's logic for post-solution checking. *)
 
 val contents : unit -> string
-(** The full library text (computed once). *)
+(** The full library text, built once when the module is initialised
+    (so it is safe to call from several domains at once). *)
 
 val macro_of_cell : Cells.t -> string
 (** One cell's [!begin_macro ... !end_macro] block. *)

@@ -126,8 +126,10 @@ type compile_cache_stats = {
 let compile_cache_create () =
   { cc_lock = Mutex.create (); cc_table = Hashtbl.create 16; cc_hits = 0; cc_misses = 0 }
 
-let shared_compile_cache_v = lazy (compile_cache_create ())
-let shared_compile_cache () = Lazy.force shared_compile_cache_v
+(* Created when the module is initialised, before any domain can start:
+   concurrent first calls must all see the same cache. *)
+let shared_compile_cache_v = compile_cache_create ()
+let shared_compile_cache () = shared_compile_cache_v
 
 let compile_cache_stats c =
   Mutex.lock c.cc_lock;

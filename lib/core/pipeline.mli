@@ -59,7 +59,8 @@ type compile_cache
 val compile_cache_create : unit -> compile_cache
 
 val shared_compile_cache : unit -> compile_cache
-(** The process-wide cache {!compile_cached} defaults to. *)
+(** The process-wide cache {!compile_cached} defaults to.  It exists from
+    module initialisation on, so every domain gets the same cache. *)
 
 type compile_cache_stats = {
   hits : int;

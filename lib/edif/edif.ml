@@ -17,16 +17,15 @@ let is_plain_ident s =
 let name_sexp original =
   if is_plain_ident original then S.atom original
   else begin
-    let buf = Buffer.create (String.length original + 4) in
-    if original = "" || not (match original.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
-    then Buffer.add_string buf "n_";
-    String.iter
-      (fun c ->
-         match c with
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> Buffer.add_char buf c
-         | _ -> Buffer.add_char buf '_')
-      original;
-    S.list [ S.atom "rename"; S.atom (Buffer.contents buf); S.atom original ]
+    let sanitized =
+      String.map (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9') as c -> c | _ -> '_') original
+    in
+    let sanitized =
+      if original <> "" && (match original.[0] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false)
+      then sanitized
+      else "n_" ^ sanitized
+    in
+    S.list [ S.atom "rename"; S.atom sanitized; S.atom original ]
   end
 
 let original_of_name_sexp = function
@@ -36,7 +35,8 @@ let original_of_name_sexp = function
 
 (* Port-bit naming: bit [i] of multi-bit port [p] is "p[i]"; single-bit
    ports keep their name. *)
-let port_bit_name name width i = if width = 1 then name else Printf.sprintf "%s[%d]" name i
+let port_bit_name name width i =
+  if width = 1 then name else String.concat "" [ name; "["; string_of_int i; "]" ]
 
 let parse_port_bit name =
   match String.index_opt name '[' with
@@ -88,7 +88,10 @@ let cell_decl ~name ~inputs ~output =
 
 (* --- Emission ------------------------------------------------------------ *)
 
-let instance_name idx = Printf.sprintf "id%05d" (idx + 1)
+(* "id%05d" of [idx + 1], without the cost of a format. *)
+let instance_name idx =
+  let digits = string_of_int (idx + 1) in
+  String.concat "" [ "id"; String.make (max 0 (5 - String.length digits)) '0'; digits ]
 
 let to_sexp (t : N.t) =
   let used_kinds = List.map fst (N.cells_by_kind t) in
@@ -145,12 +148,13 @@ let to_sexp (t : N.t) =
     S.list (S.atom "interface" :: ports)
   in
   (* Instances. *)
+  let inst_names = Array.init (Array.length t.N.cells) instance_name in
   let instances =
     List.mapi
       (fun idx (c : N.cell) ->
          S.list
            [ S.atom "instance";
-             S.atom (instance_name idx);
+             S.atom inst_names.(idx);
              S.list
                [ S.atom "viewRef";
                  S.atom "netlist";
@@ -197,23 +201,15 @@ let to_sexp (t : N.t) =
         S.atom port;
         S.list [ S.atom "instanceRef"; S.atom inst ] ]
   in
-  (* connection points per net id, and for the two constants *)
-  let net_points : (int, S.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* Connection points per net id (latest first), and for the two
+     constants. *)
+  let net_points = Array.make t.N.num_nets [] in
   let gnd_points = ref [] and vcc_points = ref [] in
   let add_point signal point =
     match signal with
     | N.Zero -> gnd_points := point :: !gnd_points
     | N.One -> vcc_points := point :: !vcc_points
-    | N.Net n ->
-      let cell =
-        match Hashtbl.find_opt net_points n with
-        | Some r -> r
-        | None ->
-          let r = ref [] in
-          Hashtbl.replace net_points n r;
-          r
-      in
-      cell := point :: !cell
+    | N.Net n -> net_points.(n) <- point :: net_points.(n)
   in
   (* Drivers. *)
   List.iter
@@ -223,21 +219,21 @@ let to_sexp (t : N.t) =
          (fun i n -> add_point (N.Net n) (portref (port_bit_name name width i)))
          nets)
     t.N.inputs;
-  List.iteri
+  Array.iteri
     (fun idx (c : N.cell) ->
        let _, output = cell_ports c.N.kind in
-       add_point (N.Net c.N.out) (portref_on output (instance_name idx)))
-    (Array.to_list t.N.cells);
+       add_point (N.Net c.N.out) (portref_on output inst_names.(idx)))
+    t.N.cells;
   if uses_gnd then gnd_points := portref_on "Y" gnd_instance :: !gnd_points;
   if uses_vcc then vcc_points := portref_on "Y" vcc_instance :: !vcc_points;
   (* Sinks. *)
-  List.iteri
+  Array.iteri
     (fun idx (c : N.cell) ->
        let inputs, _ = cell_ports c.N.kind in
        List.iteri
-         (fun k port -> add_point c.N.inputs.(k) (portref_on port (instance_name idx)))
+         (fun k port -> add_point c.N.inputs.(k) (portref_on port inst_names.(idx)))
          inputs)
-    (Array.to_list t.N.cells);
+    t.N.cells;
   List.iter
     (fun (name, signals) ->
        let width = Array.length signals in
@@ -245,31 +241,20 @@ let to_sexp (t : N.t) =
          (fun i s -> add_point s (portref (port_bit_name name width i)))
          signals)
     t.N.outputs;
-  let net_name n = Printf.sprintf "$%d" n in
+  let net n points =
+    S.list [ S.atom "net"; name_sexp n; S.list (S.atom "joined" :: List.rev points) ]
+  in
   let nets =
-    (Hashtbl.fold (fun n points acc -> (n, points) :: acc) net_points []
-     |> List.sort compare
-     |> List.filter_map (fun (n, points) ->
-         if List.length !points < 2 && fanout.(n) = 0 then None
-         else
-           Some
-             (S.list
-                [ S.atom "net";
-                  name_sexp (net_name n);
-                  S.list (S.atom "joined" :: List.rev !points) ])))
-    @ (if !gnd_points = [] then []
-       else
-         [ S.list
-             [ S.atom "net";
-               name_sexp "$gnd";
-               S.list (S.atom "joined" :: List.rev !gnd_points) ] ])
-    @
-    if !vcc_points = [] then []
-    else
-      [ S.list
-          [ S.atom "net";
-            name_sexp "$vcc";
-            S.list (S.atom "joined" :: List.rev !vcc_points) ] ]
+    List.concat
+      [ List.filter_map
+          (fun n ->
+             match net_points.(n) with
+             | [] -> None
+             | [ _ ] when fanout.(n) = 0 -> None
+             | points -> Some (net ("$" ^ string_of_int n) points))
+          (List.init t.N.num_nets Fun.id);
+        (if !gnd_points = [] then [] else [ net "$gnd" !gnd_points ]);
+        (if !vcc_points = [] then [] else [ net "$vcc" !vcc_points ]) ]
   in
   let contents = S.list ((S.atom "contents" :: instances) @ const_instances @ nets) in
   let design_cell =
@@ -312,18 +297,38 @@ let to_string t = S.to_string (to_sexp t)
 
 (* --- Parsing ------------------------------------------------------------- *)
 
-type parsed_instance = {
-  kind : string;  (* cell name: a gate, GND or VCC *)
+module Stbl = Hashtbl.Make (String)
+
+type direction = Input | Output | Other
+
+type parsed_port = {
+  mutable dir : direction;
+  mutable max_bit : int;
+  mutable declared : int;  (* scalar ports declared for this base name *)
 }
+
+type parsed_instance = {
+  iname : string;
+  kind : string;  (* cell name: a gate, GND or VCC *)
+  mutable sinks : (string * int) list;  (* input port -> net index, latest first *)
+  mutable out : N.signal option;
+  mutable busy : bool;
+}
+
+(* What a portRef names: a module port, or a pin of an instance.  A name
+   with no instance is an error only if a driver search reaches it. *)
+type endpoint = Module_port | Instance of parsed_instance | Unknown_instance of string
 
 let find1 ~tag sexp what =
   match S.find ~tag sexp with
   | Some s -> s
   | None -> error "missing (%s ...) in %s" tag what
 
+let find_item ~tag items = List.find_opt (S.has_tag ~tag) items
+
 let of_sexp sexp =
-  (match S.tag sexp with
-   | Some tag when String.lowercase_ascii tag = "edif" -> ()
+  (match sexp with
+   | S.List (S.Atom tag :: _) when S.tag_equal tag "edif" -> ()
    | _ -> error "not an EDIF file");
   (* Find the design cell: prefer the library named DESIGN, else the last
      library's last cell. *)
@@ -334,8 +339,7 @@ let of_sexp sexp =
       List.find_opt
         (fun lib ->
            match lib with
-           | S.List (_ :: name :: _) ->
-             String.uppercase_ascii (original_of_name_sexp name) = "DESIGN"
+           | S.List (_ :: name :: _) -> S.tag_equal (original_of_name_sexp name) "DESIGN"
            | _ -> false)
         libraries
     with
@@ -353,9 +357,8 @@ let of_sexp sexp =
   let view = find1 ~tag:"view" cell "design cell" in
   let interface = find1 ~tag:"interface" view "view" in
   let contents = find1 ~tag:"contents" view "view" in
-  (* Ports: gather per-base-name bit sets. *)
-  let port_dir = Hashtbl.create 16 in
-  let port_bits : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  (* Ports: each scalar port is one bit of the port named by its base. *)
+  let ports = Stbl.create 16 in
   let port_order = ref [] in
   List.iter
     (fun port ->
@@ -365,30 +368,46 @@ let of_sexp sexp =
          let dir =
            match
              List.find_map
-               (fun item ->
-                  match item with
-                  | S.List [ S.Atom d; S.Atom v ]
-                    when String.lowercase_ascii d = "direction" ->
-                    Some (String.uppercase_ascii v)
-                  | _ -> None)
+               (function
+                 | S.List [ S.Atom d; S.Atom v ] when S.tag_equal d "direction" ->
+                   Some
+                     (if S.tag_equal v "INPUT" then Input
+                      else if S.tag_equal v "OUTPUT" then Output
+                      else Other)
+                 | _ -> None)
                rest
            with
            | Some d -> d
            | None -> error "port %s has no direction" original
          in
          let base, bit = parse_port_bit original in
-         if not (Hashtbl.mem port_bits base) then begin
-           Hashtbl.replace port_bits base (ref []);
-           port_order := base :: !port_order
-         end;
-         let bits = Hashtbl.find port_bits base in
-         bits := Option.value bit ~default:0 :: !bits;
-         Hashtbl.replace port_dir base dir
+         let p =
+           match Stbl.find_opt ports base with
+           | Some p -> p
+           | None ->
+             let p = { dir; max_bit = 0; declared = 0 } in
+             Stbl.add ports base p;
+             port_order := base :: !port_order;
+             p
+         in
+         p.dir <- dir;
+         p.max_bit <- max p.max_bit (Option.value bit ~default:0);
+         p.declared <- p.declared + 1
        | _ -> error "malformed port")
     (S.find_all ~tag:"port" interface);
   let port_order = List.rev !port_order in
+  (* A port is as wide as its highest bit, and every bit is declared as a
+     scalar port, so no port is wider than its declarations: this bounds
+     what a hostile bit index can make us allocate. *)
+  let width base =
+    let p = Stbl.find ports base in
+    if p.max_bit >= p.declared then
+      error "port %s declares bit %d but only %d bit(s)" base p.max_bit p.declared;
+    p.max_bit + 1
+  in
+  let dir_of base = match Stbl.find_opt ports base with Some p -> p.dir | None -> Other in
   (* Instances. *)
-  let instances : (string, parsed_instance) Hashtbl.t = Hashtbl.create 64 in
+  let instances = Stbl.create 64 in
   let instance_order = ref [] in
   List.iter
     (fun inst ->
@@ -396,29 +415,23 @@ let of_sexp sexp =
        | S.List (_ :: name :: rest) ->
          let iname = original_of_name_sexp name in
          let view_ref =
-           match
-             List.find_opt
-               (fun item ->
-                  match S.tag item with
-                  | Some t -> String.lowercase_ascii t = "viewref"
-                  | None -> false)
-               rest
-           with
+           match find_item ~tag:"viewRef" rest with
            | Some vr -> vr
            | None -> error "instance %s has no viewRef" iname
          in
-         let cell_ref = find1 ~tag:"cellRef" view_ref "viewRef" in
          let kind =
-           match cell_ref with
+           match find1 ~tag:"cellRef" view_ref "viewRef" with
            | S.List (_ :: kname :: _) -> original_of_name_sexp kname
            | _ -> error "malformed cellRef"
          in
-         Hashtbl.replace instances iname { kind };
-         instance_order := iname :: !instance_order
+         if Stbl.mem instances iname then error "instance %s declared twice" iname;
+         let i = { iname; kind; sinks = []; out = None; busy = false } in
+         Stbl.add instances iname i;
+         instance_order := i :: !instance_order
        | _ -> error "malformed instance")
     (S.find_all ~tag:"instance" contents);
   let instance_order = List.rev !instance_order in
-  (* Nets: (port, instance option) connection points. *)
+  (* Nets: (port, endpoint) connection points. *)
   let nets =
     List.map
       (fun net ->
@@ -426,14 +439,7 @@ let of_sexp sexp =
          | S.List (_ :: name :: rest) ->
            let nname = original_of_name_sexp name in
            let joined =
-             match
-               List.find_opt
-                 (fun item ->
-                    match S.tag item with
-                    | Some t -> String.lowercase_ascii t = "joined"
-                    | None -> false)
-                 rest
-             with
+             match find_item ~tag:"joined" rest with
              | Some j -> j
              | None -> error "net %s has no joined" nname
            in
@@ -443,157 +449,151 @@ let of_sexp sexp =
                   match pr with
                   | S.List (S.Atom _ :: pname :: rest') ->
                     let port = original_of_name_sexp pname in
-                    let inst =
-                      List.find_map
-                        (fun item ->
-                           match item with
-                           | S.List [ S.Atom t; iname ]
-                             when String.lowercase_ascii t = "instanceref" ->
-                             Some (original_of_name_sexp iname)
-                           | _ -> None)
-                        rest'
+                    let endpoint =
+                      match
+                        List.find_map
+                          (function
+                            | S.List [ S.Atom t; iname ] when S.tag_equal t "instanceRef" ->
+                              Some (original_of_name_sexp iname)
+                            | _ -> None)
+                          rest'
+                      with
+                      | None -> Module_port
+                      | Some iname ->
+                        (match Stbl.find_opt instances iname with
+                         | Some i -> Instance i
+                         | None -> Unknown_instance iname)
                     in
-                    (port, inst)
+                    (port, endpoint)
                   | _ -> error "malformed portRef in net %s" nname)
                (S.find_all ~tag:"portRef" joined)
            in
            (nname, points)
          | _ -> error "malformed net")
       (S.find_all ~tag:"net" contents)
+    |> Array.of_list
   in
   (* Build the netlist. *)
   let b = N.Builder.create module_name in
   (* Input ports (in interface order). *)
-  let input_bits : (string * int, N.signal) Hashtbl.t = Hashtbl.create 32 in
+  let input_signals = Stbl.create 16 in
   List.iter
     (fun base ->
-       if Hashtbl.find port_dir base = "INPUT" then begin
-         let bits = !(Hashtbl.find port_bits base) in
-         let width = List.fold_left max 0 bits + 1 in
-         let signals = N.Builder.add_input b base width in
-         Array.iteri (fun i s -> Hashtbl.replace input_bits (base, i) s) signals
-       end)
+       if dir_of base = Input then
+         Stbl.replace input_signals base (N.Builder.add_input b base (width base)))
     port_order;
   (* Map each net to its driving source. *)
   let driver_of_net points =
     List.find_map
-      (fun (port, inst) ->
-         match inst with
-         | None ->
+      (fun (port, endpoint) ->
+         match endpoint with
+         | Module_port ->
            (* A module port: drivers are input ports. *)
            let base, bit = parse_port_bit port in
-           if Hashtbl.find_opt port_dir base = Some "INPUT" then
-             Some (`Input (base, Option.value bit ~default:0))
+           if dir_of base = Input then Some (`Input (base, Option.value bit ~default:0))
            else None
-         | Some iname ->
-           let { kind } = try Hashtbl.find instances iname with Not_found ->
-             error "portRef to unknown instance %s" iname
-           in
-           if kind = "GND" && port = "Y" then Some `Gnd
-           else if kind = "VCC" && port = "Y" then Some `Vcc
+         | Unknown_instance iname -> error "portRef to unknown instance %s" iname
+         | Instance i ->
+           if i.kind = "GND" && port = "Y" then Some `Gnd
+           else if i.kind = "VCC" && port = "Y" then Some `Vcc
            else
-             (match N.kind_of_name kind with
+             (match N.kind_of_name i.kind with
               | Some k ->
                 let _, output = cell_ports k in
-                if port = output then Some (`Cell iname) else None
-              | None -> error "unknown cell kind %s" kind))
+                if port = output then Some (`Cell i) else None
+              | None -> error "unknown cell kind %s" i.kind))
       points
   in
-  (* instance -> (input port -> net index); net list indexed *)
-  let nets = Array.of_list nets in
-  let net_of_sink : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
-  let output_port_net : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  (* Sinks: each instance's input ports, and each output port bit, map to
+     the last net that joins them. *)
+  let output_port_net = Stbl.create 16 in
   Array.iteri
     (fun net_idx (_, points) ->
        List.iter
-         (fun (port, inst) ->
-            match inst with
-            | Some iname -> Hashtbl.replace net_of_sink (iname, port) net_idx
-            | None ->
+         (fun (port, endpoint) ->
+            match endpoint with
+            | Instance i -> i.sinks <- (port, net_idx) :: i.sinks
+            | Unknown_instance _ -> ()
+            | Module_port ->
               let base, _ = parse_port_bit port in
-              if Hashtbl.find_opt port_dir base = Some "OUTPUT" then
-                Hashtbl.replace output_port_net port net_idx)
+              if dir_of base = Output then Stbl.replace output_port_net port net_idx)
          points)
     nets;
   (* Demand-driven construction. *)
-  let signal_memo : (int, N.signal) Hashtbl.t = Hashtbl.create 64 in
-  let instance_out : (string, N.signal) Hashtbl.t = Hashtbl.create 64 in
-  let busy : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let signal_memo = Array.make (Array.length nets) None in
   (* Flip-flops first, as placeholders. *)
   List.iter
-    (fun iname ->
-       let { kind } = Hashtbl.find instances iname in
-       match N.kind_of_name kind with
-       | Some N.Dff_p -> Hashtbl.replace instance_out iname (N.Builder.dff_placeholder b ~edge:`Pos)
-       | Some N.Dff_n -> Hashtbl.replace instance_out iname (N.Builder.dff_placeholder b ~edge:`Neg)
+    (fun i ->
+       match N.kind_of_name i.kind with
+       | Some N.Dff_p -> i.out <- Some (N.Builder.dff_placeholder b ~edge:`Pos)
+       | Some N.Dff_n -> i.out <- Some (N.Builder.dff_placeholder b ~edge:`Neg)
        | _ -> ())
     instance_order;
   let rec signal_of_net net_idx =
-    match Hashtbl.find_opt signal_memo net_idx with
+    match signal_memo.(net_idx) with
     | Some s -> s
     | None ->
       let nname, points = nets.(net_idx) in
       let s =
         match driver_of_net points with
         | Some (`Input (base, bit)) ->
-          (try Hashtbl.find input_bits (base, bit) with Not_found ->
-            error "net %s driven by unknown input %s[%d]" nname base bit)
+          let signals = Stbl.find input_signals base in
+          if bit < 0 || bit >= Array.length signals then
+            error "net %s driven by unknown input %s[%d]" nname base bit;
+          signals.(bit)
         | Some `Gnd -> N.Zero
         | Some `Vcc -> N.One
-        | Some (`Cell iname) -> instance_signal iname
+        | Some (`Cell i) -> instance_signal i
         | None -> error "net %s has no driver" nname
       in
-      Hashtbl.replace signal_memo net_idx s;
+      signal_memo.(net_idx) <- Some s;
       s
-  and instance_signal iname =
-    match Hashtbl.find_opt instance_out iname with
+  and instance_signal i =
+    match i.out with
     | Some s -> s
     | None ->
-      if Hashtbl.mem busy iname then error "combinational cycle through %s" iname;
-      Hashtbl.replace busy iname ();
-      let { kind } = Hashtbl.find instances iname in
+      if i.busy then error "combinational cycle through %s" i.iname;
+      i.busy <- true;
       let k =
-        match N.kind_of_name kind with
+        match N.kind_of_name i.kind with
         | Some k -> k
-        | None -> error "unknown cell kind %s" kind
+        | None -> error "unknown cell kind %s" i.kind
       in
       let inputs, _ = cell_ports k in
       let input_signals =
         List.map
           (fun port ->
-             match Hashtbl.find_opt net_of_sink (iname, port) with
+             match List.assoc_opt port i.sinks with
              | Some net_idx -> signal_of_net net_idx
-             | None -> error "instance %s input %s unconnected" iname port)
+             | None -> error "instance %s input %s unconnected" i.iname port)
           inputs
       in
       let s = N.Builder.raw_cell b k (Array.of_list input_signals) in
-      Hashtbl.remove busy iname;
-      Hashtbl.replace instance_out iname s;
+      i.busy <- false;
+      i.out <- Some s;
       s
   in
   (* Connect flip-flop D inputs. *)
   List.iter
-    (fun iname ->
-       let { kind } = Hashtbl.find instances iname in
-       match N.kind_of_name kind with
-       | Some (N.Dff_p | N.Dff_n) ->
+    (fun i ->
+       match N.kind_of_name i.kind, i.out with
+       | Some (N.Dff_p | N.Dff_n), Some q ->
          let d =
-           match Hashtbl.find_opt net_of_sink (iname, "D") with
+           match List.assoc_opt "D" i.sinks with
            | Some net_idx -> signal_of_net net_idx
-           | None -> error "flip-flop %s has unconnected D" iname
+           | None -> error "flip-flop %s has unconnected D" i.iname
          in
-         N.Builder.connect_dff b ~q:(Hashtbl.find instance_out iname) ~d
+         N.Builder.connect_dff b ~q ~d
        | _ -> ())
     instance_order;
   (* Output ports. *)
   List.iter
     (fun base ->
-       if Hashtbl.find port_dir base = "OUTPUT" then begin
-         let bits = !(Hashtbl.find port_bits base) in
-         let width = List.fold_left max 0 bits + 1 in
+       if dir_of base = Output then begin
+         let width = width base in
          let signals =
            Array.init width (fun i ->
-               match Hashtbl.find_opt output_port_net (port_bit_name base width i) with
+               match Stbl.find_opt output_port_net (port_bit_name base width i) with
                | Some net_idx -> signal_of_net net_idx
                | None -> N.Zero)
          in
@@ -602,8 +602,16 @@ let of_sexp sexp =
     port_order;
   N.Builder.build b
 
-let of_string src = of_sexp (S.parse_string src)
+let of_string src =
+  match S.parse_string src with
+  | sexp -> of_sexp sexp
+  | exception S.Parse_error msg -> error "malformed s-expression: %s" msg
 
+(* Lines of [src]: its newlines, plus one for a last line without one (so
+   the empty string counts as one line). *)
 let line_count src =
-  List.length (String.split_on_char '\n' src)
-  - (if String.length src > 0 && src.[String.length src - 1] = '\n' then 1 else 0)
+  let newlines = ref 0 in
+  for i = 0 to String.length src - 1 do
+    if String.unsafe_get src i = '\n' then incr newlines
+  done;
+  if src <> "" && src.[String.length src - 1] = '\n' then !newlines else !newlines + 1

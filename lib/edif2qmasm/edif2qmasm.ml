@@ -1,13 +1,14 @@
 module N = Qac_netlist.Netlist
 
-let port_symbol ~width name i = if width = 1 then name else Printf.sprintf "%s[%d]" name i
+let port_symbol ~width name i = Qac_edif.Edif.port_bit_name name width i
 
 let stdcell_filename = "stdcell.qmasm"
 
-let resolve name =
-  if name = stdcell_filename then Some (Qac_cells.Stdcell.contents ()) else None
+(* Parsed once, when the module is initialised: every compile includes
+   the same constant library, and no domain can race the parse. *)
+let stdcell_statements = Qac_qmasm.Parser.parse_string (Qac_cells.Stdcell.contents ())
 
-let instance_name idx = Printf.sprintf "id%05d" (idx + 1)
+let resolve name = if name = stdcell_filename then Some stdcell_statements else None
 
 (* Pin names per cell kind, in Netlist input order, plus the output pin. *)
 let cell_pins kind =
@@ -21,24 +22,25 @@ let cell_pins kind =
 
 let convert (t : N.t) =
   let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "# %s: generated by edif2qmasm\n" t.N.name;
-  add "!include \"%s\"\n\n" stdcell_filename;
+  let add = Buffer.add_string buf in
+  add "# ";
+  add t.N.name;
+  add ": generated by edif2qmasm\n!include \"";
+  add stdcell_filename;
+  add "\"\n\n";
   (* Net symbols: input-port nets take the port name; the rest are $n. *)
-  let net_symbol = Hashtbl.create 64 in
+  let net_symbol = Array.make t.N.num_nets None in
   List.iter
     (fun (name, nets) ->
        let width = Array.length nets in
-       Array.iteri
-         (fun i n -> Hashtbl.replace net_symbol n (port_symbol ~width name i))
-         nets)
+       Array.iteri (fun i n -> net_symbol.(n) <- Some (port_symbol ~width name i)) nets)
     t.N.inputs;
   let symbol_of_net n =
-    match Hashtbl.find_opt net_symbol n with
+    match net_symbol.(n) with
     | Some s -> s
     | None ->
-      let s = Printf.sprintf "$%d" n in
-      Hashtbl.replace net_symbol n s;
+      let s = "$" ^ string_of_int n in
+      net_symbol.(n) <- Some s;
       s
   in
   let uses_gnd = ref false and uses_vcc = ref false in
@@ -51,17 +53,27 @@ let convert (t : N.t) =
       "$vcc"
     | N.Net n -> symbol_of_net n
   in
+  let chain a pin b =
+    add a;
+    Buffer.add_char buf '.';
+    add pin;
+    add " = ";
+    add b;
+    Buffer.add_char buf '\n'
+  in
   (* Cells: instantiate the macro, chain each pin to its net (section
      4.3.1/4.3.2). *)
   Array.iteri
     (fun idx (c : N.cell) ->
-       let inst = instance_name idx in
+       let inst = Qac_edif.Edif.instance_name idx in
        let inputs, output = cell_pins c.N.kind in
-       add "!use_macro %s %s\n" (N.kind_name c.N.kind) inst;
-       List.iteri
-         (fun k pin -> add "%s.%s = %s\n" inst pin (symbol_of_signal c.N.inputs.(k)))
-         inputs;
-       add "%s.%s = %s\n" inst output (symbol_of_net c.N.out))
+       add "!use_macro ";
+       add (N.kind_name c.N.kind);
+       Buffer.add_char buf ' ';
+       add inst;
+       Buffer.add_char buf '\n';
+       List.iteri (fun k pin -> chain inst pin (symbol_of_signal c.N.inputs.(k))) inputs;
+       chain inst output (symbol_of_net c.N.out))
     t.N.cells;
   (* Output ports: chain each port bit to its driving net. *)
   add "\n# module outputs\n";
@@ -70,8 +82,10 @@ let convert (t : N.t) =
        let width = Array.length signals in
        Array.iteri
          (fun i s ->
-            let port = port_symbol ~width name i in
-            add "%s = %s\n" port (symbol_of_signal s))
+            add (port_symbol ~width name i);
+            add " = ";
+            add (symbol_of_signal s);
+            Buffer.add_char buf '\n')
          signals)
     t.N.outputs;
   (* Ground and power (section 4.3.4): only the sign matters. *)

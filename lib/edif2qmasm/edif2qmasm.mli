@@ -21,9 +21,11 @@ val stdcell_filename : string
 (** ["stdcell.qmasm"], the include name emitted at the top of every
     generated program. *)
 
-(** [resolve name] maps {!stdcell_filename} to the generated standard-cell
-    library text; pass it (or a wrapper) to [Qmasm.load]. *)
-val resolve : string -> string option
+(** [resolve name] maps {!stdcell_filename} to the standard-cell library's
+    statements, parsed once per process (when this module is initialised,
+    so concurrent callers share one parse); pass it (or a wrapper) to
+    [Qmasm.load] or [Macro.expand]. *)
+val resolve : string -> Qac_qmasm.Ast.stmt list option
 
 (** [convert netlist] produces QMASM source.  The text begins with
     [!include "stdcell.qmasm"]; program inputs/outputs keep their port

@@ -175,6 +175,7 @@ let clear t =
       t.store_hits <- 0)
 
 (* Process-wide default, shared by every [Pipeline.run] that is not handed
-   an explicit cache. *)
-let shared_cache = lazy (create ~capacity:64 ())
-let shared () = Lazy.force shared_cache
+   an explicit cache.  Created when the module is initialised, so
+   concurrent first calls from several domains get the same cache. *)
+let shared_cache = create ~capacity:64 ()
+let shared () = shared_cache

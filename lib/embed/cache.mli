@@ -65,4 +65,6 @@ val fields : stats -> (string * float) list
 val clear : t -> unit
 
 val shared : unit -> t
-(** The process-wide cache {!Qac_core.Pipeline.run} defaults to. *)
+(** The process-wide cache {!Qac_core.Pipeline.run} defaults to.  It
+    exists from module initialisation on, so every domain gets the same
+    cache. *)

@@ -48,20 +48,45 @@ let of_parts ~num_vars ~offset ~h ~couplers =
   let row_start, col, weight = csr_of_couplers num_vars couplers in
   { num_vars; offset; h; couplers; row_start; col; weight }
 
+(* Couplers are keyed by one int, [lo lsl 31 lor hi] for the pair
+   [lo < hi], so sorting keys sorts pairs by (i, j). *)
+let max_index = (1 lsl 31) - 1
+
+let pack_key ~what i j =
+  if i = j then invalid_arg (what ^ ": self-coupler");
+  if i < 0 || j < 0 then invalid_arg (what ^ ": negative variable index");
+  if i > max_index || j > max_index then invalid_arg (what ^ ": variable index above 2^31 - 1");
+  if i < j then (i lsl 31) lor j else (j lsl 31) lor i
+
+(* The first [m] (key, value) terms summed per key and sorted by key.  A
+   stable sort keeps each key's terms in arrival order, so every sum is
+   [((0.0 +. v1) +. v2) +. ...] exactly as terms arrived; sums equal to
+   0.0 are dropped. *)
+let couplers_of_terms keys vals m =
+  let order = Array.init m Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (Array.unsafe_get keys a) (Array.unsafe_get keys b)) order;
+  let out = ref [] in
+  let k = ref 0 in
+  while !k < m do
+    let key = keys.(order.(!k)) in
+    let sum = ref 0.0 in
+    while !k < m && keys.(order.(!k)) = key do
+      sum := !sum +. vals.(order.(!k));
+      incr k
+    done;
+    if !sum <> 0.0 then out := ((key lsr 31, key land max_index), !sum) :: !out
+  done;
+  Array.of_list (List.rev !out)
+
 let normalize_couplers pairs =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun ((i, j), v) ->
-       if i = j then invalid_arg "Problem: self-coupler";
-       if i < 0 || j < 0 then invalid_arg "Problem: negative variable index";
-       let key = if i < j then (i, j) else (j, i) in
-       let prev = try Hashtbl.find tbl key with Not_found -> 0.0 in
-       Hashtbl.replace tbl key (prev +. v))
+  let m = List.length pairs in
+  let keys = Array.make m 0 and vals = Array.make m 0.0 in
+  List.iteri
+    (fun k ((i, j), v) ->
+       keys.(k) <- pack_key ~what:"Problem" i j;
+       vals.(k) <- v)
     pairs;
-  let items = Hashtbl.fold (fun key v acc -> if v = 0.0 then acc else (key, v) :: acc) tbl [] in
-  let arr = Array.of_list items in
-  Array.sort (fun (a, _) (b, _) -> compare a b) arr;
-  arr
+  couplers_of_terms keys vals m
 
 let create ~num_vars ~h ~j ?(offset = 0.0) () =
   if Array.length h <> num_vars then invalid_arg "Problem.create: h length mismatch";
@@ -78,34 +103,57 @@ let empty = of_parts ~num_vars:0 ~offset:0.0 ~h:[||] ~couplers:[||]
 module Builder = struct
   type problem = t
 
+  (* [lin] is the dense h accumulator (capacity at least [n]); the first
+     [m] slots of [keys]/[vals] log every add_j in arrival order. *)
   type t = {
     mutable n : int;
     mutable off : float;
-    lin : (int, float) Hashtbl.t;
-    quad : (int * int, float) Hashtbl.t;
+    mutable lin : float array;
+    mutable keys : int array;
+    mutable vals : float array;
+    mutable m : int;
   }
 
   let create ?(num_vars = 0) () =
-    { n = num_vars; off = 0.0; lin = Hashtbl.create 64; quad = Hashtbl.create 64 }
+    { n = num_vars;
+      off = 0.0;
+      lin = Array.make num_vars 0.0;
+      keys = Array.make 64 0;
+      vals = Array.make 64 0.0;
+      m = 0 }
 
-  let grow b i = if i >= b.n then b.n <- i + 1
+  let grow b i =
+    if i >= b.n then begin
+      b.n <- i + 1;
+      if b.n > Array.length b.lin then begin
+        let lin = Array.make (max b.n (2 * Array.length b.lin)) 0.0 in
+        Array.blit b.lin 0 lin 0 (Array.length b.lin);
+        b.lin <- lin
+      end
+    end
 
   let add_offset b v = b.off <- b.off +. v
 
   let add_h b i v =
     if i < 0 then invalid_arg "Builder.add_h: negative index";
     grow b i;
-    let prev = try Hashtbl.find b.lin i with Not_found -> 0.0 in
-    Hashtbl.replace b.lin i (prev +. v)
+    b.lin.(i) <- b.lin.(i) +. v
 
   let add_j b i j v =
-    if i = j then invalid_arg "Builder.add_j: self-coupler";
-    if i < 0 || j < 0 then invalid_arg "Builder.add_j: negative index";
+    let key = pack_key ~what:"Builder.add_j" i j in
     grow b i;
     grow b j;
-    let key = if i < j then (i, j) else (j, i) in
-    let prev = try Hashtbl.find b.quad key with Not_found -> 0.0 in
-    Hashtbl.replace b.quad key (prev +. v)
+    if b.m = Array.length b.keys then begin
+      let cap = 2 * b.m in
+      let keys = Array.make cap 0 and vals = Array.make cap 0.0 in
+      Array.blit b.keys 0 keys 0 b.m;
+      Array.blit b.vals 0 vals 0 b.m;
+      b.keys <- keys;
+      b.vals <- vals
+    end;
+    b.keys.(b.m) <- key;
+    b.vals.(b.m) <- v;
+    b.m <- b.m + 1
 
   let add_problem b (p : problem) ~var_map =
     if Array.length var_map < p.num_vars then invalid_arg "Builder.add_problem: var_map too short";
@@ -114,12 +162,8 @@ module Builder = struct
     Array.iter (fun ((i, j), v) -> add_j b var_map.(i) var_map.(j) v) p.couplers
 
   let build b =
-    let h = Array.make b.n 0.0 in
-    Hashtbl.iter (fun i v -> h.(i) <- h.(i) +. v) b.lin;
-    let couplers =
-      normalize_couplers (Hashtbl.fold (fun key v acc -> (key, v) :: acc) b.quad [])
-    in
-    of_parts ~num_vars:b.n ~offset:b.off ~h ~couplers
+    of_parts ~num_vars:b.n ~offset:b.off ~h:(Array.sub b.lin 0 b.n)
+      ~couplers:(couplers_of_terms b.keys b.vals b.m)
 end
 
 let check_spins p sigma =
@@ -209,15 +253,14 @@ let min_j p = fold_j ~combine:Float.min p
 
 let get_j p i j =
   if i = j then invalid_arg "Problem.get_j: same variable";
-  let key = if i < j then (i, j) else (j, i) in
+  let a = min i j and b = max i j in
   let rec binary lo hi =
     if lo >= hi then 0.0
     else
       let mid = (lo + hi) / 2 in
-      let mid_key, v = p.couplers.(mid) in
-      if mid_key = key then v
-      else if mid_key < key then binary (mid + 1) hi
-      else binary lo mid
+      let (mi, mj), v = p.couplers.(mid) in
+      let c = if mi = a then Int.compare mj b else Int.compare mi a in
+      if c = 0 then v else if c < 0 then binary (mid + 1) hi else binary lo mid
   in
   binary 0 (Array.length p.couplers)
 

@@ -31,6 +31,10 @@ type t = private {
 
 (** {1 Construction} *)
 
+val max_index : int
+(** The largest variable index a coupler may name, [2^31 - 1]: a pair is
+    keyed by one int.  Naming a larger index raises [Invalid_argument]. *)
+
 module Builder : sig
   type problem := t
   type t
@@ -39,7 +43,9 @@ module Builder : sig
 
   (** Coefficients accumulate: adding to the same variable or pair twice sums
       the values, mirroring the additive composition of penalty functions
-      (paper section 4.3.5). Variable indices grow the problem as needed. *)
+      (paper section 4.3.5). Variable indices grow the problem as needed.
+      Each coefficient is summed in the order its terms were added, starting
+      from [0.0], and a coupler that sums to [0.0] is dropped. *)
 
   val add_offset : t -> float -> unit
   val add_h : t -> int -> float -> unit

@@ -10,6 +10,15 @@ type options = {
 
 let default_options = { merge_chains = false; chain_strength = None; pin_strength = None }
 
+(* Symbols are interned to ids in first-occurrence order; union-find and
+   variable numbering work on the ids. *)
+module Stbl = Hashtbl.Make (String)
+
+type index = {
+  ids : int Stbl.t;  (* symbol -> id *)
+  var_of_id : int array;
+}
+
 type t = {
   problem : Problem.t;
   symbols_of_var : string list array;
@@ -18,88 +27,97 @@ type t = {
   assertions : Ast.bexpr list;
   chain_strength : float;
   pin_strength : float;
-  index : (string, int) Hashtbl.t;
+  index : index;
 }
 
-(* Union-find over symbol names. *)
-module Uf = struct
-  type t = (string, string) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let rec find uf x =
-    match Hashtbl.find_opt uf x with
-    | None -> x
-    | Some parent ->
-      let root = find uf parent in
-      if root <> parent then Hashtbl.replace uf x root;
-      root
-
-  let union uf a b =
-    let ra = find uf a and rb = find uf b in
-    if ra <> rb then Hashtbl.replace uf rb ra
-end
+(* Growable arrays for the symbol table. *)
+let push arr len x =
+  let arr =
+    if len < Array.length !arr then !arr
+    else begin
+      let bigger = Array.make (max 64 (2 * len)) x in
+      Array.blit !arr 0 bigger 0 len;
+      arr := bigger;
+      bigger
+    end
+  in
+  arr.(len) <- x
 
 let assemble ?(options = default_options) stmts =
-  (* Pass 1: symbol table (first-occurrence order) and merges. *)
-  let uf = Uf.create () in
-  let order = ref [] in
-  (* Symbol -> variable; each symbol enters with a placeholder, filled in
-     once merging is done. *)
-  let index = Hashtbl.create 64 in
-  let touch s =
-    if not (Hashtbl.mem index s) then begin
-      Hashtbl.replace index s (-1);
-      order := s :: !order
+  (* Pass 1: intern every symbol (first-occurrence order) and union merged
+     symbols. *)
+  let ids = Stbl.create 256 in
+  let names = ref [||] and parent = ref [||] and num_symbols = ref 0 in
+  let intern s =
+    match Stbl.find_opt ids s with
+    | Some id -> id
+    | None ->
+      let id = !num_symbols in
+      Stbl.add ids s id;
+      push names id s;
+      push parent id id;
+      incr num_symbols;
+      id
+  in
+  let rec find x =
+    let p = !parent.(x) in
+    if p = x then x
+    else begin
+      let root = find p in
+      !parent.(x) <- root;
+      root
     end
+  in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then !parent.(rb) <- ra
   in
   let max_literal_j = ref 0.0 in
   List.iter
     (fun stmt ->
        match stmt with
-       | Ast.Weight (a, _) -> touch a
+       | Ast.Weight (a, _) -> ignore (intern a)
        | Ast.Coupler (a, b, j) ->
-         touch a;
-         touch b;
+         ignore (intern a);
+         ignore (intern b);
          max_literal_j := Float.max !max_literal_j (Float.abs j)
        | Ast.Chain (a, b) ->
-         touch a;
-         touch b;
-         if options.merge_chains then Uf.union uf a b
+         let a = intern a in
+         let b = intern b in
+         if options.merge_chains then union a b
        | Ast.Anti_chain (a, b) ->
-         touch a;
-         touch b
-       | Ast.Pin pins -> List.iter (fun (name, _) -> touch name) pins
+         ignore (intern a);
+         ignore (intern b)
+       | Ast.Pin pins -> List.iter (fun (name, _) -> ignore (intern name)) pins
        | Ast.Alias (a, b) ->
-         touch a;
-         touch b;
-         Uf.union uf a b
-       | Ast.Assertion b -> List.iter touch (Ast.bexpr_syms b)
+         let a = intern a in
+         let b = intern b in
+         union a b
+       | Ast.Assertion b -> List.iter (fun s -> ignore (intern s)) (Ast.bexpr_syms b)
        | Ast.Include f -> error "unexpanded !include %s (run Macro.expand first)" f
        | Ast.Begin_macro m | Ast.End_macro m | Ast.Use_macro (m, _) ->
          error "unexpanded macro construct %s (run Macro.expand first)" m)
     stmts;
-  let order = List.rev !order in
-  let var_of_root = Hashtbl.create 64 in
+  (* Variables are numbered by the first occurrence of any of their
+     symbols. *)
+  let num_symbols = !num_symbols and names = !names in
+  let var_of_root = Array.make num_symbols (-1) in
+  let var_of_id = Array.make num_symbols 0 in
   let num_vars = ref 0 in
-  List.iter
-    (fun s ->
-       let root = Uf.find uf s in
-       let v =
-         match Hashtbl.find_opt var_of_root root with
-         | Some v -> v
-         | None ->
-           let v = !num_vars in
-           Hashtbl.replace var_of_root root v;
-           incr num_vars;
-           v
-       in
-       Hashtbl.replace index s v)
-    order;
-  let var s = Hashtbl.find index s in
-  let symbols_of_var = Array.make !num_vars [] in
-  List.iter (fun s -> symbols_of_var.(var s) <- s :: symbols_of_var.(var s)) order;
-  Array.iteri (fun i syms -> symbols_of_var.(i) <- List.rev syms) symbols_of_var;
+  for id = 0 to num_symbols - 1 do
+    let root = find id in
+    if var_of_root.(root) < 0 then begin
+      var_of_root.(root) <- !num_vars;
+      incr num_vars
+    end;
+    var_of_id.(id) <- var_of_root.(root)
+  done;
+  let num_vars = !num_vars in
+  let symbols_of_var = Array.make num_vars [] in
+  for id = num_symbols - 1 downto 0 do
+    let v = var_of_id.(id) in
+    symbols_of_var.(v) <- names.(id) :: symbols_of_var.(v)
+  done;
   let chain_strength =
     match options.chain_strength with
     | Some s -> s
@@ -110,13 +128,13 @@ let assemble ?(options = default_options) stmts =
     | Some s -> s
     | None -> chain_strength
   in
-  (* Pass 2: accumulate the Hamiltonian. *)
-  let builder = Problem.Builder.create ~num_vars:!num_vars () in
+  (* Pass 2: accumulate the Hamiltonian over variables. *)
+  let var s = var_of_id.(Stbl.find ids s) in
+  let builder = Problem.Builder.create ~num_vars () in
   let pins = ref [] in
   let chains = ref [] in
   let assertions = ref [] in
-  let add_j a b j =
-    let va = var a and vb = var b in
+  let add_j va vb j =
     if va = vb then
       (* Both endpoints merged into one variable: sigma^2 = 1. *)
       Problem.Builder.add_offset builder j
@@ -126,13 +144,15 @@ let assemble ?(options = default_options) stmts =
     (fun stmt ->
        match stmt with
        | Ast.Weight (a, w) -> Problem.Builder.add_h builder (var a) w
-       | Ast.Coupler (a, b, j) -> add_j a b j
+       | Ast.Coupler (a, b, j) -> add_j (var a) (var b) j
        | Ast.Chain (a, b) ->
+         let va = var a and vb = var b in
          chains := (a, b) :: !chains;
-         if not options.merge_chains then add_j a b (-.chain_strength)
+         if not options.merge_chains then add_j va vb (-.chain_strength)
        | Ast.Anti_chain (a, b) ->
-         if var a = var b then error "anti-chain between merged symbols %s and %s" a b;
-         add_j a b chain_strength
+         let va = var a and vb = var b in
+         if va = vb then error "anti-chain between merged symbols %s and %s" a b;
+         add_j va vb chain_strength
        | Ast.Pin pin_list ->
          List.iter
            (fun (name, value) ->
@@ -145,28 +165,21 @@ let assemble ?(options = default_options) stmts =
        | Ast.Include _ | Ast.Begin_macro _ | Ast.End_macro _ | Ast.Use_macro _ ->
          assert false)
     stmts;
-  let problem = Problem.Builder.build builder in
-  (* The builder only grows to the highest touched variable; pad so every
-     symbol has a slot even if it carries no coefficients. *)
-  let problem =
-    if problem.Problem.num_vars = !num_vars then problem
-    else
-      Problem.relabel problem
-        (Array.init problem.Problem.num_vars (fun i -> i))
-        ~num_vars:!num_vars
-  in
-  { problem;
+  { problem = Problem.Builder.build builder;
     symbols_of_var;
     pins = List.rev !pins;
     chains = List.rev !chains;
     assertions = List.rev !assertions;
     chain_strength;
     pin_strength;
-    index }
+    index = { ids; var_of_id } }
 
-let variable t s = Hashtbl.find_opt t.index s
+let variable t s =
+  match Stbl.find_opt t.index.ids s with
+  | Some id -> Some t.index.var_of_id.(id)
+  | None -> None
 
-let num_symbols t = Hashtbl.length t.index
+let num_symbols t = Array.length t.index.var_of_id
 
 let check_length t spins =
   if Array.length spins <> Array.length t.symbols_of_var then

@@ -17,6 +17,9 @@ type options = {
 
 val default_options : options
 
+type index
+(** The symbol table: each symbol interned once, mapped to its variable. *)
+
 type t = {
   problem : Qac_ising.Problem.t;
   symbols_of_var : string list array;  (** every symbol merged into each variable *)
@@ -25,14 +28,13 @@ type t = {
   assertions : Ast.bexpr list;
   chain_strength : float;
   pin_strength : float;
-  index : (string, int) Hashtbl.t;
-      (** every symbol's variable; built by {!assemble}, read-only after *)
+  index : index;  (** every symbol's variable; read with {!variable} *)
 }
 
 val assemble : ?options:options -> Ast.stmt list -> t
 
 val variable : t -> string -> int option
-(** Variable index of a symbol (post merging): one {!t.index} lookup. *)
+(** Variable index of a symbol (post merging): one hash lookup. *)
 
 val num_symbols : t -> int
 

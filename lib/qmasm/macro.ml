@@ -4,8 +4,8 @@
     ["inst."] (so [A] inside the macro becomes [inst.A], referable from the
     outside as in section 4.3.5's Listing 4).  Macros may use other macros;
     prefixes compose.  [!include <file>] splices another source file, with
-    file contents supplied by a [resolve] callback so the standard-cell
-    library can live in memory. *)
+    the file's statements supplied by a [resolve] callback, so the standard-cell
+    library can live in memory, parsed once. *)
 
 let error fmt = Qac_diag.Diag.error ~stage:"qmasm-expand" fmt
 
@@ -21,15 +21,11 @@ let rename_stmt ~f (stmt : Ast.stmt) =
   | Ast.Include _ | Ast.Begin_macro _ | Ast.End_macro _ -> stmt
   | Ast.Use_macro (m, insts) -> Ast.Use_macro (m, List.map f insts)
 
-(* Pin syntax creates names like "C[7:0]" whose base symbol must be
-   prefixed, not the brackets. *)
-let prefix_symbol prefix name = prefix ^ name
-
 let max_expansion_depth = 64
 
 let expand ~resolve stmts =
   let macros : (string, Ast.stmt list) Hashtbl.t = Hashtbl.create 16 in
-  let rec go depth ~prefix ~include_stack stmts =
+  let rec go depth ~include_stack stmts =
     if depth > max_expansion_depth then error "macro expansion too deep";
     let rec loop acc = function
       | [] -> List.rev acc
@@ -56,31 +52,27 @@ let expand ~resolve stmts =
         let expanded =
           List.concat_map
             (fun inst ->
-               let renamed =
-                 List.map
-                   (rename_stmt ~f:(prefix_symbol (prefix ^ inst ^ ".")))
-                   body
-               in
+               let prefix = inst ^ "." in
+               let renamed = List.map (rename_stmt ~f:(fun name -> prefix ^ name)) body in
                (* A macro body's own Use_macro instances were renamed with
-                  the full prefix; expand them without re-prefixing. *)
-               go (depth + 1) ~prefix:"" ~include_stack renamed)
+                  the full prefix, so prefixes compose. *)
+               go (depth + 1) ~include_stack renamed)
             insts
         in
         loop (List.rev_append expanded acc) rest
       | Ast.Include file :: rest ->
         if List.mem file include_stack then error "circular !include of %s" file;
-        let text =
+        let file_stmts =
           match resolve file with
-          | Some text -> text
+          | Some stmts -> stmts
           | None -> error "cannot resolve !include %s" file
         in
         let included =
-          go (depth + 1) ~prefix ~include_stack:(file :: include_stack)
-            (Parser.parse_string text)
+          go (depth + 1) ~include_stack:(file :: include_stack) file_stmts
         in
         loop (List.rev_append included acc) rest
-      | stmt :: rest -> loop (rename_stmt ~f:(prefix_symbol prefix) stmt :: acc) rest
+      | stmt :: rest -> loop (stmt :: acc) rest
     in
     loop [] stmts
   in
-  go 0 ~prefix:"" ~include_stack:[] stmts
+  go 0 ~include_stack:[] stmts

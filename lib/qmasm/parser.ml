@@ -204,9 +204,16 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
+(* The non-empty runs of [s] between spaces and tabs. *)
 let split_ws s =
-  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) s)
-  |> List.filter (fun t -> t <> "")
+  let tokens = ref [] and stop = ref (String.length s) in
+  for i = String.length s - 1 downto -1 do
+    if i < 0 || s.[i] = ' ' || s.[i] = '\t' then begin
+      if !stop > i + 1 then tokens := String.sub s (i + 1) (!stop - i - 1) :: !tokens;
+      stop := i
+    end
+  done;
+  !tokens
 
 let parse_line line_number line =
   let line = strip_comment line in

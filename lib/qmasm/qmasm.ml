@@ -3,8 +3,8 @@
     (["qmasm-parse"], ["qmasm-expand"], ["qmasm-assemble"]). *)
 
 (** [load ?options ?resolve src] runs the full front half of qmasm:
-    [resolve] supplies [!include] file contents (return [None] for unknown
-    names). *)
+    [resolve] supplies each [!include]d file's statements (return [None]
+    for unknown names). *)
 let load ?options ?(resolve = fun _ -> None) src =
   let stmts = Parser.parse_string src in
   let flat = Macro.expand ~resolve stmts in

@@ -3,11 +3,11 @@
 
 
 (** [load ?options ?resolve src] runs the full front half of qmasm;
-    [resolve] supplies [!include] file contents ([None] for unknown
-    names). *)
+    [resolve] supplies each [!include]d file's statements ([None] for
+    unknown names). *)
 val load :
   ?options:Assemble.options ->
-  ?resolve:(string -> string option) ->
+  ?resolve:(string -> Ast.stmt list option) ->
   string ->
   Assemble.t
 

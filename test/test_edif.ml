@@ -160,4 +160,65 @@ let property_suite =
   in
   [ QCheck_alcotest.to_alcotest roundtrip ]
 
-let suite = suite @ property_suite
+(* Untrusted EDIF text may fail only with a stage-[edif] [Diag.Error]:
+   every strict prefix and every single-byte substitution of a 2-bit AND's
+   EDIF either parses or raises that.  The alphabet targets the reader's
+   edges (structure, quoting, escapes, comments) and the port-bit syntax. *)
+let fuzz_tests =
+  let expect_edif_error what src =
+    match Edif.of_string src with
+    | exception Qac_diag.Diag.Error d ->
+      Alcotest.(check string) (what ^ ": stage") "edif" (Qac_diag.Diag.stage d)
+    | _ -> Alcotest.failf "%s: parsed" what
+  in
+  [ Alcotest.test_case "prefixes and byte substitutions raise only Diag.Error" `Quick (fun () ->
+        let src =
+          Edif.to_string
+            (verilog_netlist
+               "module t (a, b, y); input [1:0] a, b; output [1:0] y; assign y = a & b; endmodule")
+        in
+        let alphabet = "\x00 \n()\"\\;[]09-xAY_\xff" in
+        let leaks = ref [] in
+        let probe s =
+          match Edif.of_string s with
+          | _ -> ()
+          | exception Qac_diag.Diag.Error d when Qac_diag.Diag.stage d = "edif" -> ()
+          | exception e -> leaks := (s, Printexc.to_string e) :: !leaks
+        in
+        for len = 0 to String.length src - 1 do
+          probe (String.sub src 0 len)
+        done;
+        String.iteri
+          (fun i _ ->
+             String.iter
+               (fun c ->
+                  let b = Bytes.of_string src in
+                  Bytes.set b i c;
+                  probe (Bytes.to_string b))
+               alphabet)
+          src;
+        match !leaks with
+        | [] -> ()
+        | (s, e) :: _ ->
+          Alcotest.failf "%d inputs leaked; first %s on:\n%s" (List.length !leaks) e s);
+    Alcotest.test_case "huge or sparse port bit indices are refused" `Quick (fun () ->
+        let with_port name =
+          Printf.sprintf
+            "(edif x (library DESIGN (cell c (view v (interface (port (rename p %S) \
+             (direction INPUT))) (contents)))))"
+            name
+        in
+        expect_edif_error "max_int" (with_port "a[4611686018427387903]");
+        expect_edif_error "a billion" (with_port "a[1000000000]");
+        expect_edif_error "sparse" (with_port "a[3]"));
+    Alcotest.test_case "duplicate instance names are refused" `Quick (fun () ->
+        let inst =
+          "(instance ff (viewRef netlist (cellRef DFF_P (libraryRef cells))))"
+        in
+        expect_edif_error "duplicate"
+          (Printf.sprintf
+             "(edif x (library DESIGN (cell c (view v (interface (port d (direction INPUT))) \
+              (contents %s %s (net d (joined (portRef d) (portRef D (instanceRef ff)))))))))"
+             inst inst)) ]
+
+let suite = suite @ property_suite @ fuzz_tests

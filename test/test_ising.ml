@@ -201,4 +201,100 @@ let scale_tests =
         Alcotest.(check bool) "same argmin" true (gp = gq));
   ]
 
+(* A naive reference for [Builder]: association lists keyed by the
+   ordered pair, each coefficient summed from 0.0 in the order its terms
+   arrive, couplers that sum to 0.0 dropped, and the rest sorted by pair. *)
+type term = H of int * float | J of int * int * float | Off of float
+
+let reference_build ~num_vars terms =
+  let n =
+    List.fold_left
+      (fun n -> function H (i, _) -> max n (i + 1) | J (i, j, _) -> max n (max i j + 1) | Off _ -> n)
+      num_vars terms
+  in
+  let h = Array.make n 0.0 and offset = ref 0.0 and quad = ref [] in
+  List.iter
+    (function
+      | H (i, v) -> h.(i) <- h.(i) +. v
+      | Off v -> offset := !offset +. v
+      | J (i, j, v) ->
+        let key = (min i j, max i j) in
+        let prev = Option.value (List.assoc_opt key !quad) ~default:0.0 in
+        quad := (key, prev +. v) :: List.remove_assoc key !quad)
+    terms;
+  let couplers =
+    List.filter (fun (_, v) -> v <> 0.0) !quad |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  (n, !offset, h, couplers)
+
+let bits = Int64.bits_of_float
+
+(* Values whose sums depend on the order of addition, cancel to 0.0, or
+   are -0.0. *)
+let term_gen ~n =
+  let open QCheck.Gen in
+  let value = oneofl [ 1.0; -1.0; 0.5; -0.5; 0.1; 0.2; 0.3; 1e16; -1e16; 0.0; -0.0; 3.0 ] in
+  let index = oneof [ int_range 0 (n - 1); oneofl [ 0; n - 1 ] ] in
+  frequency
+    [ (2, map2 (fun i v -> H (i, v)) index value);
+      (6,
+       map3 (fun i j v -> if i = j then J (i, (i + 1) mod n, v) else J (i, j, v)) index index value);
+      (1, map (fun v -> Off v) value) ]
+
+let builder_oracle =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 40 >>= fun n ->
+      pair (int_range 0 n) (list_size (int_range 0 120) (term_gen ~n)))
+  in
+  QCheck.Test.make ~name:"Builder equals a naive reference, bit for bit" ~count:500
+    (QCheck.make gen)
+    (fun (num_vars, terms) ->
+       let b = Problem.Builder.create ~num_vars () in
+       List.iter
+         (function
+           | H (i, v) -> Problem.Builder.add_h b i v
+           | J (i, j, v) -> Problem.Builder.add_j b i j v
+           | Off v -> Problem.Builder.add_offset b v)
+         terms;
+       let p = Problem.Builder.build b in
+       let n, offset, h, couplers = reference_build ~num_vars terms in
+       let same_couplers c =
+         List.length c = Array.length p.Problem.couplers
+         && List.for_all2
+              (fun (k, v) (k', v') -> k = k' && bits v = bits v')
+              c (Array.to_list p.Problem.couplers)
+       in
+       (* [Problem.create] sums its coupler list the same way. *)
+       let created =
+         Problem.create ~num_vars:n ~h
+           ~j:(List.filter_map (function J (i, j, v) -> Some ((i, j), v) | _ -> None) terms)
+           ()
+       in
+       p.Problem.num_vars = n
+       && bits p.Problem.offset = bits offset
+       && Array.for_all2 (fun a b -> bits a = bits b) p.Problem.h h
+       && same_couplers couplers
+       && Array.length created.Problem.couplers = List.length couplers
+       && Array.for_all2
+            (fun ((k, v) : (int * int) * float) (k', v') -> k = k' && bits v = bits v')
+            created.Problem.couplers (Array.of_list couplers))
+
+let packing_tests =
+  [ Alcotest.test_case "coupler indices are bounded by the key packing" `Quick (fun () ->
+        let m = Problem.max_index in
+        (* Packed and unpacked intact: the only complaint is the range. *)
+        Alcotest.check_raises "largest packable index"
+          (Invalid_argument "Problem.create: coupler index out of range") (fun () ->
+              ignore (Problem.create ~num_vars:2 ~h:[| 0.0; 0.0 |] ~j:[ ((m, m - 1), 1.0) ] ()));
+        Alcotest.check_raises "one past it" (Invalid_argument "Problem: variable index above 2^31 - 1")
+          (fun () ->
+             ignore (Problem.create ~num_vars:2 ~h:[| 0.0; 0.0 |] ~j:[ ((0, m + 1), 1.0) ] ()));
+        Alcotest.check_raises "builder, one past it"
+          (Invalid_argument "Builder.add_j: variable index above 2^31 - 1") (fun () ->
+              Problem.Builder.add_j (Problem.Builder.create ()) (m + 1) 0 1.0);
+        Alcotest.check_raises "builder, max_int" (Invalid_argument "Builder.add_j: variable index above 2^31 - 1")
+          (fun () -> Problem.Builder.add_j (Problem.Builder.create ()) 0 max_int 1.0)) ]
+
 let suite = builder_tests @ energy_tests @ exact_tests @ qubo_tests @ scale_tests
+  @ packing_tests @ [ QCheck_alcotest.to_alcotest builder_oracle ]

@@ -30,4 +30,5 @@ let () =
       ("shard", Test_shard.suite);
       ("sat", Test_sat.suite);
       ("verify", Test_verify.suite);
+      ("golden", Test_golden.suite);
     ]

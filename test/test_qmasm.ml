@@ -88,7 +88,7 @@ let macro_tests =
           Alcotest.failf "expansion produced %d statements" (List.length other));
     Alcotest.test_case "includes resolve" `Quick (fun () ->
         let resolve = function
-          | "lib.qmasm" -> Some "!begin_macro M\nA 1\n!end_macro M"
+          | "lib.qmasm" -> Some (Parser.parse_string "!begin_macro M\nA 1\n!end_macro M")
           | _ -> None
         in
         let src = "!include \"lib.qmasm\"\n!use_macro M i" in
@@ -96,7 +96,7 @@ let macro_tests =
         Alcotest.(check int) "one stmt" 1 (List.length flat));
     Alcotest.test_case "circular include rejected" `Quick (fun () ->
         let resolve = function
-          | "a" -> Some "!include \"a\""
+          | "a" -> Some (Parser.parse_string "!include \"a\"")
           | _ -> None
         in
         match Macro.expand ~resolve (Parser.parse_string "!include \"a\"") with
