@@ -33,21 +33,25 @@ exception Route_failed
 (* A variable could not reach every embedded neighbor chain (disconnected
    region, or every path blocked); the current try is abandoned. *)
 
-(* Reusable Dijkstra result.  The embedder's Dijkstras explore the whole
-   (connected) topology, so validity tracking per entry would cost more than
-   it saves: a run just refills [dist] with infinity (one vectorized
-   [Array.fill]) and overwrites [parent] as it relaxes.  A qubit is a
-   multi-source *source* iff [parent.(q) = -1] after a run — sources are
-   seeded that way and every relaxed qubit records a real predecessor, so no
-   separate source mask is needed in the hot loop. *)
-type scratch = {
+(* One embedded neighbor's multi-source Dijkstra.  Each search owns its heap,
+   so the k searches of a route can advance in lockstep and stop together
+   once the best root is known (see [find_root]).  A run refills [dist]
+   with infinity (one vectorized [Array.fill]) and overwrites [parent] as
+   it relaxes.  A qubit is a multi-source *source* iff [parent.(q) = -1]
+   after it is settled — sources are seeded that way and every relaxed
+   qubit records a real predecessor, so no separate source mask is needed
+   in the hot loop.  [parent] of a qubit this run has not settled is stale:
+   only settled qubits may be walked. *)
+type search = {
+  heap : Heap.t;
   dist : float array;
   parent : int array;
 }
 
-let make_scratch n = { dist = Array.make n infinity; parent = Array.make n (-1) }
-
-let scratch_dist s q = s.dist.(q)
+let make_search n =
+  let heap = Heap.create () in
+  Heap.ensure heap n;
+  { heap; dist = Array.make n infinity; parent = Array.make n (-1) }
 
 type state = {
   graph : Topology.t;
@@ -64,8 +68,10 @@ type state = {
          old chain is ripped until the new chain is committed, so the
          alpha^usage * jitter weight of every qubit can be computed once per
          route instead of per Dijkstra pop (libm [pow] dominates otherwise) *)
-  heap : Heap.t;  (* reused across every Dijkstra of the try *)
-  mutable scratches : scratch array;  (* one per simultaneous Dijkstra *)
+  mutable min_cost : float;  (* the lowest entry of [cost] *)
+  mutable searches : search array;  (* one per embedded neighbor, reused *)
+  mutable front : float array;  (* per search: its heap's minimum, or infinity *)
+  settled : int array;  (* per qubit: how many of the route's searches settled it *)
   in_chain : bool array;  (* chain membership mask; always cleared after use *)
   visit_stamp : int array;  (* trim DFS visited mask, epoch-invalidated *)
   mutable visit_epoch : int;
@@ -78,8 +84,6 @@ type state = {
 
 let make_state graph logical_neighbors alpha =
   let n = Topology.num_qubits graph in
-  let heap = Heap.create () in
-  Heap.ensure heap n;
   { graph;
     num_qubits = n;
     row_start = graph.Topology.row_start;
@@ -89,49 +93,55 @@ let make_state graph logical_neighbors alpha =
     chains = Array.make (Array.length logical_neighbors) [];
     usage = Array.make n 0;
     cost = Array.make n 1.0;
-    heap;
-    scratches = [||];
+    min_cost = 1.0;
+    searches = [||];
+    front = [||];
+    settled = Array.make n 0;
     in_chain = Array.make n false;
     visit_stamp = Array.make n 0;
     visit_epoch = 0;
     dfs_stack = Array.make n 0;
     alpha }
 
-let ensure_scratches st k =
-  let have = Array.length st.scratches in
-  if have < k then
-    st.scratches <-
-      Array.append st.scratches
-        (Array.init (k - have) (fun _ -> make_scratch st.num_qubits))
+let ensure_searches st k =
+  let have = Array.length st.searches in
+  if have < k then begin
+    st.searches <-
+      Array.append st.searches
+        (Array.init (k - have) (fun _ -> make_search st.num_qubits));
+    st.front <- Array.make k infinity
+  end
 
 (* Fill [st.cost] for this route: ~1 (+ jitter) for a free qubit,
    alpha^usage otherwise, with per-route jitter to diversify tie-breaking.
-   alpha^u is looked up from a 9-entry table rather than recomputed. *)
+   alpha^u is looked up from a 9-entry table rather than recomputed.  The
+   lowest cost is kept for the router's stop rule. *)
 let fill_costs st rng =
   let pow = Array.make 9 1.0 in
   for u = 1 to 8 do
     pow.(u) <- pow.(u - 1) *. st.alpha
   done;
   let usage = st.usage and cost = st.cost in
+  let lowest = ref infinity in
   for q = 0 to st.num_qubits - 1 do
     let jitter = 1.0 +. (0.5 *. Rng.float rng) in
     let u = Array.unsafe_get usage q in
     let u = if u > 8 then 8 else u in
-    Array.unsafe_set cost q (Array.unsafe_get pow u *. jitter)
-  done
+    let c = Array.unsafe_get pow u *. jitter in
+    if c < !lowest then lowest := c;
+    Array.unsafe_set cost q c
+  done;
+  st.min_cost <- !lowest
 
 let qubit_cost st q = Array.unsafe_get st.cost q
 
-(* Multi-source Dijkstra from the chain of [u] into scratch [s].
-   [scratch_dist s q] is the cheapest cost of the *intermediate* qubits on a
+(* Seed search [s] with the qubits of one neighbor chain.
+   [s.dist.(q)] will be the cheapest cost of the *intermediate* qubits on a
    path from the chain to [q] (excluding both the chain's qubits and [q]
    itself), so a candidate root's own weight can be counted exactly once by
-   the caller.  [parent] allows path reconstruction; [source] marks the
-   chain's own qubits. *)
-let dijkstra st s u =
-  let dist = s.dist and parent = s.parent in
-  let row_start = st.row_start and col = st.col in
-  let heap = st.heap in
+   the caller. *)
+let start_search st s chain =
+  let dist = s.dist and parent = s.parent and heap = s.heap in
   Heap.clear heap;
   Array.fill dist 0 st.num_qubits infinity;
   List.iter
@@ -139,26 +149,119 @@ let dijkstra st s u =
        dist.(q) <- 0.0;
        parent.(q) <- -1;
        Heap.push heap 0.0 q)
-    st.chains.(u);
-  while not (Heap.is_empty heap) do
-    let d = Heap.min_priority heap in
-    let q = Heap.min_payload heap in
-    Heap.remove_min heap;
-    (* Decrease-key heap: every pop is settled, never stale.  Stepping past
-       [q] costs its weight, unless [q] is a source (already paid for). *)
-    let step = if Array.unsafe_get parent q < 0 then 0.0 else qubit_cost st q in
-    let nd = d +. step in
-    for k = Array.unsafe_get row_start q to Array.unsafe_get row_start (q + 1) - 1 do
-      let n = Array.unsafe_get col k in
-      (* Sources sit at distance 0, so they can never be relaxed: no
-         separate source test is needed. *)
-      if nd < Array.unsafe_get dist n -. 1e-12 then begin
-        Array.unsafe_set dist n nd;
-        Array.unsafe_set parent n q;
-        Heap.push heap nd n
+    chain
+
+(* Settle the head of [s]'s non-empty heap and relax its edges; returns the
+   settled qubit. *)
+let settle_next st s =
+  let dist = s.dist and parent = s.parent and heap = s.heap in
+  let row_start = st.row_start and col = st.col in
+  let d = Heap.min_priority heap in
+  let q = Heap.min_payload heap in
+  Heap.remove_min heap;
+  (* Decrease-key heap: every pop is settled, never stale.  Stepping past
+     [q] costs its weight, unless [q] is a source (already paid for). *)
+  let step = if Array.unsafe_get parent q < 0 then 0.0 else qubit_cost st q in
+  let nd = d +. step in
+  for k = Array.unsafe_get row_start q to Array.unsafe_get row_start (q + 1) - 1 do
+    let n = Array.unsafe_get col k in
+    (* Sources sit at distance 0, so they can never be relaxed: no
+       separate source test is needed. *)
+    if nd < Array.unsafe_get dist n -. 1e-12 then begin
+      Array.unsafe_set dist n nd;
+      Array.unsafe_set parent n q;
+      Heap.push heap nd n
+    end
+  done;
+  q
+
+let frontier s = if Heap.is_empty s.heap then infinity else Heap.min_priority s.heap
+
+(* The root minimizing score(q) = sum_i dist_i(q) + cost(q) over working
+   qubits reached by all k searches, ties to the lowest index, and that
+   score.  The searches advance in lockstep: each step settles one qubit of
+   the search whose frontier is lowest, and a qubit is scored once the last
+   search settles it.  The route stops as soon as the best score is
+   strictly below every frontier plus the lowest qubit cost: a qubit still
+   unsettled in some search j will have dist_j at least j's frontier, the
+   other dists are non-negative and its own cost is at least [min_cost], so
+   its score (a rounded sum of those, and rounding is monotone) cannot beat
+   or tie the best.  The result is therefore exactly what a full search
+   followed by an ascending scan would choose.  Each search pops and pushes
+   in the order a full run would, only truncated, so [dist] and [parent] of
+   every settled qubit are final.  Raises [Route_failed] when the heaps run
+   dry with no root. *)
+let find_root st k =
+  let searches = st.searches and front = st.front and settled = st.settled in
+  Array.fill settled 0 st.num_qubits 0;
+  for i = 0 to k - 1 do
+    front.(i) <- frontier searches.(i)
+  done;
+  let best_root = ref (-1) in
+  let best_score = ref infinity in
+  let running = ref true in
+  while !running do
+    let j = ref 0 in
+    for i = 1 to k - 1 do
+      if Array.unsafe_get front i < Array.unsafe_get front !j then j := i
+    done;
+    let lowest = Array.unsafe_get front !j in
+    if lowest = infinity || !best_score < lowest +. st.min_cost then running := false
+    else begin
+      let s = Array.unsafe_get searches !j in
+      let q = settle_next st s in
+      Array.unsafe_set front !j (frontier s);
+      let c = Array.unsafe_get settled q + 1 in
+      Array.unsafe_set settled q c;
+      if c = k && Array.unsafe_get st.working q then begin
+        let total = ref 0.0 in
+        for i = 0 to k - 1 do
+          total := !total +. Array.unsafe_get (Array.unsafe_get searches i).dist q
+        done;
+        if !total < infinity then begin
+          let score = !total +. qubit_cost st q in
+          if score < !best_score || (score = !best_score && q < !best_root) then begin
+            best_score := score;
+            best_root := q
+          end
+        end
       end
-    done
-  done
+    end
+  done;
+  if !best_root < 0 then raise Route_failed;
+  (!best_root, !best_score)
+
+(* Route a chain through the searches seeded from [chains] (one per
+   embedded neighbor): the root from [find_root], then the parents walked
+   back from it toward each neighbor chain, adding the intermediate qubits
+   (sources themselves stay with their owner).  Returns the root, its score
+   and the chain's qubits, most recently added first. *)
+let root_and_paths st chains =
+  let k = Array.length chains in
+  ensure_searches st k;
+  Array.iteri (fun i chain -> start_search st st.searches.(i) chain) chains;
+  let root, score = find_root st k in
+  let members = ref [] in
+  let add q =
+    if not st.in_chain.(q) then begin
+      st.in_chain.(q) <- true;
+      members := q :: !members
+    end
+  in
+  add root;
+  for i = 0 to k - 1 do
+    let s = st.searches.(i) in
+    (* Stop on reaching the neighbor chain: its qubits have parent -1. *)
+    let rec walk q =
+      if s.parent.(q) >= 0 then begin
+        add q;
+        walk s.parent.(q)
+      end
+    in
+    walk root
+  done;
+  List.iter (fun q -> st.in_chain.(q) <- false) !members;
+  (root, score, !members)
 
 (* The embedded logical neighbors of [v], in ascending variable order. *)
 let embedded_neighbors st v =
@@ -202,56 +305,10 @@ let route_chain st rng v =
     st.usage.(!pick) <- st.usage.(!pick) + 1
   end
   else begin
-    let k = List.length embedded in
-    ensure_scratches st k;
-    List.iteri (fun i u -> dijkstra st st.scratches.(i) u) embedded;
-    (* Root choice: the chain rooted at [q] costs q's own weight once plus
-       the intermediate-qubit cost of each path to a neighbor chain. *)
-    let best_root = ref (-1) in
-    let best_score = ref infinity in
-    for q = 0 to st.num_qubits - 1 do
-      if st.working.(q) then begin
-        let total = ref 0.0 in
-        for i = 0 to k - 1 do
-          total := !total +. scratch_dist st.scratches.(i) q
-        done;
-        if !total < infinity then begin
-          let score = !total +. qubit_cost st q in
-          if score < !best_score then begin
-            best_score := score;
-            best_root := q
-          end
-        end
-      end
-    done;
-    if !best_root < 0 then raise Route_failed;
-    (* Walk parents back from the root toward each neighbor chain, adding the
-       intermediate qubits (sources themselves stay with their owner). *)
-    let members = ref [] in
-    let add q =
-      if not st.in_chain.(q) then begin
-        st.in_chain.(q) <- true;
-        members := q :: !members
-      end
-    in
-    add !best_root;
-    for i = 0 to k - 1 do
-      let s = st.scratches.(i) in
-      (* Stop on reaching the neighbor chain: its qubits have parent -1. *)
-      let rec walk q =
-        if s.parent.(q) >= 0 then begin
-          add q;
-          walk s.parent.(q)
-        end
-      in
-      walk !best_root
-    done;
-    st.chains.(v) <- !members;
-    List.iter
-      (fun q ->
-         st.usage.(q) <- st.usage.(q) + 1;
-         st.in_chain.(q) <- false)
-      !members
+    let chains = Array.of_list (List.map (fun u -> st.chains.(u)) embedded) in
+    let _, _, members = root_and_paths st chains in
+    st.chains.(v) <- members;
+    List.iter (fun q -> st.usage.(q) <- st.usage.(q) + 1) members
   end
 
 (* Chain connectivity restricted to the [in_chain] mask: iterative DFS from
@@ -412,6 +469,11 @@ let run_try ~graph ~logical_neighbors ~(params : params) ~try_seed =
   !best
 
 let find ?(params = default_params) graph (p : Problem.t) =
+  (* Qubit costs are alpha^usage times a jitter in [1, 1.5): Dijkstra and
+     the router's stop rule both need them positive. *)
+  if not (Float.is_finite params.alpha && params.alpha > 0.0) then
+    invalid_arg "Cmr.find: alpha must be finite and positive";
+  if params.max_passes < 0 then invalid_arg "Cmr.find: max_passes must be non-negative";
   let n = p.Problem.num_vars in
   if n = 0 then Some { Embedding.chains = [||] }
   else begin
@@ -447,3 +509,13 @@ let find ?(params = default_params) graph (p : Problem.t) =
       results;
     Option.map snd !best
   end
+
+module Internal = struct
+  exception Route_failed = Route_failed
+
+  let route graph ~cost chains =
+    let st = make_state graph [||] 1.0 in
+    Array.blit cost 0 st.cost 0 st.num_qubits;
+    st.min_cost <- Array.fold_left Float.min infinity cost;
+    root_and_paths st chains
+end

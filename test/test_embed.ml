@@ -534,3 +534,168 @@ let family_key_tests =
   ]
 
 let suite = suite @ clique_tests @ pegasus_clique_tests @ family_key_tests
+
+(* --- The bounded router against a full search --------------------------- *)
+
+module Heap = Qac_embed.Heap
+module Topology = Qac_chimera.Topology
+
+(* The router as it was before its searches were bounded: one full
+   multi-source Dijkstra per neighbor chain, then an ascending scan of
+   every working qubit for the lowest score, then the parent walk.  Returns
+   [None] where the router raises [Route_failed]; the flag says whether
+   another qubit tied the best score. *)
+let full_search_route (g : Topology.t) ~cost chains =
+  let n = Topology.num_qubits g in
+  let search chain =
+    let dist = Array.make n infinity and parent = Array.make n (-1) in
+    let heap = Heap.create () in
+    Heap.ensure heap n;
+    Heap.clear heap;
+    List.iter
+      (fun q ->
+         dist.(q) <- 0.0;
+         parent.(q) <- -1;
+         Heap.push heap 0.0 q)
+      chain;
+    while not (Heap.is_empty heap) do
+      let d = Heap.min_priority heap and q = Heap.min_payload heap in
+      Heap.remove_min heap;
+      let nd = d +. if parent.(q) < 0 then 0.0 else cost.(q) in
+      for e = g.Topology.row_start.(q) to g.Topology.row_start.(q + 1) - 1 do
+        let nb = g.Topology.col.(e) in
+        if nd < dist.(nb) -. 1e-12 then begin
+          dist.(nb) <- nd;
+          parent.(nb) <- q;
+          Heap.push heap nd nb
+        end
+      done
+    done;
+    (dist, parent)
+  in
+  let searches = Array.map search chains in
+  let best_root = ref (-1) and best_score = ref infinity and tied = ref false in
+  for q = 0 to n - 1 do
+    if g.Topology.working.(q) then begin
+      let total = Array.fold_left (fun acc (dist, _) -> acc +. dist.(q)) 0.0 searches in
+      if total < infinity then begin
+        let score = total +. cost.(q) in
+        if score < !best_score then begin
+          best_score := score;
+          best_root := q;
+          tied := false
+        end
+        else if score = !best_score then tied := true
+      end
+    end
+  done;
+  if !best_root < 0 then None
+  else begin
+    let members = ref [] in
+    let add q = if not (List.mem q !members) then members := q :: !members in
+    add !best_root;
+    Array.iter
+      (fun (_, parent) ->
+         let rec walk q =
+           if parent.(q) >= 0 then begin
+             add q;
+             walk parent.(q)
+           end
+         in
+         walk !best_root)
+      searches;
+    Some ((!best_root, !best_score, !members), !tied)
+  end
+
+(* A random routing case on a small Chimera or Pegasus graph with random
+   broken qubits: 1-6 neighbor chains, each a random connected walk that
+   may overlap the others, and integer qubit costs so exact ties occur. *)
+let random_route_case seed =
+  let st = Random.State.make [| seed; 31 |] in
+  let kind = Random.State.int st 5 in
+  let build ~broken =
+    match kind with
+    | 0 -> Chimera.create ~broken 2
+    | 1 -> Chimera.create ~broken 3
+    | 2 -> Chimera.create ~broken 4
+    | 3 -> Qac_chimera.Pegasus.create ~broken 2
+    | _ -> Qac_chimera.Pegasus.create ~broken 3
+  in
+  let whole = build ~broken:[] in
+  let n = Topology.num_qubits whole in
+  let rate = [| 0.0; 0.05; 0.3 |].(Random.State.int st 3) in
+  let broken = List.filter (fun _ -> Random.State.float st 1.0 < rate) (List.init n Fun.id) in
+  let g = build ~broken in
+  let working = List.filter (Topology.is_working g) (List.init n Fun.id) |> Array.of_list in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let chain () =
+    let len = 1 + Random.State.int st 4 in
+    let rec grow members =
+      if List.length members >= len then members
+      else
+        let frontier =
+          List.concat_map
+            (fun q ->
+               List.init
+                 (g.Topology.row_start.(q + 1) - g.Topology.row_start.(q))
+                 (fun e -> g.Topology.col.(g.Topology.row_start.(q) + e)))
+            members
+          |> List.filter (fun q -> not (List.mem q members))
+        in
+        if frontier = [] then members else grow (pick (Array.of_list frontier) :: members)
+    in
+    grow [ pick working ]
+  in
+  let chains =
+    if working = [||] then [||] else Array.init (1 + Random.State.int st 6) (fun _ -> chain ())
+  in
+  let cost = Array.init n (fun _ -> float_of_int (1 + Random.State.int st 4)) in
+  (g, cost, chains)
+
+let router_tests =
+  [ Alcotest.test_case "bounded router picks the full search's root, score and chain" `Quick
+      (fun () ->
+         let ties = ref 0 and on_source = ref 0 and failures = ref 0 and overlaps = ref 0 in
+         let agrees seed =
+           let g, cost, chains = random_route_case seed in
+           chains = [||]
+           ||
+           let bounded =
+             match Cmr.Internal.route g ~cost chains with
+             | r -> Some r
+             | exception Cmr.Internal.Route_failed -> None
+           in
+           let full = full_search_route g ~cost chains in
+           (match full with
+            | None -> incr failures
+            | Some ((root, _, _), tied) ->
+              if tied then incr ties;
+              if Array.exists (List.mem root) chains then incr on_source);
+           let all = List.concat (Array.to_list chains) in
+           if List.length (List.sort_uniq compare all) < List.length all then incr overlaps;
+           bounded = Option.map fst full
+         in
+         QCheck.Test.check_exn ~rand:(Random.State.make [| 20 |])
+           (QCheck.Test.make ~name:"bounded router = full search" ~count:400
+              QCheck.(int_bound 1_000_000) agrees);
+         (* The cases must reach the rule's edges, or agreement shows little. *)
+         List.iter
+           (fun (what, count) ->
+              if !count = 0 then Alcotest.failf "no case had %s" what)
+           [ ("a tied best score", ties); ("a root on a neighbor chain", on_source);
+             ("Route_failed", failures); ("overlapping chains", overlaps) ]);
+    Alcotest.test_case "non-finite or non-positive alpha is refused" `Quick (fun () ->
+        List.iter
+          (fun alpha ->
+             let params = { Cmr.default_params with Cmr.alpha } in
+             match Cmr.find ~params (Chimera.create 2) triangle with
+             | exception Invalid_argument _ -> ()
+             | _ -> Alcotest.failf "alpha %g accepted" alpha)
+          [ nan; infinity; neg_infinity; 0.0; -0.0; -4.0 ]);
+    Alcotest.test_case "negative max_passes is refused" `Quick (fun () ->
+        let params = { Cmr.default_params with Cmr.max_passes = -1 } in
+        match Cmr.find ~params (Chimera.create 2) triangle with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "max_passes -1 accepted") ]
+
+let suite = suite @ router_tests

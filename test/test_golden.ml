@@ -233,7 +233,7 @@ let expected =
        "018cf7660c115f62dd262c61dc91a420";
        "f81a2dce8eb2990cb99a6d6adecff173" ]) ]
 
-let suite =
+let artifact_tests =
   [ Alcotest.test_case "corpus artifacts match their golden digests" `Quick (fun () ->
         let got = digests () in
         Alcotest.(check int) "programs" (List.length expected) (List.length got);
@@ -245,3 +245,87 @@ let suite =
                [ "edif"; "qmasm"; "problems"; "symbols" ]
                (List.combine want have))
           expected got) ]
+
+(* Golden digests of the minor embedder's output.  Each digest hashes a
+   (block, chains) pair exactly as the embedder returned it, so a changed
+   qubit, chain order or block size shows up here.  Recorded before the
+   router's searches were bounded: the bounded router must pick the same
+   roots and walk the same paths. *)
+
+module Cmr = Qac_embed.Cmr
+module Tiler = Qac_embed.Tiler
+module Embedding = Qac_embed.Embedding
+
+let render_embedding b block (e : Embedding.t) =
+  Printf.bprintf b "block %d\n" block;
+  Array.iteri
+    (fun v chain ->
+       Printf.bprintf b "%d:%s\n" v
+         (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") chain))))
+    e.Embedding.chains
+
+let embedding_digest block = function
+  | None -> "none"
+  | Some e -> md5 (fun b -> render_embedding b block e)
+
+(* The served circuits' tiler parameters: C16, slack 6, 8 CMR tries. *)
+let circuit_tiler_params =
+  { Tiler.default_params with
+    Tiler.slack = 6.0;
+    embed_params = Some { Cmr.default_params with Cmr.tries = 8 } }
+
+let circuit_ops = [ ("add", "+"); ("xor", "^"); ("and", "&") ]
+
+let ladder_digests () =
+  let family = Qac_chimera.Family.of_topology (Qac_chimera.Chimera.create 16) in
+  List.concat_map
+    (fun w ->
+       List.map
+         (fun (name, op) ->
+            let t = P.compile (binop_src w op) in
+            let program = P.assemble_with_pins ~pins:[ ("a", 0); ("b", 0) ] t in
+            let digest =
+              match
+                Tiler.ladders ~params:circuit_tiler_params family [| program.A.problem |]
+              with
+              | [| Ok (block, e) |] -> embedding_digest block (Some e)
+              | [| Error msg |] -> "error " ^ msg
+              | _ -> assert false
+            in
+            (Printf.sprintf "%s%d" name w, digest))
+         circuit_ops)
+    [ 1; 2; 3; 4 ]
+
+let cmr_digests () =
+  let cnf =
+    (Qac_sat.Compile.compile (Qac_sat.Dimacs.parse_file "../examples/demo.cnf"))
+      .Qac_sat.Compile.problem
+  in
+  let pegasus = Qac_chimera.Pegasus.create 6 in
+  let adder = (P.assemble_with_pins (P.compile (binop_src 4 "+"))).A.problem in
+  let broken = Qac_chimera.Chimera.create ~broken:[ 0; 9; 100; 257; 513; 1030; 1500; 2047 ] 16 in
+  let find graph p = embedding_digest 0 (Cmr.find ~params:(Cmr.params_for graph) graph p) in
+  [ ("demo.cnf on P6", find pegasus cnf); ("add4 on broken C16", find broken adder) ]
+
+let expected_embeddings =
+  [ ("add1", "a3ae9e1491fc3c0545889fc6636c2033");
+    ("xor1", "2372c15a6725da9ec96b3fd533328af6");
+    ("and1", "23c039a069a8111fe3cf478e621ce330");
+    ("add2", "020bf5bd5d0e1eb76ba5bf150e8e1e53");
+    ("xor2", "d6572ab2a54fa5df474683891632d4c7");
+    ("and2", "0bcd4c3337f4c8abb7a33fc10a1120ca");
+    ("add3", "87ef46d44d17b2d03b2473b670ceb957");
+    ("xor3", "e6376ca105d7acd9d0552f910a19e90d");
+    ("and3", "56bcbb03270d9f17503c6c53d1008aea");
+    ("add4", "e882affdbcd77e9643ac020ecbdba0ea");
+    ("xor4", "1c87b17a9ce394eeee183b0dde64f065");
+    ("and4", "726ac10cfa033ab857e896d87de49faf");
+    ("demo.cnf on P6", "828343d0770b5a710baf77c1cafd69d8");
+    ("add4 on broken C16", "e71b72ae33c480ddf8f12224791443ab") ]
+
+let embedding_tests =
+  [ Alcotest.test_case "embeddings match their golden digests" `Quick (fun () ->
+        let got = ladder_digests () @ cmr_digests () in
+        Alcotest.(check (list (pair string string))) "digests" expected_embeddings got) ]
+
+let suite = artifact_tests @ embedding_tests

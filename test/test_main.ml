@@ -31,4 +31,5 @@ let () =
       ("sat", Test_sat.suite);
       ("verify", Test_verify.suite);
       ("golden", Test_golden.suite);
+      ("fuzz", Test_fuzz.suite);
     ]
