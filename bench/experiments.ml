@@ -848,7 +848,46 @@ let ext7 () =
    | None -> row "clique template failed (unexpected)\n");
   row "(Pegasus hosts K4 natively — its odd couplers create triangles, which no\n";
   row " bipartite Chimera graph contains; cliques and AOI-style cells embed with\n";
-  row " visibly shorter chains as connectivity grows)\n"
+  row " visibly shorter chains as connectivity grows)\n\n";
+  (* Matched working-qubit budgets: C4 has 128 qubits, P3 has 128 working
+     ones.  The first size that embeds is reported, so one hard seed does not
+     sink the row. *)
+  row "Figure 2 at matched budgets (params_for, seed 5, first of C4/C5 and P3/P4):\n";
+  let fig2 = (P.compile fig2_src).P.program.Qac_qmasm.Assemble.problem in
+  let rec first_embedding build = function
+    | [] -> row "  no size embedded Figure 2\n"
+    | m :: rest ->
+      let graph = build m in
+      (match Cmr.find ~params:{ (Cmr.params_for graph) with Cmr.seed = 5 } graph fig2 with
+       | None -> first_embedding build rest
+       | Some e ->
+         let qubits = Embedding.num_physical_qubits e in
+         row "  %-14s %3d qb  max-chain=%d  mean=%.2f  verifies=%b\n"
+           graph.Qac_chimera.Topology.name qubits (Embedding.max_chain_length e)
+           (float_of_int qubits /. float_of_int (Array.length e.Embedding.chains))
+           (Embedding.verify graph fig2 e = Ok ()))
+  in
+  first_embedding (fun m -> Chimera.create m) [ 4; 5 ];
+  first_embedding Qac_chimera.Pegasus.create [ 3; 4 ];
+  (* The Advantage box (h in [-4,4], J in [-1,1]) against the 2000Q's: rerun
+     each cell's LP and compare gaps. *)
+  row "\ncell gaps under each chip's coefficient ranges (LP rerun per cell):\n";
+  List.iter
+    (fun (name, table) ->
+       let gap range =
+         match Gen.derive ~range table with
+         | Some d when Gen.verify d -> Printf.sprintf "%g (%d anc)" d.Gen.gap d.Gen.num_ancillas
+         | Some _ -> "fails verification"
+         | None -> "underivable"
+       in
+       row "  cell %-5s gap: 2000q=%s  advantage=%s\n" name (gap Scale.dwave_2000q)
+         (gap Scale.advantage))
+    [ ("AND", Truthtab.of_function ~num_inputs:2 (fun v -> v.(0) && v.(1)));
+      ("OR", Truthtab.of_function ~num_inputs:2 (fun v -> v.(0) || v.(1)));
+      ("XOR", Truthtab.of_function ~num_inputs:2 (fun v -> v.(0) <> v.(1)));
+      ("MUX", Truthtab.of_function ~num_inputs:3 (fun v -> if v.(0) then v.(2) else v.(1)));
+      ("AOI3", Truthtab.of_function ~num_inputs:3 (fun v -> not ((v.(0) && v.(1)) || v.(2))))
+    ]
 
 let ext8 () =
   header "ext8" "Extension — time-to-solution (TTS) scaling on factoring";

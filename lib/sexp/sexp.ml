@@ -73,31 +73,38 @@ let read_bare c =
   c.pos <- bare_end c.src start;
   String.sub c.src start (c.pos - start)
 
-let rec read_sexp c =
+(* The reader recurses once per level, so hostile nesting is refused at a
+   fixed depth rather than left to the runtime's stack limit. *)
+let max_depth = 512
+
+(* [depth] is the number of lists enclosing the expression being read. *)
+let rec read_sexp c depth =
   skip_space c;
   if at_end c then parse_error "unexpected end of input";
   match String.unsafe_get c.src c.pos with
   | '(' ->
+    if depth >= max_depth then
+      parse_error "nesting deeper than %d at offset %d" max_depth c.pos;
     c.pos <- c.pos + 1;
-    read_items c []
+    read_items c (depth + 1) []
   | ')' -> parse_error "unexpected ')' at offset %d" c.pos
   | '"' ->
     c.pos <- c.pos + 1;
     Atom (read_quoted c)
   | _ -> Atom (read_bare c)
 
-and read_items c acc =
+and read_items c depth acc =
   skip_space c;
   if at_end c then parse_error "unterminated list";
   if String.unsafe_get c.src c.pos = ')' then begin
     c.pos <- c.pos + 1;
     List (List.rev acc)
   end
-  else read_items c (read_sexp c :: acc)
+  else read_items c depth (read_sexp c depth :: acc)
 
 let parse_string src =
   let c = { src; pos = 0 } in
-  let s = read_sexp c in
+  let s = read_sexp c 0 in
   skip_space c;
   if not (at_end c) then parse_error "trailing garbage at offset %d" c.pos;
   s
@@ -106,7 +113,7 @@ let parse_many src =
   let c = { src; pos = 0 } in
   let rec loop acc =
     skip_space c;
-    if at_end c then List.rev acc else loop (read_sexp c :: acc)
+    if at_end c then List.rev acc else loop (read_sexp c 0 :: acc)
   in
   loop []
 

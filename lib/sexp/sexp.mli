@@ -17,11 +17,12 @@ exception Parse_error of string
 
 (** [parse_string s] parses exactly one s-expression from [s], ignoring
     surrounding whitespace and [;] line comments.  Raises [Parse_error] on
-    malformed input or trailing garbage.  Runs in time linear in [s]. *)
+    malformed input, trailing garbage, or lists nested more than 512 deep.
+    Runs in time linear in [s]. *)
 val parse_string : string -> t
 
 (** [parse_many s] parses zero or more s-expressions from [s].  Raises
-    [Parse_error] on malformed input. *)
+    [Parse_error] on malformed input, with the same 512-deep nesting cap. *)
 val parse_many : string -> t list
 
 (** Pretty-print with indentation, EDIF-style: a list whose width is at

@@ -219,6 +219,20 @@ let fuzz_tests =
           (Printf.sprintf
              "(edif x (library DESIGN (cell c (view v (interface (port d (direction INPUT))) \
               (contents %s %s (net d (joined (portRef d) (portRef D (instanceRef ff)))))))))"
-             inst inst)) ]
+             inst inst));
+    Alcotest.test_case "a million nested lists are refused at the depth cap" `Quick
+      (fun () ->
+         let n = 1_000_000 in
+         List.iter
+           (fun (what, src) ->
+              match Edif.of_string src with
+              | exception Qac_diag.Diag.Error d ->
+                Alcotest.(check string) (what ^ ": stage") "edif" (Qac_diag.Diag.stage d);
+                Alcotest.(check string) (what ^ ": message")
+                  "malformed s-expression: nesting deeper than 512 at offset 512"
+                  (Qac_diag.Diag.message d)
+              | _ -> Alcotest.failf "%s: parsed" what)
+           [ ("unclosed", String.make n '(');
+             ("closed", String.make n '(' ^ String.make n ')') ]) ]
 
 let suite = suite @ property_suite @ fuzz_tests

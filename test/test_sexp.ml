@@ -162,7 +162,13 @@ let width_boundary =
           [ s; nested ]
       done)
 
+(* n nested lists around one atom, as source text and as a tree. *)
+let nested n =
+  let rec tree k = if k = 0 then atom "x" else list [ tree (k - 1) ] in
+  (String.make n '(' ^ "x" ^ String.make n ')', tree n)
+
 let suite =
+  let deepest_src, deepest = nested 512 in
   [ check_roundtrip "atom" "hello" (atom "hello");
     check_roundtrip "empty list" "()" (list []);
     check_roundtrip "nested" "(a (b c) ((d)))"
@@ -176,4 +182,7 @@ let suite =
     parse_error "unterminated string" {|("abc|};
   ]
   @ accessor_tests
-  @ [ width_boundary; QCheck_alcotest.to_alcotest printer_oracle ]
+  @ [ width_boundary;
+      QCheck_alcotest.to_alcotest printer_oracle;
+      check_roundtrip "512 nested lists" deepest_src deepest;
+      parse_error "513 nested lists" (fst (nested 513)) ]

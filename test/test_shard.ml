@@ -136,14 +136,15 @@ let pool_tests =
          let jobs () =
            List.init 6 (fun i -> job (string_of_int i) (chain_problem (3 + (i mod 3))))
          in
-         let run num_shards =
+         let run ?routing num_shards =
            let pool =
-             Shard.create ~num_shards ~tiler_params ~solver ~graph ()
+             Shard.create ~num_shards ?routing ~tiler_params ~solver ~graph ()
            in
            List.iter (fun j -> ignore (Shard.submit pool j)) (jobs ());
            List.map snd (Shard.drain pool)
          in
          let r1 = run 1 and r2 = run 2 and r3 = run 3 in
+         let r3_round_robin = run ~routing:Shard.Round_robin 3 in
          List.iter
            (fun other ->
               List.iter2
@@ -151,7 +152,7 @@ let pool_tests =
                    Alcotest.(check string) "same id" a.Serve.id b.Serve.id;
                    check_response a.Serve.id (response_exn a) (response_exn b))
                 r1 other)
-           [ r2; r3 ]);
+           [ r2; r3; r3_round_robin ]);
     Alcotest.test_case "pool equals plain Serve on the same jobs" `Quick
       (fun () ->
          let graph = Chimera.create 6 in
