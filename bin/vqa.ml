@@ -21,6 +21,22 @@ let read_file path =
   close_in ic;
   s
 
+(* A bad setting or option combination: cmdliner prints the usage line
+   under the message. *)
+exception Usage of string
+
+(* The one error handler every subcommand runs under: each expected
+   failure becomes a single "vqa: ..." line and exit 124, never an
+   uncaught exception. *)
+let handle_errors f =
+  try f (); `Ok () with
+  | Usage msg -> `Error (true, msg)
+  | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
+  | Qac_serve.Protocol.Protocol_error msg -> `Error (false, "protocol: " ^ msg)
+  | Failure msg | Sys_error msg -> `Error (false, msg)
+  | Unix.Unix_error (e, fn, _) ->
+    `Error (false, Printf.sprintf "%s: %s" fn (Unix.error_message e))
+
 (* --- Shared arguments --------------------------------------------------- *)
 
 let file_arg doc = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
@@ -83,20 +99,18 @@ let format_arg =
 
 let compile_cmd =
   let run src top steps no_optimize format trace trace_json =
-    try
-      (match format with
-       | `Stdcell -> print_string (Qac_cells.Stdcell.contents ())
-       | _ ->
-         let tr = make_trace ~trace ~trace_json in
-         let t = compile ?top ?steps ~optimize:(not no_optimize) ?trace:tr src in
-         (match format with
-          | `Qmasm -> print_string t.P.qmasm_src
-          | `Edif -> print_string t.P.edif
-          | `Minizinc -> print_string (Qac_qmasm.Qmasm.to_minizinc t.P.program)
-          | `Stdcell -> assert false);
-         emit_trace ~trace_json tr);
-      `Ok ()
-    with Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
+    handle_errors @@ fun () ->
+    (match format with
+     | `Stdcell -> print_string (Qac_cells.Stdcell.contents ())
+     | _ ->
+       let tr = make_trace ~trace ~trace_json in
+       let t = compile ?top ?steps ~optimize:(not no_optimize) ?trace:tr src in
+       (match format with
+        | `Qmasm -> print_string t.P.qmasm_src
+        | `Edif -> print_string t.P.edif
+        | `Minizinc -> print_string (Qac_qmasm.Qmasm.to_minizinc t.P.program)
+        | `Stdcell -> assert false);
+       emit_trace ~trace_json tr)
   in
   let doc = "compile Verilog to EDIF, QMASM or MiniZinc" in
   Cmd.v (Cmd.info "compile" ~doc)
@@ -261,66 +275,62 @@ let split_pins specs =
 let run_cmd =
   let run src top steps no_optimize pins solver physical topology broken roof all threads
       timeout_ms store_dir postprocess chain_break trace trace_json =
-    try
-      let tr = make_trace ~trace ~trace_json in
-      let store = Option.map Qac_embed.Store.open_dir store_dir in
-      let t = compile ?top ?steps ~optimize:(not no_optimize) ?trace:tr src in
-      let qmasm_pins, int_pins = split_pins pins in
-      let pin_source = String.concat "\n" qmasm_pins in
-      let pins = int_pins in
-      let target = make_target ~roof ~topology ~broken physical in
-      let cache =
-        (* With a store, use a dedicated store-backed cache: the embedding
-           persists across process restarts, not just within this one. *)
-        match store with
-        | Some _ -> Qac_embed.Cache.create ?store ()
-        | None -> Qac_embed.Cache.shared ()
-      in
-      let stats0 = Qac_embed.Cache.stats cache in
-      let result =
-        P.run t ~pins ~pin_source ?trace:tr ~num_threads:threads ~embed_cache:cache
-          ?timeout_ms ~postprocess ~chain_break ~solver ~target
-      in
-      (match tr with
-       | None -> ()
-       | Some trace ->
-         let stats = Qac_embed.Cache.stats cache in
-         Trace.set_summary trace "embed-cache-hits"
-           (float_of_int (stats.Qac_embed.Cache.hits - stats0.Qac_embed.Cache.hits));
-         Trace.set_summary trace "embed-cache-misses"
-           (float_of_int (stats.Qac_embed.Cache.misses - stats0.Qac_embed.Cache.misses));
-         (match target, result.P.num_physical_qubits with
-          | P.Physical { graph; _ }, Some q ->
-            let working = Qac_chimera.Topology.num_working_qubits graph in
-            if working > 0 then
-              Trace.set_summary trace "occupancy-pct"
-                (float_of_int (100 * q / working))
-          | _ -> ()));
-      Printf.printf "# logical variables: %d\n" result.P.num_logical_vars;
-      (match result.P.num_physical_qubits with
-       | Some q -> Printf.printf "# physical qubits:  %d\n" q
-       | None -> ());
-      Printf.printf "# reads: %d  elapsed: %.3fs\n" result.P.num_reads result.P.elapsed_seconds;
-      if result.P.timed_out then
-        print_endline "# timed out: solutions are the sampler's best-so-far";
-      let shown = if all then result.P.solutions else P.valid_solutions result in
-      if shown = [] then print_endline "no valid solutions found (try more reads/sweeps)"
-      else
-        List.iteri
-          (fun i s ->
-             Printf.printf "solution %d: energy %g, %d occurrence(s)%s%s\n" (i + 1)
-               s.P.energy s.P.num_occurrences
-               (if s.P.valid then "" else " [INVALID]")
-               (if s.P.broken_chains > 0 then
-                  Printf.sprintf " [%d broken chains]" s.P.broken_chains
-                else "");
-             List.iter (fun (name, v) -> Printf.printf "  %s = %d\n" name v) s.P.ports)
-          shown;
-      emit_trace ~trace_json tr;
-      `Ok ()
-    with
-    | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
-    | Failure msg -> `Error (false, msg)
+    handle_errors @@ fun () ->
+    let tr = make_trace ~trace ~trace_json in
+    let store = Option.map Qac_embed.Store.open_dir store_dir in
+    let t = compile ?top ?steps ~optimize:(not no_optimize) ?trace:tr src in
+    let qmasm_pins, int_pins = split_pins pins in
+    let pin_source = String.concat "\n" qmasm_pins in
+    let pins = int_pins in
+    let target = make_target ~roof ~topology ~broken physical in
+    let cache =
+      (* With a store, use a dedicated store-backed cache: the embedding
+         persists across process restarts, not just within this one. *)
+      match store with
+      | Some _ -> Qac_embed.Cache.create ?store ()
+      | None -> Qac_embed.Cache.shared ()
+    in
+    let stats0 = Qac_embed.Cache.stats cache in
+    let result =
+      P.run t ~pins ~pin_source ?trace:tr ~num_threads:threads ~embed_cache:cache
+        ?timeout_ms ~postprocess ~chain_break ~solver ~target
+    in
+    (match tr with
+     | None -> ()
+     | Some trace ->
+       let stats = Qac_embed.Cache.stats cache in
+       Trace.set_summary trace "embed-cache-hits"
+         (float_of_int (stats.Qac_embed.Cache.hits - stats0.Qac_embed.Cache.hits));
+       Trace.set_summary trace "embed-cache-misses"
+         (float_of_int (stats.Qac_embed.Cache.misses - stats0.Qac_embed.Cache.misses));
+       (match target, result.P.num_physical_qubits with
+        | P.Physical { graph; _ }, Some q ->
+          let working = Qac_chimera.Topology.num_working_qubits graph in
+          if working > 0 then
+            Trace.set_summary trace "occupancy-pct"
+              (float_of_int (100 * q / working))
+        | _ -> ()));
+    Printf.printf "# logical variables: %d\n" result.P.num_logical_vars;
+    (match result.P.num_physical_qubits with
+     | Some q -> Printf.printf "# physical qubits:  %d\n" q
+     | None -> ());
+    Printf.printf "# reads: %d  elapsed: %.3fs\n" result.P.num_reads result.P.elapsed_seconds;
+    if result.P.timed_out then
+      print_endline "# timed out: solutions are the sampler's best-so-far";
+    let shown = if all then result.P.solutions else P.valid_solutions result in
+    if shown = [] then print_endline "no valid solutions found (try more reads/sweeps)"
+    else
+      List.iteri
+        (fun i s ->
+           Printf.printf "solution %d: energy %g, %d occurrence(s)%s%s\n" (i + 1)
+             s.P.energy s.P.num_occurrences
+             (if s.P.valid then "" else " [INVALID]")
+             (if s.P.broken_chains > 0 then
+                Printf.sprintf " [%d broken chains]" s.P.broken_chains
+              else "");
+           List.iter (fun (name, v) -> Printf.printf "  %s = %d\n" name v) s.P.ports)
+        shown;
+    emit_trace ~trace_json tr
   in
   let doc = "compile and execute a Verilog module on the annealing substrate" in
   Cmd.v (Cmd.info "run" ~doc)
@@ -347,90 +357,86 @@ let maxsat_arg =
 
 let sat_cmd =
   let run file maxsat solver physical topology broken threads timeout_ms chain_break =
-    try
-      let formula = Dimacs.parse_file file in
-      let compiled = Sat.compile formula in
-      let p = compiled.Sat.problem in
-      let exact = match solver with P.Exact_solver -> true | _ -> false in
-      let solved =
-        P.solve ~num_threads:threads ?timeout_ms ~chain_break ~solver
-          ~target:(make_target ~topology ~broken physical) p
-      in
-      (* Decode every read and keep the cheapest assignment; [cost] ranks by
-         the same objective the Hamiltonian encodes, so a read whose
-         ancillas (or chains) came back suboptimal still scores by what its
-         decision bits actually violate. *)
-      let best =
-        List.fold_left
-          (fun acc (spins, _) ->
-             let a = Sat.decode compiled spins in
-             let c = Sat.cost compiled a in
-             match acc with
-             | Some (_, best_c) when best_c <= c -> acc
-             | _ -> Some (a, c))
-          None solved.P.reads
-      in
-      Printf.printf "c %d variables, %d clauses -> %d spins (%d ancillas), %d couplers\n"
-        formula.Dimacs.num_vars
-        (Array.length formula.Dimacs.clauses)
-        p.Qac_ising.Problem.num_vars compiled.Sat.num_ancillas
-        (Array.length p.Qac_ising.Problem.couplers);
-      (match solved.P.num_physical_qubits with
-       | Some q -> Printf.printf "c physical qubits: %d\n" q
-       | None -> ());
-      Printf.printf "c reads: %d  elapsed: %.3fs\n" solved.P.num_reads
-        solved.P.elapsed_seconds;
-      if solved.P.timed_out then
-        print_endline "c timed out: best-so-far";
-      let print_v a =
-        let buf = Buffer.create (4 * Array.length a) in
-        Buffer.add_char buf 'v';
-        Array.iteri
-          (fun i v ->
-             Buffer.add_char buf ' ';
-             Buffer.add_string buf (string_of_int (if v then i + 1 else -(i + 1))))
-          a;
-        Buffer.add_string buf " 0";
-        print_endline (Buffer.contents buf)
-      in
-      (match best with
-       | None -> print_endline "s UNKNOWN"
-       | Some (a, _) ->
-         let hard, soft = Dimacs.violations formula a in
-         let pure = Dimacs.num_soft formula = 0 in
-         if pure && not maxsat then begin
-           (* Decision mode.  Exact enumeration proves UNSAT: the compiled
-              ground energy is the minimum violated-clause count. *)
-           if hard = 0 then begin
-             print_endline "s SATISFIABLE";
-             print_v a
-           end
-           else if exact then print_endline "s UNSATISFIABLE"
-           else begin
-             Printf.printf "c best read violates %d clause(s)\n" hard;
-             print_endline "s UNKNOWN"
-           end
-         end
-         else if pure then begin
-           (* --maxsat on a plain CNF: minimize the violated-clause count. *)
-           Printf.printf "o %d\n" hard;
-           print_endline (if exact then "s OPTIMUM FOUND" else "s UNKNOWN");
-           print_v a
-         end
-         else if hard = 0 then begin
-           Printf.printf "o %g\n" soft;
-           print_endline (if exact then "s OPTIMUM FOUND" else "s SATISFIABLE");
+    handle_errors @@ fun () ->
+    let formula = Dimacs.parse_file file in
+    let compiled = Sat.compile formula in
+    let p = compiled.Sat.problem in
+    let exact = match solver with P.Exact_solver -> true | _ -> false in
+    let solved =
+      P.solve ~num_threads:threads ?timeout_ms ~chain_break ~solver
+        ~target:(make_target ~topology ~broken physical) p
+    in
+    (* Decode every read and keep the cheapest assignment; [cost] ranks by
+       the same objective the Hamiltonian encodes, so a read whose
+       ancillas (or chains) came back suboptimal still scores by what its
+       decision bits actually violate. *)
+    let best =
+      List.fold_left
+        (fun acc (spins, _) ->
+           let a = Sat.decode compiled spins in
+           let c = Sat.cost compiled a in
+           match acc with
+           | Some (_, best_c) when best_c <= c -> acc
+           | _ -> Some (a, c))
+        None solved.P.reads
+    in
+    Printf.printf "c %d variables, %d clauses -> %d spins (%d ancillas), %d couplers\n"
+      formula.Dimacs.num_vars
+      (Array.length formula.Dimacs.clauses)
+      p.Qac_ising.Problem.num_vars compiled.Sat.num_ancillas
+      (Array.length p.Qac_ising.Problem.couplers);
+    (match solved.P.num_physical_qubits with
+     | Some q -> Printf.printf "c physical qubits: %d\n" q
+     | None -> ());
+    Printf.printf "c reads: %d  elapsed: %.3fs\n" solved.P.num_reads
+      solved.P.elapsed_seconds;
+    if solved.P.timed_out then
+      print_endline "c timed out: best-so-far";
+    let print_v a =
+      let buf = Buffer.create (4 * Array.length a) in
+      Buffer.add_char buf 'v';
+      Array.iteri
+        (fun i v ->
+           Buffer.add_char buf ' ';
+           Buffer.add_string buf (string_of_int (if v then i + 1 else -(i + 1))))
+        a;
+      Buffer.add_string buf " 0";
+      print_endline (Buffer.contents buf)
+    in
+    (match best with
+     | None -> print_endline "s UNKNOWN"
+     | Some (a, _) ->
+       let hard, soft = Dimacs.violations formula a in
+       let pure = Dimacs.num_soft formula = 0 in
+       if pure && not maxsat then begin
+         (* Decision mode.  Exact enumeration proves UNSAT: the compiled
+            ground energy is the minimum violated-clause count. *)
+         if hard = 0 then begin
+           print_endline "s SATISFIABLE";
            print_v a
          end
          else if exact then print_endline "s UNSATISFIABLE"
          else begin
-           Printf.printf "c best read violates %d hard clause(s)\n" hard;
+           Printf.printf "c best read violates %d clause(s)\n" hard;
            print_endline "s UNKNOWN"
-         end);
-      `Ok ()
-    with
-    | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
-    | Failure msg -> `Error (false, msg)
+         end
+       end
+       else if pure then begin
+         (* --maxsat on a plain CNF: minimize the violated-clause count. *)
+         Printf.printf "o %d\n" hard;
+         print_endline (if exact then "s OPTIMUM FOUND" else "s UNKNOWN");
+         print_v a
+       end
+       else if hard = 0 then begin
+         Printf.printf "o %g\n" soft;
+         print_endline (if exact then "s OPTIMUM FOUND" else "s SATISFIABLE");
+         print_v a
+       end
+       else if exact then print_endline "s UNSATISFIABLE"
+       else begin
+         Printf.printf "c best read violates %d hard clause(s)\n" hard;
+         print_endline "s UNKNOWN"
+       end)
   in
   let doc = "solve a DIMACS CNF/WCNF formula on the annealing substrate" in
   Cmd.v (Cmd.info "sat" ~doc)
@@ -456,46 +462,42 @@ module Sampler = Qac_anneal.Sampler
 
 let qmasm_cmd =
   let run file pins solver minizinc merge_chains threads timeout_ms =
-    try
-      (* Pins are QMASM statements appended to the program, as on the qmasm
-         command line. *)
-      let source = read_file file ^ "\n" ^ String.concat "\n" pins ^ "\n" in
-      let options = { Qac_qmasm.Assemble.default_options with merge_chains } in
-      let program =
-        Qac_qmasm.Qmasm.load ~options ~resolve:Qac_edif2qmasm.Edif2qmasm.resolve source
-      in
-      if minizinc then print_string (Qac_qmasm.Qmasm.to_minizinc program)
-      else begin
-        let problem = program.Qac_qmasm.Assemble.problem in
-        Printf.printf "# %d variables, %d couplers\n" problem.Qac_ising.Problem.num_vars
-          (Qac_ising.Problem.num_interactions problem);
-        let solved = P.solve ~num_threads:threads ?timeout_ms ~solver ~target:P.Logical problem in
-        Printf.printf "# %d reads in %.3fs\n" solved.P.num_reads solved.P.elapsed_seconds;
-        if solved.P.timed_out then print_endline "# timed out: solutions are best-so-far";
-        let response = Sampler.response_of_reads problem (List.map fst solved.P.reads) in
-        Format.printf "%a" (Sampler.pp_histogram ?buckets:None) response;
-        let report = Qac_qmasm.Qmasm.report program in
-        List.iteri
-          (fun i (s : Sampler.sample) ->
-             if i < 10 then begin
-               Printf.printf "solution %d: energy %g, %d occurrence(s)\n" (i + 1)
-                 s.Sampler.energy s.Sampler.num_occurrences;
-               let assignment, checks = report s.Sampler.spins in
-               List.iter
-                 (fun (name, v) -> Printf.printf "  %s = %s\n" name (if v then "True" else "False"))
-                 assignment;
-               List.iter
-                 (fun (expr, ok) ->
-                    if not ok then
-                      Format.printf "  assertion FAILED: %a@." Qac_qmasm.Ast.pp_bexpr expr)
-                 checks
-             end)
-          response.Sampler.samples
-      end;
-      `Ok ()
-    with
-    | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
-    | Sys_error msg -> `Error (false, msg)
+    handle_errors @@ fun () ->
+    (* Pins are QMASM statements appended to the program, as on the qmasm
+       command line. *)
+    let source = read_file file ^ "\n" ^ String.concat "\n" pins ^ "\n" in
+    let options = { Qac_qmasm.Assemble.default_options with merge_chains } in
+    let program =
+      Qac_qmasm.Qmasm.load ~options ~resolve:Qac_edif2qmasm.Edif2qmasm.resolve source
+    in
+    if minizinc then print_string (Qac_qmasm.Qmasm.to_minizinc program)
+    else begin
+      let problem = program.Qac_qmasm.Assemble.problem in
+      Printf.printf "# %d variables, %d couplers\n" problem.Qac_ising.Problem.num_vars
+        (Qac_ising.Problem.num_interactions problem);
+      let solved = P.solve ~num_threads:threads ?timeout_ms ~solver ~target:P.Logical problem in
+      Printf.printf "# %d reads in %.3fs\n" solved.P.num_reads solved.P.elapsed_seconds;
+      if solved.P.timed_out then print_endline "# timed out: solutions are best-so-far";
+      let response = Sampler.response_of_reads problem (List.map fst solved.P.reads) in
+      Format.printf "%a" (Sampler.pp_histogram ?buckets:None) response;
+      let report = Qac_qmasm.Qmasm.report program in
+      List.iteri
+        (fun i (s : Sampler.sample) ->
+           if i < 10 then begin
+             Printf.printf "solution %d: energy %g, %d occurrence(s)\n" (i + 1)
+               s.Sampler.energy s.Sampler.num_occurrences;
+             let assignment, checks = report s.Sampler.spins in
+             List.iter
+               (fun (name, v) -> Printf.printf "  %s = %s\n" name (if v then "True" else "False"))
+               assignment;
+             List.iter
+               (fun (expr, ok) ->
+                  if not ok then
+                    Format.printf "  assertion FAILED: %a@." Qac_qmasm.Ast.pp_bexpr expr)
+               checks
+           end)
+        response.Sampler.samples
+    end
   in
   let doc =
     "assemble a standalone QMASM program and run it on the logical problem, in \
@@ -768,8 +770,6 @@ let print_pool_summary pool =
 (* [Serve.create] and [Shard.create] reject a bad setting (a limit or
    thread count below 1, a NaN or negative window) with
    [Invalid_argument]: a usage error, not an internal one. *)
-exception Usage of string
-
 let usage_checked create =
   try create () with Invalid_argument msg -> raise (Usage msg)
 
@@ -777,97 +777,91 @@ let serve_cmd =
   let run jobs_file physical topology broken solver threads batch_jobs
       batch_window_ms queue_capacity listen shards routing store_dir postprocess
       chain_break trace trace_json =
-    try
-      if shards < 1 then failwith "--shards must be >= 1";
-      let store = Option.map Qac_embed.Store.open_dir store_dir in
-      (* Per-job solves already run concurrently across the service's
-         domains, so each individual solve stays single-threaded.  The
-         composite wrapper honors each job's own deadline inside the
-         polish loop. *)
-      let solver = P.composite_solve ~postprocess solver in
-      let graph = make_graph ~topology ~broken physical in
-      let batch_window_s = batch_window_ms /. 1000.0 in
-      (match listen with
-       | Some addr ->
+    handle_errors @@ fun () ->
+    if shards < 1 then failwith "--shards must be >= 1";
+    (* Only the single-shard job-file run has one trace to write. *)
+    if (trace || trace_json) && (shards > 1 || listen <> None) then
+      raise (Usage "--trace and --trace-json need a single-shard --jobs run");
+    let store = Option.map Qac_embed.Store.open_dir store_dir in
+    (* Per-job solves already run concurrently across the service's
+       domains, so each individual solve stays single-threaded.  The
+       composite wrapper honors each job's own deadline inside the
+       polish loop. *)
+    let solver = P.composite_solve ~postprocess solver in
+    let graph = make_graph ~topology ~broken physical in
+    let batch_window_s = batch_window_ms /. 1000.0 in
+    (match listen with
+     | Some addr ->
+       let pool =
+         usage_checked (fun () ->
+             Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
+               ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
+               ~graph ())
+       in
+       let server = Server.create ~pool ~sockaddr:(parse_addr addr) () in
+       Printf.printf "listening on %s (%d shard%s, %s routing)\n%!"
+         (string_of_addr (Server.sockaddr server))
+         shards (if shards = 1 then "" else "s")
+         (match routing with Shard.Affinity -> "affinity" | Shard.Round_robin -> "round-robin");
+       let results = Server.run server in
+       Printf.printf "# served %d job(s)\n" (List.length results);
+       print_pool_summary pool;
+       print_store_summary store
+     | None ->
+       let jobs_file =
+         match jobs_file with
+         | Some f -> f
+         | None -> failwith "--jobs is required (or --listen to run as a server)"
+       in
+       (* The trace is created before job building so the compile-cache
+          hit/miss summaries land on it alongside the serve counters. *)
+       let tr = make_trace ~trace ~trace_json in
+       let jobs = build_jobs ?store ?trace:tr jobs_file in
+       if shards > 1 then begin
          let pool =
            usage_checked (fun () ->
                Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
                  ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
                  ~graph ())
          in
-         let server = Server.create ~pool ~sockaddr:(parse_addr addr) () in
-         Printf.printf "listening on %s (%d shard%s, %s routing)\n%!"
-           (string_of_addr (Server.sockaddr server))
-           shards (if shards = 1 then "" else "s")
-           (match routing with Shard.Affinity -> "affinity" | Shard.Round_robin -> "round-robin");
-         let results = Server.run server in
-         Printf.printf "# served %d job(s)\n" (List.length results);
+         List.iter (fun (_, job) -> ignore (Shard.submit pool job)) jobs;
+         let results = Shard.drain pool in
+         (* Tickets are assigned in submission order, so drain's ticket
+            order matches the job-file order. *)
+         List.iter2 (fun (tp, _) (_, r) -> print_serve_result tp r) jobs results;
          print_pool_summary pool;
          print_store_summary store
-       | None ->
-         let jobs_file =
-           match jobs_file with
-           | Some f -> f
-           | None -> failwith "--jobs is required (or --listen to run as a server)"
+       end
+       else begin
+         let cache = Qac_embed.Cache.create ?store () in
+         let service =
+           usage_checked (fun () ->
+               Serve.create ~queue_capacity ~batch_jobs ~batch_window_s
+                 ~num_threads:threads ~chain_break ~embed_cache:cache ?trace:tr
+                 ~solver ~graph ())
          in
-         (* The trace is created before job building so the compile-cache
-            hit/miss summaries land on it alongside the serve counters
-            (multi-shard pools write no trace, as before). *)
-         let tr = if shards > 1 then None else make_trace ~trace ~trace_json in
-         let jobs = build_jobs ?store ?trace:tr jobs_file in
-         if shards > 1 then begin
-           let pool =
-             usage_checked (fun () ->
-                 Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
-                   ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
-                   ~graph ())
-           in
-           List.iter (fun (_, job) -> ignore (Shard.submit pool job)) jobs;
-           let results = Shard.drain pool in
-           (* Tickets are assigned in submission order, so drain's ticket
-              order matches the job-file order. *)
-           List.iter2 (fun (tp, _) (_, r) -> print_serve_result tp r) jobs results;
-           print_pool_summary pool;
-           print_store_summary store
-         end
-         else begin
-           let cache = Qac_embed.Cache.create ?store () in
-           let service =
-             usage_checked (fun () ->
-                 Serve.create ~queue_capacity ~batch_jobs ~batch_window_s
-                   ~num_threads:threads ~chain_break ~embed_cache:cache ?trace:tr
-                   ~solver ~graph ())
-           in
-           List.iter (fun (_, job) -> Serve.submit service job) jobs;
-           let results = Serve.drain service in
-           (match tr with
-            | None -> ()
-            | Some trace ->
-              let stats = Qac_embed.Cache.stats cache in
-              Trace.set_summary trace "embed-cache-hits"
-                (float_of_int stats.Qac_embed.Cache.hits);
-              Trace.set_summary trace "embed-cache-misses"
-                (float_of_int stats.Qac_embed.Cache.misses));
-           List.iter2 (fun (tp, _) r -> print_serve_result tp r) jobs results;
-           let st = Serve.stats service in
-           Printf.printf
-             "# %d jobs in %d batches: %d placed, %d deferrals, %d retries, %d failures, \
-              %d timeouts\n"
-             st.Serve.jobs_done st.Serve.batches st.Serve.placed st.Serve.deferrals
-             st.Serve.retries st.Serve.failures st.Serve.timeouts;
-           Printf.printf "# mean occupancy %.1f%%  throughput %.1f jobs/s\n"
-             (100.0 *. st.Serve.mean_occupancy) st.Serve.jobs_per_second;
-           print_store_summary store;
-           emit_trace ~trace_json tr
-         end);
-      `Ok ()
-    with
-    | Usage msg -> `Error (true, msg)
-    | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
-    | Failure msg -> `Error (false, msg)
-    | Sys_error msg -> `Error (false, msg)
-    | Unix.Unix_error (e, fn, _) ->
-      `Error (false, Printf.sprintf "%s: %s" fn (Unix.error_message e))
+         List.iter (fun (_, job) -> Serve.submit service job) jobs;
+         let results = Serve.drain service in
+         (match tr with
+          | None -> ()
+          | Some trace ->
+            let stats = Qac_embed.Cache.stats cache in
+            Trace.set_summary trace "embed-cache-hits"
+              (float_of_int stats.Qac_embed.Cache.hits);
+            Trace.set_summary trace "embed-cache-misses"
+              (float_of_int stats.Qac_embed.Cache.misses));
+         List.iter2 (fun (tp, _) r -> print_serve_result tp r) jobs results;
+         let st = Serve.stats service in
+         Printf.printf
+           "# %d jobs in %d batches: %d placed, %d deferrals, %d retries, %d failures, \
+            %d timeouts\n"
+           st.Serve.jobs_done st.Serve.batches st.Serve.placed st.Serve.deferrals
+           st.Serve.retries st.Serve.failures st.Serve.timeouts;
+         Printf.printf "# mean occupancy %.1f%%  throughput %.1f jobs/s\n"
+           (100.0 *. st.Serve.mean_occupancy) st.Serve.jobs_per_second;
+         print_store_summary store;
+         emit_trace ~trace_json tr
+       end)
   in
   let doc =
     "serve jobs tiled onto one annealer graph — from a job file, or as a \
@@ -908,66 +902,58 @@ let client_shutdown_arg =
 
 let client_cmd =
   let run connect_addr jobs_file poll_ms want_stats want_metrics want_shutdown =
-    try
-      let fd = Protocol.connect (parse_addr connect_addr) in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-           (match jobs_file with
-            | None -> ()
-            | Some file ->
-              let jobs = build_jobs file in
-              let tickets =
-                List.map
-                  (fun (_, job) ->
-                     let rec submit () =
-                       match Protocol.call fd (Protocol.Submit job) with
-                       | Protocol.Submitted { ticket; shard } ->
-                         Printf.printf "job %s -> ticket %d (shard %d)\n%!"
-                           job.Serve.id ticket shard;
-                         ticket
-                       | Protocol.Busy { retry_after_ms } ->
-                         Unix.sleepf (retry_after_ms /. 1000.0);
-                         submit ()
-                       | Protocol.Error msg -> failwith msg
-                       | _ -> failwith "unexpected reply to submit"
-                     in
-                     submit ())
-                  jobs
-              in
-              List.iter2
-                (fun (tp, _) ticket ->
-                   let rec poll () =
-                     match Protocol.call fd (Protocol.Poll ticket) with
-                     | Protocol.Completed r -> print_serve_result tp r
-                     | Protocol.Pending ->
-                       Unix.sleepf (poll_ms /. 1000.0);
-                       poll ()
+    handle_errors @@ fun () ->
+    let fd = Protocol.connect (parse_addr connect_addr) in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+         (match jobs_file with
+          | None -> ()
+          | Some file ->
+            let jobs = build_jobs file in
+            let tickets =
+              List.map
+                (fun (_, job) ->
+                   let rec submit () =
+                     match Protocol.call fd (Protocol.Submit job) with
+                     | Protocol.Submitted { ticket; shard } ->
+                       Printf.printf "job %s -> ticket %d (shard %d)\n%!"
+                         job.Serve.id ticket shard;
+                       ticket
+                     | Protocol.Busy { retry_after_ms } ->
+                       Unix.sleepf (retry_after_ms /. 1000.0);
+                       submit ()
                      | Protocol.Error msg -> failwith msg
-                     | _ -> failwith "unexpected reply to poll"
+                     | _ -> failwith "unexpected reply to submit"
                    in
-                   poll ())
-                jobs tickets);
-           if want_stats then
-             (match Protocol.call fd Protocol.Stats with
-              | Protocol.Stats_json s -> print_endline (Protocol.json_to_string s)
-              | _ -> failwith "unexpected reply to stats");
-           if want_metrics then
-             (match Protocol.call fd Protocol.Metrics with
-              | Protocol.Metrics_text m -> print_string m
-              | _ -> failwith "unexpected reply to metrics");
-           if want_shutdown then
-             (match Protocol.call fd Protocol.Shutdown with
-              | Protocol.Shutdown_ok -> print_endline "# server shutting down"
-              | _ -> failwith "unexpected reply to shutdown"));
-      `Ok ()
-    with
-    | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
-    | Protocol.Protocol_error msg -> `Error (false, "protocol: " ^ msg)
-    | Failure msg -> `Error (false, msg)
-    | Sys_error msg -> `Error (false, msg)
-    | Unix.Unix_error (e, fn, _) ->
-      `Error (false, Printf.sprintf "%s: %s" fn (Unix.error_message e))
+                   submit ())
+                jobs
+            in
+            List.iter2
+              (fun (tp, _) ticket ->
+                 let rec poll () =
+                   match Protocol.call fd (Protocol.Poll ticket) with
+                   | Protocol.Completed r -> print_serve_result tp r
+                   | Protocol.Pending ->
+                     Unix.sleepf (poll_ms /. 1000.0);
+                     poll ()
+                   | Protocol.Error msg -> failwith msg
+                   | _ -> failwith "unexpected reply to poll"
+                 in
+                 poll ())
+              jobs tickets);
+         if want_stats then
+           (match Protocol.call fd Protocol.Stats with
+            | Protocol.Stats_json s -> print_endline (Protocol.json_to_string s)
+            | _ -> failwith "unexpected reply to stats");
+         if want_metrics then
+           (match Protocol.call fd Protocol.Metrics with
+            | Protocol.Metrics_text m -> print_string m
+            | _ -> failwith "unexpected reply to metrics");
+         if want_shutdown then
+           (match Protocol.call fd Protocol.Shutdown with
+            | Protocol.Shutdown_ok -> print_endline "# server shutting down"
+            | _ -> failwith "unexpected reply to shutdown"))
   in
   let doc = "submit jobs to a running $(b,vqa serve --listen) server" in
   Cmd.v (Cmd.info "client" ~doc)
@@ -1015,33 +1001,31 @@ let cells_cmd =
 
 let stats_cmd =
   let run src top steps no_optimize physical topology broken =
-    try
-      let t = compile ?top ?steps ~optimize:(not no_optimize) src in
-      let props = P.static_properties t in
-      Printf.printf "verilog lines:        %d\n" props.P.verilog_lines;
-      Printf.printf "edif lines:           %d\n" props.P.edif_lines;
-      Printf.printf "qmasm lines:          %d (+ %d in stdcell.qmasm)\n" props.P.qmasm_lines
-        props.P.stdcell_lines;
-      Printf.printf "logical variables:    %d\n" props.P.logical_vars;
-      Printf.printf "logical terms:        %d\n" props.P.logical_terms;
-      if physical > 0 then begin
-        let graph = make_graph ~topology ~broken physical in
-        let label = graph_label ~topology physical in
-        let problem = t.P.program.Qac_qmasm.Assemble.problem in
-        match
-          Qac_embed.Cmr.find ~params:(Qac_embed.Cmr.params_for graph) graph problem
-        with
-        | Some e ->
-          let phys = Qac_embed.Embedding.apply graph problem e in
-          Printf.printf "physical qubits:      %d (%s)\n"
-            (Qac_embed.Embedding.num_physical_qubits e)
-            label;
-          Printf.printf "physical terms:       %d\n" (Qac_ising.Problem.num_terms phys);
-          Printf.printf "max chain length:     %d\n" (Qac_embed.Embedding.max_chain_length e)
-        | None -> Printf.printf "physical: no embedding found on %s\n" label
-      end;
-      `Ok ()
-    with Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
+    handle_errors @@ fun () ->
+    let t = compile ?top ?steps ~optimize:(not no_optimize) src in
+    let props = P.static_properties t in
+    Printf.printf "verilog lines:        %d\n" props.P.verilog_lines;
+    Printf.printf "edif lines:           %d\n" props.P.edif_lines;
+    Printf.printf "qmasm lines:          %d (+ %d in stdcell.qmasm)\n" props.P.qmasm_lines
+      props.P.stdcell_lines;
+    Printf.printf "logical variables:    %d\n" props.P.logical_vars;
+    Printf.printf "logical terms:        %d\n" props.P.logical_terms;
+    if physical > 0 then begin
+      let graph = make_graph ~topology ~broken physical in
+      let label = graph_label ~topology physical in
+      let problem = t.P.program.Qac_qmasm.Assemble.problem in
+      match
+        Qac_embed.Cmr.find ~params:(Qac_embed.Cmr.params_for graph) graph problem
+      with
+      | Some e ->
+        let phys = Qac_embed.Embedding.apply graph problem e in
+        Printf.printf "physical qubits:      %d (%s)\n"
+          (Qac_embed.Embedding.num_physical_qubits e)
+          label;
+        Printf.printf "physical terms:       %d\n" (Qac_ising.Problem.num_terms phys);
+        Printf.printf "max chain length:     %d\n" (Qac_embed.Embedding.max_chain_length e)
+      | None -> Printf.printf "physical: no embedding found on %s\n" label
+    end
   in
   let doc = "print the section 6.1 static properties of a module" in
   Cmd.v (Cmd.info "stats" ~doc)

@@ -23,18 +23,12 @@ type quantized = {
   max_level : int;  (** largest possible |local field| in levels, >= 1 *)
 }
 
-val default_resolution : int
-(** 128 levels for the largest coefficient magnitude — comfortably finer
-    than the target hardware's DAC precision, coarse enough to keep the
-    threshold tables short. *)
-
 val quantize : ?resolution:int -> Qac_ising.Problem.t -> quantized
 (** Scale couplings to integers: [eps = max_coeff /. resolution] (1.0 for
-    an all-zero problem).  Raises [Invalid_argument] when [resolution < 1]. *)
-
-val delta_unit : quantized -> float
-(** [2 *. eps]: the energy of one field level, the [delta_unit] to hand
-    {!Schedule.acceptance_tables}. *)
+    an all-zero problem).  [resolution] defaults to 128 levels for the
+    largest coefficient magnitude — comfortably finer than the target
+    hardware's DAC precision, coarse enough to keep the threshold tables
+    short.  Raises [Invalid_argument] when [resolution < 1]. *)
 
 val acceptance :
   quantized -> Schedule.t -> num_sweeps:int -> Schedule.acceptance

@@ -11,17 +11,6 @@ open Qac_ising
 
 type postprocess = [ `None | `Polish | `Gauge ]
 
-let postprocess_of_string = function
-  | "none" -> Some `None
-  | "polish" -> Some `Polish
-  | "gauge" -> Some `Gauge
-  | _ -> None
-
-let string_of_postprocess = function
-  | `None -> "none"
-  | `Polish -> "polish"
-  | `Gauge -> "gauge"
-
 let expired deadline =
   match deadline with
   | None -> false

@@ -6,11 +6,6 @@
 
 type postprocess = [ `None | `Polish | `Gauge ]
 
-val postprocess_of_string : string -> postprocess option
-(** ["none"] / ["polish"] / ["gauge"]; [None] otherwise (CLI parsing). *)
-
-val string_of_postprocess : postprocess -> string
-
 val polish :
   ?deadline:float -> Qac_ising.Problem.t -> Sampler.response -> Sampler.response
 (** Steepest-descend every sample to its local minimum ({!Greedy});
@@ -24,8 +19,6 @@ val gauge_transform :
 (** [(g, p')] where [h' = g_i h_i] and [J' = g_i g_j J_ij]: the energy
     landscape is unchanged up to the relabeling [s -> g . s], and energies
     are bit-identical (every factor is a +-1 multiply). *)
-
-val default_gauge_seed : int
 
 val gauge :
   ?seed:int ->

@@ -5,8 +5,6 @@
     function of [(seed, num_reads, chunk_size)] alone: any thread count
     returns the identical sample set (only wall time varies). *)
 
-val default_chunk_size : int
-
 type chunk = { chunk_seed : int; chunk_reads : int }
 
 val chunks : ?chunk_size:int -> seed:int -> num_reads:int -> unit -> chunk list
@@ -45,8 +43,8 @@ val sample :
 val sample_sa :
   ?num_threads:int -> ?chunk_size:int -> ?deadline:float -> params:Sa.params ->
   Qac_ising.Problem.t -> Sampler.response
-(** SA's [chunk_size] defaults to {!Bitpar.max_lanes} (not
-    {!default_chunk_size}) so each chunk is exactly one packed block. *)
+(** SA's [chunk_size] defaults to {!Bitpar.max_lanes} (not the other
+    samplers' 16) so each chunk is exactly one packed block. *)
 
 val sample_sqa :
   ?num_threads:int -> ?chunk_size:int -> ?deadline:float -> params:Sqa.params ->

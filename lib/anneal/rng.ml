@@ -42,9 +42,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-(** Derive an independent stream (for per-read seeding). *)
-let split t = create (Int64.to_int (next_int64 t))
-
 (** Derive a non-negative integer seed for an independent child stream. *)
 let next_seed t = Int64.to_int (next_int64 t) land max_int
 
@@ -75,8 +72,6 @@ module Lanes = struct
   let of_seeds seeds = { states = Array.copy seeds }
 
   let create rng n = { states = Array.init n (fun _ -> next_seed rng) }
-
-  let num_lanes t = Array.length t.states
 
   let states t = t.states
 

@@ -8,8 +8,6 @@ type t
 
 val create : int -> t
 
-val next_int64 : t -> int64
-
 val float : t -> float
 (** Uniform in [0, 1). *)
 
@@ -17,16 +15,11 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); raises [Invalid_argument] for
     non-positive bounds. *)
 
-val bool : t -> bool
-
 val spins : t -> int -> Qac_ising.Problem.spin array
 (** A uniformly random +-1 vector. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates. *)
-
-val split : t -> t
-(** Derive an independent stream (per-read seeding). *)
 
 val next_seed : t -> int
 (** Derive a non-negative seed for an independent child stream (per-chunk
@@ -49,8 +42,6 @@ module Lanes : sig
   val of_seeds : int array -> t
   (** Lane [l] seeded with [seeds.(l)] (copied). *)
 
-  val num_lanes : t -> int
-
   val states : t -> int array
   (** The live per-lane states (aliased): exposed so kernels can duplicate
       a lane for the packed-vs-scalar equivalence tests. *)
@@ -58,12 +49,10 @@ module Lanes : sig
   val draw : t -> int -> int
   (** [draw t l] advances lane [l] alone and returns a uniform 61-bit
       non-negative draw, the scale of {!Schedule.acceptance_tables}.
-      Equivalent to [mix (states.(l) + increment) lsr 2] after storing the
+      Equivalent to the multiply-xorshift output mix of
+      [states.(l) + increment], shifted right by 2, after storing the
       incremented state — the packed kernel inlines exactly that. *)
 
   val increment : int
   (** The odd additive constant of the lane counter. *)
-
-  val mix : int -> int
-  (** The multiply-xorshift output mix. *)
 end

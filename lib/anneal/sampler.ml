@@ -74,13 +74,6 @@ let best response =
 
 let num_distinct response = List.length response.samples
 
-(** Lowest-energy samples only (within [tolerance] of the best). *)
-let ground_samples ?(tolerance = 1e-9) response =
-  match response.samples with
-  | [] -> []
-  | best :: _ ->
-    List.filter (fun s -> s.energy <= best.energy +. tolerance) response.samples
-
 let success_probability response ~target_energy =
   if response.num_reads = 0 then 0.0
   else begin

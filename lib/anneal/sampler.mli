@@ -59,9 +59,6 @@ val best : response -> sample
 
 val num_distinct : response -> int
 
-val ground_samples : ?tolerance:float -> response -> sample list
-(** Samples within [tolerance] (default 1e-9) of the best energy. *)
-
 val merge : Qac_ising.Problem.t -> response list -> response
 (** Combine responses from several invocations: occurrence counts aggregate
     directly, elapsed times add, [timed_out] is the disjunction.  The result

@@ -11,16 +11,14 @@ type t = {
   kind : [ `Geometric | `Linear ];
 }
 
-val default_range : Qac_ising.Problem.t -> float * float
-(** [(beta_min, beta_max)] derived from the problem's field extremes. *)
-
 val create :
   ?kind:[ `Geometric | `Linear ] ->
   ?beta_min:float ->
   ?beta_max:float ->
   Qac_ising.Problem.t ->
   t
-(** Defaults: geometric ramp over {!default_range}. *)
+(** Defaults: geometric ramp over a [(beta_min, beta_max)] range derived
+    from the problem's field extremes. *)
 
 val beta : t -> step:int -> num_steps:int -> float
 (** Inverse temperature at sweep [step] of [num_steps]. *)

@@ -1,8 +1,7 @@
 (** Incremental annealing state: one replica's spin configuration plus the
-    cached local field of every spin and a (lazily resynced) running energy.
+    cached local field of every spin and a running energy.
 
-    Invariants (maintained by {!flip} and {!metropolis_sweep}, checked by the
-    property tests):
+    Invariants (maintained by {!flip}, checked by the property tests):
     - [fields.(i) = h.(i) + sum_j J_ij * spins.(j)] for every [i];
     - [energy t = Problem.energy problem spins].
 
@@ -20,9 +19,6 @@ type t = {
   spins : Problem.spin array;  (** aliased, mutated in place *)
   fields : float array;
   mutable energy : float;
-  mutable energy_valid : bool;
-      (* [metropolis_sweep] skips per-flip energy bookkeeping in its hot
-         loop and invalidates instead; [energy] resyncs on demand. *)
 }
 
 (* [make p spins] wraps [spins] WITHOUT copying: flips mutate the caller's
@@ -31,7 +27,7 @@ let make (p : Problem.t) spins =
   let energy = Problem.energy p spins in
   (* energy already validated length and spin values *)
   let fields = Array.init p.Problem.num_vars (Problem.local_field p spins) in
-  { problem = p; spins; fields; energy; energy_valid = true }
+  { problem = p; spins; fields; energy }
 
 let random p rng = make p (Rng.spins rng p.Problem.num_vars)
 
@@ -39,18 +35,11 @@ let copy t =
   { problem = t.problem;
     spins = Array.copy t.spins;
     fields = Array.copy t.fields;
-    energy = t.energy;
-    energy_valid = t.energy_valid }
+    energy = t.energy }
 
-let problem t = t.problem
 let spins t = t.spins
 
-let energy t =
-  if not t.energy_valid then begin
-    t.energy <- Problem.energy t.problem t.spins;
-    t.energy_valid <- true
-  end;
-  t.energy
+let energy t = t.energy
 
 let field t i = t.fields.(i)
 let num_vars t = t.problem.Problem.num_vars
@@ -60,53 +49,10 @@ let delta t i = -2.0 *. float_of_int t.spins.(i) *. t.fields.(i)
 let flip t i =
   let p = t.problem in
   let s = t.spins.(i) in
-  if t.energy_valid then
-    t.energy <- t.energy +. (-2.0 *. float_of_int s *. t.fields.(i));
+  t.energy <- t.energy +. (-2.0 *. float_of_int s *. t.fields.(i));
   t.spins.(i) <- -s;
   let step = -2.0 *. float_of_int s in
   for k = p.Problem.row_start.(i) to p.Problem.row_start.(i + 1) - 1 do
     let j = p.Problem.col.(k) in
     t.fields.(j) <- t.fields.(j) +. (step *. p.Problem.weight.(k))
   done
-
-(* Below this, exp (-.beta *. delta) < 1e-13: reject outright and skip the
-   RNG draw and the exp — statistically indistinguishable, and it keeps the
-   cold tail of a ramp (where nearly every uphill move dies) off the two
-   most expensive per-proposal operations. *)
-let auto_reject_exponent = 30.0
-
-let metropolis_sweep t ~beta ~rng ~order =
-  let p = t.problem in
-  let row_start = p.Problem.row_start in
-  let col = p.Problem.col in
-  let weight = p.Problem.weight in
-  let spins = t.spins in
-  let fields = t.fields in
-  let cutoff = auto_reject_exponent /. beta in
-  t.energy_valid <- false;
-  for idx = 0 to Array.length order - 1 do
-    let i = Array.unsafe_get order idx in
-    let s = spins.(i) in
-    (* delta = -2 s * field; field of i is independent of spin i *)
-    let f = fields.(i) in
-    let delta = if s > 0 then -2.0 *. f else 2.0 *. f in
-    if
-      delta <= 0.0
-      || (delta < cutoff && Rng.float rng < exp (-.beta *. delta))
-    then begin
-      spins.(i) <- -s;
-      let step = if s > 0 then -2.0 else 2.0 in
-      for k = Array.unsafe_get row_start i to Array.unsafe_get row_start (i + 1) - 1 do
-        let j = Array.unsafe_get col k in
-        Array.unsafe_set fields j
-          (Array.unsafe_get fields j +. (step *. Array.unsafe_get weight k))
-      done
-    end
-  done
-
-(* Incremental field updates accumulate float rounding over very long runs;
-   [resync] recomputes both caches from scratch. *)
-let resync t =
-  t.energy <- Problem.energy t.problem t.spins;
-  t.energy_valid <- true;
-  Array.iteri (fun i _ -> t.fields.(i) <- Problem.local_field t.problem t.spins i) t.fields

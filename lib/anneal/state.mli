@@ -2,12 +2,12 @@
     energy, the shared inner-loop kernel of SA, SQA, tabu, greedy descent and
     the qbsolv decomposer.
 
-    Maintained invariants:
+    Maintained invariants, for a state made over problem [p]:
     - [field t i = h.(i) + sum_j J_ij * spins.(j)];
-    - [energy t = Problem.energy (problem t) (spins t)]
-    (up to float rounding accumulated by incremental updates; see
-    {!resync}).  A flip proposal is therefore O(1) and an accepted flip
-    O(degree), via one CSR row walk. *)
+    - [energy t = Problem.energy p (spins t)]
+    (up to float rounding accumulated by incremental updates).  A flip
+    proposal is therefore O(1) and an accepted flip O(degree), via one CSR
+    row walk. *)
 
 type t
 
@@ -22,14 +22,11 @@ val random : Qac_ising.Problem.t -> Rng.t -> t
 val copy : t -> t
 (** Deep copy; the two states share only the problem. *)
 
-val problem : t -> Qac_ising.Problem.t
 val spins : t -> Qac_ising.Problem.spin array
 (** The live spin array (aliased — treat as read-only; mutate via {!flip}). *)
 
 val energy : t -> float
-(** The tracked energy.  O(1) after {!flip}-only updates; after a
-    {!metropolis_sweep} the first read resyncs in O(vars + couplers)
-    (amortized over the sweeps of a read). *)
+(** The tracked energy, O(1). *)
 
 val field : t -> int -> float
 (** The cached local field of spin [i], O(1). *)
@@ -43,16 +40,3 @@ val delta : t -> int -> float
 val flip : t -> int -> unit
 (** Flip spin [i]: update the spin, the tracked energy, and the neighbors'
     cached fields in O(degree i). *)
-
-val metropolis_sweep : t -> beta:float -> rng:Rng.t -> order:int array -> unit
-(** One Metropolis sweep at inverse temperature [beta], visiting spins in
-    [order] (entries must index valid spins).  Acceptance: [delta <= 0]
-    always; otherwise with probability [exp (-beta * delta)] — except that
-    proposals with [beta * delta > 30] (acceptance < 1e-13) are rejected
-    without consuming randomness.  The hot loop updates spins and fields
-    only; the tracked energy is resynced lazily on the next {!energy}
-    read. *)
-
-val resync : t -> unit
-(** Recompute energy and fields from scratch (O(vars + couplers)), discarding
-    accumulated float rounding. *)

@@ -17,17 +17,15 @@ type derived = {
   gap : float;  (** the paper's margin between valid and invalid rows *)
 }
 
-val min_gap : float
-(** Gaps below this threshold count as "no solution" (1e-6). *)
-
 (** [derive_exact ?range ?adjacency table] solves the LP for [table] as
     given (no ancilla search).  [adjacency i j] (for [i < j]) says whether
     the target fabric offers a coupler between cell variables [i] and [j];
     disallowed pairs have their J pinned to zero, so the result is
     realizable on that connectivity verbatim (default: fully connected, the
-    paper's assumption).  [None] when the optimum gap is ~0, i.e. the system
-    of inequalities is unsolvable in the paper's sense — which an adjacency
-    restriction can cause even where the unrestricted cell exists. *)
+    paper's assumption).  [None] when the optimum gap is below 1e-6, i.e.
+    the system of inequalities is unsolvable in the paper's sense — which an
+    adjacency restriction can cause even where the unrestricted cell
+    exists. *)
 val derive_exact :
   ?range:Qac_ising.Scale.range ->
   ?adjacency:(int -> int -> bool) ->

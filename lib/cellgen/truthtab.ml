@@ -42,11 +42,3 @@ let is_valid table row = List.exists (fun v -> v = row) table.valid
 
 let spins_of_row row = Array.map (fun b -> if b then 1 else -1) row
 let row_of_spins spins = Array.map (fun s -> s > 0) spins
-
-let equal a b =
-  a.num_vars = b.num_vars
-  && List.length a.valid = List.length b.valid
-  && List.for_all (fun row -> is_valid b row) a.valid
-
-let pp_row fmt row =
-  Array.iter (fun b -> Format.pp_print_char fmt (if b then 'T' else 'F')) row

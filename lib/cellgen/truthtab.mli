@@ -31,7 +31,3 @@ val all_rows : num_vars:int -> bool array list
 val spins_of_row : bool array -> Qac_ising.Problem.spin array
 
 val row_of_spins : Qac_ising.Problem.spin array -> bool array
-
-val equal : t -> t -> bool
-
-val pp_row : Format.formatter -> bool array -> unit

@@ -201,8 +201,6 @@ let find name =
   let wanted = String.uppercase_ascii name in
   List.find_opt (fun c -> String.uppercase_ascii c.name = wanted) all
 
-let num_vars c = List.length c.inputs + 1 + c.num_ancillas
-
 let pin_names c =
   let ancillas =
     List.init c.num_ancillas (fun i -> Printf.sprintf "$%c" (Char.chr (Char.code 'a' + i)))

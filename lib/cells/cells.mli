@@ -49,9 +49,6 @@ val all : t list
 val find : string -> t option
 (** Lookup by name (case-insensitive). *)
 
-val num_vars : t -> int
-(** inputs + output + ancillas. *)
-
 val pin_names : t -> string list
 (** All pin names in Hamiltonian variable order, ancillas as ["$a"],
     ["$b"]. *)

@@ -9,9 +9,6 @@ val contents : unit -> string
 (** The full library text, built once when the module is initialised
     (so it is safe to call from several domains at once). *)
 
-val macro_of_cell : Cells.t -> string
-(** One cell's [!begin_macro ... !end_macro] block. *)
-
 val line_count : unit -> int
 (** Statement-bearing lines, for the section 6.1 metrics (the paper reports
     232 lines for its stdcell.qmasm). *)

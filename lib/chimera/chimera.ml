@@ -72,7 +72,6 @@ let coords t q = coords_of_qubit ~m:(size t) ~shore:(shore t) q
 let is_working = Topology.is_working
 let adjacent = Topology.adjacent
 let neighbors = Topology.neighbors
-let iter_neighbors = Topology.iter_neighbors
 let edges = Topology.edges
 let num_edges = Topology.num_edges
 let degree = Topology.degree

@@ -46,7 +46,6 @@ val coords : t -> int -> coords
 val is_working : t -> int -> bool
 val adjacent : t -> int -> int -> bool
 val neighbors : t -> int -> int list
-val iter_neighbors : t -> int -> (int -> unit) -> unit
 val edges : t -> (int * int) list
 val num_edges : t -> int
 val degree : t -> int -> int

@@ -39,10 +39,7 @@ val num_working_qubits : t -> int
 val is_working : t -> int -> bool
 
 val neighbors : t -> int -> int list
-(** Ascending.  Allocates; use {!iter_neighbors} in hot loops. *)
-
-val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Allocation-free CSR row walk, neighbors ascending. *)
+(** Ascending. *)
 
 val adjacent : t -> int -> int -> bool
 (** Binary search in the sorted row of the first argument: O(log degree). *)

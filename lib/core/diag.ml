@@ -18,18 +18,13 @@ let make ?line ~stage message = { stage; message; line }
 let error ?line ~stage fmt =
   Format.kasprintf (fun s -> raise (Error (make ?line ~stage s))) fmt
 
-let errorf = error
-
 let stage d = d.stage
 let message d = d.message
-let line d = d.line
 
 let to_string d =
   match d.line with
   | Some l -> Printf.sprintf "%s: line %d: %s" d.stage l d.message
   | None -> Printf.sprintf "%s: %s" d.stage d.message
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)
 
 let with_line line d = { d with line = Some line }
 

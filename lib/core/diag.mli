@@ -17,19 +17,11 @@ val make : ?line:int -> stage:string -> string -> t
 (** [error ~stage fmt ...] formats a message and raises [Error]. *)
 val error : ?line:int -> stage:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val errorf : ?line:int -> stage:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Alias for [error]. *)
-
 val stage : t -> string
 val message : t -> string
-val line : t -> int option
 
 val to_string : t -> string
 (** ["stage: message"] or ["stage: line N: message"]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val with_line : int -> t -> t
 
 (** [locate ~line f] runs [f], attaching [line] to any escaping
     diagnostic that does not already carry one. *)

@@ -28,7 +28,6 @@ val spans : t -> span list
 
 val find_span : t -> string -> span option
 val find_counter : t -> string -> string -> int option
-val total_seconds : t -> float
 
 val set_summary : t -> string -> float -> unit
 (** Set (or overwrite) a trace-wide summary value — a fact about the whole
@@ -48,7 +47,6 @@ val find_summary : t -> string -> float option
 val with_span_opt : t option -> string -> (unit -> 'a) -> 'a
 val counter_opt : t option -> string -> int -> unit
 
-val pp : Format.formatter -> t -> unit
 val to_text : t -> string
 
 val to_json : t -> string

@@ -27,18 +27,14 @@ val instance_name : int -> string
 val to_sexp : Qac_netlist.Netlist.t -> Qac_sexp.Sexp.t
 val to_string : Qac_netlist.Netlist.t -> string
 
-(** [of_sexp sexp] rebuilds the netlist an EDIF tree describes.  Keywords
-    match case-insensitively.  It raises only [Qac_diag.Diag.Error] with
-    stage ["edif"]: on a tree that is not EDIF, a missing or malformed
-    part, an unknown cell, an unconnected or undriven pin, a combinational
-    cycle, an instance declared twice, or a port whose width (its highest
-    bit index + 1) exceeds the number of bits the interface declares for
-    it — which bounds what a hostile bit index can make it allocate. *)
-val of_sexp : Qac_sexp.Sexp.t -> Qac_netlist.Netlist.t
-
-(** [of_string text] parses and rebuilds.  It raises only
-    [Qac_diag.Diag.Error] with stage ["edif"]: malformed s-expression text
-    ([Qac_sexp.Sexp.Parse_error]) is reported the same way. *)
+(** [of_string text] parses the s-expression text and rebuilds the netlist
+    the EDIF tree describes.  Keywords match case-insensitively.  It raises
+    only [Qac_diag.Diag.Error] with stage ["edif"]: on malformed text, a
+    tree that is not EDIF, a missing or malformed part, an unknown cell, an
+    unconnected or undriven pin, a combinational cycle, an instance declared
+    twice, or a port whose width (its highest bit index + 1) exceeds the
+    number of bits the interface declares for it — which bounds what a
+    hostile bit index can make it allocate. *)
 val of_string : string -> Qac_netlist.Netlist.t
 
 val line_count : string -> int

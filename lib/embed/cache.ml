@@ -165,15 +165,6 @@ let fields (s : stats) =
     [ ("hits", s.hits); ("misses", s.misses); ("evictions", s.evictions);
       ("entries", s.entries); ("store_hits", s.store_hits) ]
 
-let clear t =
-  with_lock t (fun () ->
-      Hashtbl.reset t.table;
-      t.tick <- 0;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0;
-      t.store_hits <- 0)
-
 (* Process-wide default, shared by every [Pipeline.run] that is not handed
    an explicit cache.  Created when the module is initialised, so
    concurrent first calls from several domains get the same cache. *)

@@ -62,8 +62,6 @@ val fields : stats -> (string * float) list
 (** Every counter under its record field name, in declaration order: the
     one list the JSON and Prometheus views render from. *)
 
-val clear : t -> unit
-
 val shared : unit -> t
 (** The process-wide cache {!Qac_core.Pipeline.run} defaults to.  It
     exists from module initialisation on, so every domain gets the same

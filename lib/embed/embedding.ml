@@ -162,17 +162,6 @@ type unembedded = {
      chains. *)
 type chain_break = Vote | Discard | Polish
 
-let chain_break_of_string = function
-  | "vote" -> Some Vote
-  | "discard" -> Some Discard
-  | "polish" -> Some Polish
-  | _ -> None
-
-let string_of_chain_break = function
-  | Vote -> "vote"
-  | Discard -> "discard"
-  | Polish -> "polish"
-
 let vote t physical =
   let broken = ref 0 in
   let logical =

@@ -22,12 +22,10 @@ val max_chain_length : t -> int
 val verify :
   Qac_chimera.Chimera.t -> Qac_ising.Problem.t -> t -> (unit, string) result
 
-val default_chain_strength : Qac_ising.Problem.t -> float
-(** Twice the largest coefficient magnitude of the logical problem. *)
-
 (** [apply graph problem embedding] builds the physical Ising problem over
-    the graph's qubit index space.  Raises [Invalid_argument] on embeddings
-    that fail {!verify}. *)
+    the graph's qubit index space.  [chain_strength] defaults to twice the
+    largest coefficient magnitude of the logical problem.  Raises
+    [Invalid_argument] on embeddings that fail {!verify}. *)
 val apply :
   ?chain_strength:float ->
   Qac_chimera.Chimera.t ->
@@ -49,11 +47,6 @@ type unembedded = {
     agreement), then votes; it needs the physical problem via [?problem]
     and degrades to [Vote] without it. *)
 type chain_break = Vote | Discard | Polish
-
-val chain_break_of_string : string -> chain_break option
-(** ["vote"] / ["discard"] / ["polish"]; [None] otherwise (CLI parsing). *)
-
-val string_of_chain_break : chain_break -> string
 
 val unembed :
   ?policy:chain_break ->

@@ -121,11 +121,3 @@ let remove_min h =
     done;
     sift_up h !i priority payload
   end
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = (min_priority h, min_payload h) in
-    remove_min h;
-    Some top
-  end

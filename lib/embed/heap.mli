@@ -37,7 +37,3 @@ val min_payload : t -> int
 
 val remove_min : t -> unit
 (** Raises [Invalid_argument] on an empty heap. *)
-
-val pop : t -> (float * int) option
-(** [min_priority]/[min_payload]/[remove_min] rolled into one allocating
-    call; hot loops should use the three-part API instead. *)

@@ -5,7 +5,7 @@
     never into its eventual position on the chip — and only clean tiles
     enter the pool, so any placed block is isomorphic (by translation, with
     identical local numbering) to that local graph.  The embedding, local
-    physical problem, and demuxed response of a job therefore depend on
+    physical problem, and solved response of a job therefore depend on
     (job, params) alone, not on what else shares the chip or where the job
     lands.  All fabric geometry lives in {!Qac_chimera.Family}; this module
     only walks the tile grid. *)
@@ -237,17 +237,6 @@ let place ?(params = default_params) fam problems ladders =
 let tile ?params ?cache ?seeds ?num_threads fam problems =
   place ?params fam problems (ladders ?params ?cache ?seeds ?num_threads fam problems)
 
-let merged t =
-  let graph = t.family.Family.graph in
-  let b = Problem.Builder.create ~num_vars:(Topology.num_qubits graph) () in
-  Array.iter
-    (function
-      | Placed p when p.region.block > 0 ->
-        Problem.Builder.add_problem b p.physical ~var_map:p.region.qubits
-      | Placed _ | Deferred | Failed _ -> ())
-    t.outcomes;
-  Problem.Builder.build b
-
 let occupancy t =
   let used =
     Array.fold_left
@@ -269,18 +258,6 @@ let counts t =
 
 (* --- Solving and response plumbing ------------------------------------------ *)
 
-(* Physical samples (in the job's local index space, or compacted with
-   [old_of_new]) -> logical response for one job: chains resolve under
-   [policy] via {!Embedding.unembed_reads}, each logical read repeats by its
-   occurrence count, and energies re-evaluate against the job's own logical
-   Hamiltonian. *)
-let logical_response ~policy problem (p : placed) ?old_of_new ?elapsed_seconds
-    ~timed_out samples =
-  Embedding.unembed_reads ~policy ?old_of_new ~problem:p.physical p.embedding samples
-  |> List.concat_map (fun ((u : Embedding.unembedded), n) ->
-      List.init n (fun _ -> u.Embedding.logical))
-  |> Sampler.response_of_reads problem ?elapsed_seconds ~timed_out
-
 let solve ?(num_threads = 1) ?(chain_break = Embedding.Vote) ?deadline ~solver t =
   let n = Array.length t.problems in
   let results = Array.make n None in
@@ -297,78 +274,16 @@ let solve ?(num_threads = 1) ?(chain_break = Embedding.Vote) ?deadline ~solver t
             in
             let compacted, old_of_new = Embedding.compact p.physical in
             let r = solver ~deadline:job_deadline compacted in
-            logical_response ~policy:chain_break problem p ~old_of_new
-              ~elapsed_seconds:r.Sampler.elapsed_seconds
-              ~timed_out:r.Sampler.timed_out r.Sampler.samples
+            (* Chains resolve under [chain_break], each logical read repeats
+               by its occurrence count, and energies re-evaluate against the
+               job's own logical Hamiltonian. *)
+            Embedding.unembed_reads ~policy:chain_break ~old_of_new ~problem:p.physical
+              p.embedding r.Sampler.samples
+            |> List.concat_map (fun ((u : Embedding.unembedded), n) ->
+                List.init n (fun _ -> u.Embedding.logical))
+            |> Sampler.response_of_reads problem ~elapsed_seconds:r.Sampler.elapsed_seconds
+                 ~timed_out:r.Sampler.timed_out
           end
         in
         results.(i) <- Some (i, response));
   Array.to_list results |> List.filter_map Fun.id
-
-(* Expand a response into its per-read configurations, deterministically:
-   samples in listed (energy-sorted) order, each repeated by occurrence. *)
-let expand_reads (r : Sampler.response) =
-  Array.of_list
-    (List.concat_map
-       (fun (s : Sampler.sample) ->
-          List.init s.Sampler.num_occurrences (fun _ -> s.Sampler.spins))
-       r.Sampler.samples)
-
-let merge_responses t responses =
-  let num_reads =
-    match responses with [] -> 0 | (_, r) :: _ -> r.Sampler.num_reads
-  in
-  let expanded =
-    List.map
-      (fun (i, r) ->
-         if r.Sampler.num_reads <> num_reads then
-           invalid_arg "Tiler.merge_responses: responses have unequal num_reads";
-         let p =
-           match t.outcomes.(i) with
-           | Placed p -> p
-           | Deferred | Failed _ ->
-             invalid_arg "Tiler.merge_responses: job was not placed"
-         in
-         (p, expand_reads r))
-      responses
-  in
-  let merged = merged t in
-  let reads =
-    List.init num_reads (fun r ->
-        let global = Array.make merged.Problem.num_vars 1 in
-        List.iter
-          (fun ((p : placed), reads_of_job) ->
-             let local = reads_of_job.(r) in
-             Array.iteri (fun l q -> global.(q) <- local.(l)) p.region.qubits)
-          expanded;
-        global)
-  in
-  let timed_out = List.exists (fun (_, r) -> r.Sampler.timed_out) responses in
-  Sampler.response_of_reads merged ~timed_out reads
-
-let demux ?(chain_break = Embedding.Vote) t (response : Sampler.response) =
-  let jobs = ref [] in
-  Array.iter
-    (function
-      | Deferred | Failed _ -> ()
-      | Placed p ->
-        let problem = t.problems.(p.job) in
-        let r =
-          if p.region.block = 0 then
-            Sampler.response_of_reads problem ~timed_out:response.Sampler.timed_out
-              (List.concat_map
-                 (fun (s : Sampler.sample) ->
-                    List.init s.Sampler.num_occurrences (fun _ -> [||]))
-                 response.Sampler.samples)
-          else
-            logical_response ~policy:chain_break problem p
-              ~timed_out:response.Sampler.timed_out
-              (List.map
-                 (fun (s : Sampler.sample) ->
-                    let spins = Array.map (fun q -> s.Sampler.spins.(q)) p.region.qubits in
-                    { s with Sampler.spins })
-                 response.Sampler.samples)
-        in
-        jobs := (p.job, r) :: !jobs)
-    t.outcomes;
-  List.rev !jobs

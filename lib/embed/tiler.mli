@@ -1,10 +1,9 @@
 (** Multi-problem tiling: pack N independent logical Ising problems onto one
     hardware graph by carving it into disjoint regions, one per problem, and
-    solving them all in a single (merged) physical Hamiltonian or as a batch
-    of per-region subproblems.  All fabric-specific geometry (tile grid,
-    clean tiles, block footprints, local graphs) comes from
-    {!Qac_chimera.Family}, so any family that module knows — Chimera and
-    Pegasus — tiles identically.
+    solve each region's physical problem on its own ({!solve}).  All
+    fabric-specific geometry (tile grid, clean tiles, block footprints,
+    local graphs) comes from {!Qac_chimera.Family}, so any family that
+    module knows — Chimera and Pegasus — tiles identically.
 
     {b Regions are square blocks of clean tiles.}  A tile with a qubit
     broken beyond the family's own fabric trimming is excluded from the pool
@@ -16,7 +15,7 @@
     properties at once:
 
     - {b composition invariance}: the embedding, the local physical problem,
-      and hence the demuxed response for a job are pure functions of (job,
+      and hence the solved response for a job are pure functions of (job,
       params) — bit-identical whether the job is solved alone or packed with
       any other jobs, at any thread count;
     - {b cache locality}: every job with the same interaction structure and
@@ -125,11 +124,6 @@ val place :
     physical problem of each placed job ([params.chain_strength]).  Raises
     [Invalid_argument] unless [ladders] is parallel to [problems]. *)
 
-val merged : t -> Qac_ising.Problem.t
-(** All placed jobs' physical problems summed over the global qubit index
-    space; disjoint regions guarantee no cross-job couplers.  Built on each
-    call — serving never needs it, only whole-chip solves and checks do. *)
-
 val occupancy : t -> float
 (** Fraction of the graph's working qubits covered by placed regions. *)
 
@@ -153,23 +147,4 @@ val solve :
   ?deadline:(int -> float option) ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   t ->
-  (int * Qac_anneal.Sampler.response) list
-
-(** [merge_responses t responses] zips per-job responses {e in the local
-    physical index space} into one response over the merged (global)
-    problem: read [r] of the result composes read [r] of every job, with
-    unused qubits at [+1].  Every response must carry the same [num_reads];
-    raises [Invalid_argument] otherwise. *)
-val merge_responses :
-  t -> (int * Qac_anneal.Sampler.response) list -> Qac_anneal.Sampler.response
-
-(** [demux ?chain_break t response] splits a response over the merged
-    problem back into per-job logical responses: each read is restricted to
-    the job's region, translated to local indices, and unembedded under
-    [chain_break] (default [Vote]).  Inverse of {!merge_responses} up to
-    chain repair. *)
-val demux :
-  ?chain_break:Embedding.chain_break ->
-  t ->
-  Qac_anneal.Sampler.response ->
   (int * Qac_anneal.Sampler.response) list

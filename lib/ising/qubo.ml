@@ -77,4 +77,3 @@ let of_ising (p : Problem.t) =
   create ~num_vars:p.Problem.num_vars ~linear ~quadratic:!quadratic ~offset:!offset ()
 
 let bools_of_spins sigma = Array.map (fun s -> s > 0) sigma
-let spins_of_bools x = Array.map (fun b -> if b then 1 else -1) x

@@ -22,5 +22,3 @@ val to_ising : t -> Problem.t
 
 (** [bools_of_spins sigma] maps -1 to [false] and +1 to [true]. *)
 val bools_of_spins : Problem.spin array -> bool array
-
-val spins_of_bools : bool array -> Problem.spin array

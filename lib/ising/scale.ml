@@ -8,9 +8,6 @@ type range = {
 let dwave_2000q = { h_min = -2.0; h_max = 2.0; j_min = -2.0; j_max = 1.0 }
 let advantage = { h_min = -4.0; h_max = 4.0; j_min = -1.0; j_max = 1.0 }
 
-let unconstrained =
-  { h_min = neg_infinity; h_max = infinity; j_min = neg_infinity; j_max = infinity }
-
 let fits range p =
   let tolerance = 1e-9 in
   let ok_h v = v >= range.h_min -. tolerance && v <= range.h_max +. tolerance in

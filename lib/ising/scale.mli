@@ -20,18 +20,12 @@ val advantage : range
     double the field headroom, symmetric but tighter couplers.  {!Cellgen}
     rederives its unit cells under this range for Pegasus targets. *)
 
-val unconstrained : range
-(** Infinite ranges, used for the logical (pre-embedding) problem. *)
-
 val fits : range -> Problem.t -> bool
 
-(** [factor range p] is the largest positive multiplier that brings [p] into
-    [range] (at most 1.0: problems already in range are left alone). *)
-val factor : range -> Problem.t -> float
-
 val apply : range -> Problem.t -> Problem.t
-(** [apply range p] rescales [p] to fit [range]; [fits range (apply range p)]
-    always holds. *)
+(** [apply range p] rescales [p] by the largest positive multiplier that
+    brings it into [range] (at most 1.0: problems already in range are left
+    alone); [fits range (apply range p)] always holds. *)
 
 val dynamic_range : Problem.t -> float
 (** Ratio of the largest to the smallest nonzero coefficient magnitude

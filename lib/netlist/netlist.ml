@@ -265,8 +265,6 @@ end
 
 let find_input t name = List.assoc_opt name t.inputs
 let find_output t name = List.assoc_opt name t.outputs
-let input_names t = List.map fst t.inputs
-let output_names t = List.map fst t.outputs
 let num_cells t = Array.length t.cells
 
 let is_flip_flop_kind = function
@@ -309,11 +307,3 @@ let cell_ancillas kind =
 let estimated_logical_vars t =
   let input_bits = List.fold_left (fun acc (_, nets) -> acc + Array.length nets) 0 t.inputs in
   Array.fold_left (fun acc c -> acc + 1 + cell_ancillas c.kind) input_bits t.cells
-
-let pp_stats fmt t =
-  Format.fprintf fmt "@[<v>netlist %s: %d nets, %d cells, %d inputs, %d outputs@," t.name
-    t.num_nets (num_cells t) (List.length t.inputs) (List.length t.outputs);
-  List.iter
-    (fun (kind, n) -> Format.fprintf fmt "  %-5s x %d@," (kind_name kind) n)
-    (cells_by_kind t);
-  Format.fprintf fmt "@]"

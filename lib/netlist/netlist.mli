@@ -26,7 +26,6 @@ val kind_name : kind -> string
 (** The standard-cell name, e.g. ["AND"]; matches [Qac_cells.Cells.find]. *)
 
 val kind_of_name : string -> kind option
-val kind_arity : kind -> int
 val kind_logic : kind -> bool array -> bool
 (** Combinational function (identity for flip-flops). *)
 
@@ -97,8 +96,6 @@ end
 
 val find_input : t -> string -> int array option
 val find_output : t -> string -> signal array option
-val input_names : t -> string list
-val output_names : t -> string list
 val num_cells : t -> int
 val num_flip_flops : t -> int
 val is_combinational : t -> bool
@@ -112,5 +109,3 @@ val estimated_logical_vars : t -> int
 (** Number of logical Ising variables this netlist lowers to: one per input
     bit, one per cell output, plus each cell's ancillas (the section 6.1
     "logical variables" metric, before chain merging). *)
-
-val pp_stats : Format.formatter -> t -> unit

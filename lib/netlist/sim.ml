@@ -1,6 +1,3 @@
-type sequential_state = (int * bool) list
-(* flip-flop output net -> stored bit *)
-
 let eval_signal values = function
   | Netlist.Zero -> false
   | Netlist.One -> true
@@ -43,11 +40,12 @@ let comb t ~inputs =
   let values, _ = eval t ~inputs ~state:[] in
   read_outputs t values
 
-let initial ?(reset = false) (t : Netlist.t) =
+(* Sequential state: flip-flop output net -> stored bit, all false. *)
+let initial (t : Netlist.t) =
   Array.to_list t.Netlist.cells
   |> List.filter_map (fun (c : Netlist.cell) ->
       match c.kind with
-      | Netlist.Dff_p | Netlist.Dff_n -> Some (c.out, reset)
+      | Netlist.Dff_p | Netlist.Dff_n -> Some (c.out, false)
       | _ -> None)
 
 let step t state ~inputs =

@@ -8,24 +8,10 @@
     output port likewise.  Fails on sequential netlists. *)
 val comb : Netlist.t -> inputs:(string * bool array) list -> (string * bool array) list
 
-type sequential_state
-
-(** [initial netlist ~reset] creates flip-flop state, all bits [reset]
-    (default false). *)
-val initial : ?reset:bool -> Netlist.t -> sequential_state
-
-(** [step netlist state ~inputs] simulates one clock cycle: outputs are
-    computed from the current state and inputs, then every flip-flop loads
-    its D value.  Returns the outputs observed during the cycle and the next
-    state. *)
-val step :
-  Netlist.t ->
-  sequential_state ->
-  inputs:(string * bool array) list ->
-  (string * bool array) list * sequential_state
-
 (** [run netlist ~inputs] runs a multi-cycle simulation from the all-false
-    initial state, feeding one input map per cycle. *)
+    initial state, feeding one input map per cycle: each cycle's outputs are
+    computed from the current state and inputs, then every flip-flop loads
+    its D value. *)
 val run :
   Netlist.t -> inputs:(string * bool array) list list -> (string * bool array) list list
 

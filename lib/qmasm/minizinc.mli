@@ -4,10 +4,3 @@
     integer-scaled Hamiltonian; visible symbols appear in the output item. *)
 
 val of_program : Assemble.t -> string
-
-val sanitize : string -> string
-(** MiniZinc-legal identifier for a QMASM symbol. *)
-
-val integer_scale : Qac_ising.Problem.t -> float
-(** The power-of-ten multiplier (up to 1e6) that makes every coefficient
-    integral. *)

@@ -4,14 +4,6 @@
 val parse_string : string -> Ast.stmt list
 (** Raises [Error] with a line number on malformed input. *)
 
-val parse_assertion : string -> Ast.bexpr
-(** Parse the expression following [!assert]. *)
-
-val parse_pin : string -> string -> (string * bool) list
-(** [parse_pin lhs rhs] expands a pin like ["C[7:0]"] / ["10001111"] into
-    per-bit assignments.  Vector values may be binary strings (sized by the
-    bracket range) or decimal integers; scalars accept true/false/0/1. *)
-
 val line_count : string -> int
 (** Statement-bearing lines (blank and comment-only lines excluded) — the
     section 6.1 size metric. *)

@@ -28,21 +28,17 @@ let push_edge t e =
     t.edges <- bigger
   end;
   t.edges.(t.num_edges) <- e;
-  t.num_edges <- t.num_edges + 1;
-  t.num_edges - 1
+  t.num_edges <- t.num_edges + 1
 
-(** [add_edge t u v cap] adds a directed edge with capacity [cap] (and a
-    zero-capacity reverse edge).  Returns the edge index. *)
 let add_edge t u v capacity =
   if capacity < 0.0 then invalid_arg "Maxflow.add_edge: negative capacity";
   let forward_idx = t.num_edges in
   let forward = { dst = v; capacity; flow = 0.0; inverse = forward_idx + 1 } in
   let backward = { dst = u; capacity = 0.0; flow = 0.0; inverse = forward_idx } in
-  ignore (push_edge t forward);
-  ignore (push_edge t backward);
+  push_edge t forward;
+  push_edge t backward;
   t.adjacency.(u) <- forward_idx :: t.adjacency.(u);
-  t.adjacency.(v) <- (forward_idx + 1) :: t.adjacency.(v);
-  forward_idx
+  t.adjacency.(v) <- (forward_idx + 1) :: t.adjacency.(v)
 
 let residual t idx =
   let e = t.edges.(idx) in
@@ -118,8 +114,6 @@ let max_flow t ~source ~sink =
   done;
   !total
 
-(** Nodes reachable from [source] in the residual graph (the source side of
-    a minimum cut). *)
 let reachable t ~source =
   let seen = Array.make t.num_nodes false in
   let queue = Queue.create () in

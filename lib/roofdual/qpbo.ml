@@ -41,8 +41,8 @@ let solve_qubo (q : Qubo.t) =
     q.Qubo.linear;
   (* Quadratic terms as implication arcs of half weight. *)
   let add_quadratic u v a =
-    ignore (Maxflow.add_edge net u (negate v) (a /. 2.0));
-    ignore (Maxflow.add_edge net v (negate u) (a /. 2.0))
+    Maxflow.add_edge net u (negate v) (a /. 2.0);
+    Maxflow.add_edge net v (negate u) (a /. 2.0)
   in
   Array.iter
     (fun ((i, j), c) ->
@@ -59,8 +59,8 @@ let solve_qubo (q : Qubo.t) =
   Array.iteri
     (fun lit a ->
        if a > 0.0 then begin
-         ignore (Maxflow.add_edge net source (negate lit) (a /. 2.0));
-         ignore (Maxflow.add_edge net lit sink (a /. 2.0))
+         Maxflow.add_edge net source (negate lit) (a /. 2.0);
+         Maxflow.add_edge net lit sink (a /. 2.0)
        end)
     linear;
   let flow = Maxflow.max_flow net ~source ~sink in

@@ -15,8 +15,6 @@ type result = {
   lower_bound : float;  (** roof-dual bound: min energy >= lower_bound *)
 }
 
-val solve_qubo : Qac_ising.Qubo.t -> result
-
 val solve : Qac_ising.Problem.t -> result
 (** Ising wrapper; fixed values are reported as booleans
     ([true] = spin +1). *)

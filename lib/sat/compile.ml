@@ -299,5 +299,3 @@ let repair t spins = spins_of_assignment t (decode t spins)
 let cost t a =
   let hard, soft = Dimacs.violations t.formula a in
   (t.hard_weight *. float_of_int hard) +. soft
-
-let best_cost _ = 0.0

@@ -116,8 +116,3 @@ val cost : t -> bool array -> float
 (** [hard_weight * hard-violations + violated soft weight] — the quantity
     the compiled Hamiltonian's energy realizes (0 for a model of all hard
     clauses and all soft clauses). *)
-
-val best_cost : t -> float
-(** [float_of_int (fst (Dimacs.violations ...))]-free shortcut: the cost of
-    an assignment violating nothing, i.e. [0.0]; exposed for symmetry with
-    energy offsets when callers compare energies to costs. *)

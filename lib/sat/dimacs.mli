@@ -51,10 +51,6 @@ val num_soft : t -> int
 
 val soft_weight_sum : t -> float
 
-val clause_satisfied : clause -> bool array -> bool
-(** [clause_satisfied c a] — does assignment [a] (indexed by variable - 1)
-    satisfy some literal of [c]?  An empty clause is never satisfied. *)
-
 val violations : t -> bool array -> int * float
 (** [(hard clauses violated, total weight of soft clauses violated)] under
     an assignment of the [num_vars] formula variables. *)

@@ -204,8 +204,6 @@ let to_string sexp =
   go 0 sexp;
   Buffer.contents buf
 
-let pp fmt s = Format.pp_print_string fmt (to_string s)
-
 let rec equal a b =
   match a, b with
   | Atom x, Atom y -> String.equal x y
@@ -241,7 +239,3 @@ let find_all ~tag = function
 let find ~tag = function
   | Atom _ -> None
   | List items -> List.find_opt (has_tag ~tag) items
-
-let atom_exn = function
-  | Atom s -> s
-  | List _ as s -> parse_error "expected atom, got %s" (to_string_compact s)

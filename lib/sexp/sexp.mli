@@ -9,8 +9,8 @@ type t =
 val atom : string -> t
 val list : t list -> t
 
-(** Raised by the reader on malformed input, and by {!atom_exn}.  The
-    reader raises nothing else: any string either parses or raises
+(** Raised by the reader on malformed input.  The reader raises nothing
+    else: any string either parses or raises
     [Parse_error].  Callers that take untrusted text map it to their own
     error (as [Qac_edif.Edif.of_string] does). *)
 exception Parse_error of string
@@ -39,8 +39,6 @@ val to_string : t -> string
     {!parse_string} reads back what they print. *)
 val to_string_compact : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** Structural equality (atoms compared case-sensitively). *)
 val equal : t -> t -> bool
 
@@ -64,7 +62,3 @@ val find_all : tag:string -> t -> t list
 
 (** [find ~tag sexp] is the first child found by [find_all], if any. *)
 val find : tag:string -> t -> t option
-
-(** [atom_exn sexp] extracts the string of an [Atom]; raises [Parse_error]
-    on a list. *)
-val atom_exn : t -> string

@@ -36,12 +36,9 @@ type t = {
 }
 
 
-val max_width : int
-(** Nets wider than this (62 bits) are rejected: the interpreter packs
-    values into OCaml ints. *)
-
 (** [elaborate ?top design] elaborates the module named [top] (default: the
-    last module in the design, conventionally the top). *)
+    last module in the design, conventionally the top).  Nets wider than 62
+    bits are rejected: the interpreter packs values into OCaml ints. *)
 val elaborate : ?top:string -> Ast.design -> t
 
 val find_net : t -> string -> net option

@@ -475,8 +475,6 @@ let peek t ~inputs name =
   let ctx = make_ctx t ~inputs ~state:(Hashtbl.create 1) in
   net_value ctx name
 
-type state = (string, int) Hashtbl.t
-
 let initial_state t =
   let st = Hashtbl.create 8 in
   List.iter (fun name -> Hashtbl.replace st name 0) t.clocked_regs;

@@ -23,17 +23,9 @@ val comb_outputs : t -> inputs:(string * int) list -> (string * int) list
     combinational module — handy for tests that look at internal wires. *)
 val peek : t -> inputs:(string * int) list -> string -> int
 
-type state
-
-val initial_state : t -> state
-(** All flip-flops hold 0 (two-state semantics). *)
-
-(** [step t st ~inputs] runs one clock cycle: combinational logic settles
-    against the current state, every clocked block fires (clock edges are
-    ignored — time is discrete, matching section 4.3.3), and the updated
-    state is returned alongside the output-port values observed during the
-    cycle. *)
-val step : t -> state -> inputs:(string * int) list -> (string * int) list * state
-
 val run : t -> inputs:(string * int) list list -> (string * int) list list
-(** Multi-cycle simulation from [initial_state]. *)
+(** Multi-cycle simulation from the all-zero state (two-state semantics),
+    one input map per cycle: each cycle, combinational logic settles
+    against the current state, every clocked block fires (clock edges are
+    ignored — time is discrete, matching section 4.3.3), and the cycle's
+    output-port values are collected. *)

@@ -9,8 +9,6 @@ type token =
   | Eof
 
 
-val keywords : string list
-
 (** [tokenize src] lexes the whole input into [(token, line)] pairs, ending
     with [Eof].  Line comments, block comments and backtick directives are
     skipped; [===]/[!==]/[<<<]/[>>>] degrade to their 2-state versions. *)

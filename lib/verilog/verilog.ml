@@ -1,20 +1,11 @@
-(** Facade: one-call helpers over the full frontend
-    (parse -> elaborate -> interpret / synthesize). *)
+(** Facade: one-call helpers over the frontend
+    (parse -> elaborate -> interpret). *)
 
 let parse = Parser.parse_design
 
 let elaborate ?top src = Elab.elaborate ?top (parse src)
 
 let interpreter ?top src = Eval.create (elaborate ?top src)
-
-let compile = Synth.compile
-
-(** [port_bits m name value] renders an integer as the bool vector (LSB
-    first) of port [name] — the bridge between interpreter-style integer
-    values and netlist-style bit vectors. *)
-let port_bits (m : Elab.t) name value =
-  let width = Elab.net_width m name in
-  Array.init width (fun i -> (value lsr i) land 1 = 1)
 
 let int_of_bits bits =
   let v = ref 0 in

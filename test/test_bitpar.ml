@@ -348,15 +348,6 @@ let composite_tests =
         in
         Alcotest.(check bool) "same samples" true
           ((Composite.polish p base).Sampler.samples = wrapped.Sampler.samples));
-    Alcotest.test_case "postprocess string round-trips" `Quick (fun () ->
-        List.iter
-          (fun m ->
-             Alcotest.(check bool) "round trip" true
-               (Composite.postprocess_of_string (Composite.string_of_postprocess m)
-                = Some m))
-          [ `None; `Polish; `Gauge ];
-        Alcotest.(check bool) "unknown rejected" true
-          (Composite.postprocess_of_string "frobnicate" = None));
   ]
 
 let suite =

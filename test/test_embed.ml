@@ -213,7 +213,7 @@ let embedding_tests =
          let old_of_new = [| 0; 1; 2; 3 |] in
          let full s = Array.append s.Sampler.spins [| 1; 1 |] in
          List.iter
-           (fun policy ->
+           (fun (name, policy) ->
               let expected =
                 List.map
                   (fun s ->
@@ -221,20 +221,11 @@ let embedding_tests =
                        s.Sampler.num_occurrences ))
                   mixed_samples
               in
-              Alcotest.(check bool) (Embedding.string_of_chain_break policy) true
+              Alcotest.(check bool) name true
                 (Embedding.unembed_reads ~policy ~old_of_new ~problem:padded chain_embedding
                    mixed_samples
                  = expected))
-           [ Embedding.Vote; Embedding.Polish ]);
-    Alcotest.test_case "chain-break strings round-trip" `Quick (fun () ->
-        List.iter
-          (fun p ->
-             Alcotest.(check bool) "round trip" true
-               (Embedding.chain_break_of_string (Embedding.string_of_chain_break p)
-                = Some p))
-          [ Embedding.Vote; Embedding.Discard; Embedding.Polish ];
-        Alcotest.(check bool) "unknown rejected" true
-          (Embedding.chain_break_of_string "majority" = None));
+           [ ("vote", Embedding.Vote); ("polish", Embedding.Polish) ]);
     Alcotest.test_case "embedder is randomized but deterministic per seed" `Quick
       (fun () ->
          let graph = Chimera.create 3 in
