@@ -14,12 +14,11 @@ open Cmdliner
 module P = Qac_core.Pipeline
 module Trace = Qac_diag.Trace
 
+(* A directory reads as a [Sys_error] naming it, not the platform's
+   "Value too large for defined data type". *)
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  if Sys.is_directory path then raise (Sys_error (path ^ ": is a directory"));
+  In_channel.with_open_bin path In_channel.input_all
 
 (* A bad setting or option combination: cmdliner prints the usage line
    under the message. *)
@@ -39,7 +38,7 @@ let handle_errors f =
 
 (* --- Shared arguments --------------------------------------------------- *)
 
-let file_arg doc = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+let file_arg doc = Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE" ~doc)
 
 let src_arg = file_arg "Verilog source file."
 
@@ -155,9 +154,10 @@ let timeout_arg =
 
 let physical_arg ?(default = 0)
     ?(doc =
-      "Minor-embed into a size-$(docv) hardware graph before solving (0 = solve \
-       the logical problem directly).  The graph family comes from --topology: \
-       Chimera C$(docv) or Pegasus P$(docv).") () =
+      "Minor-embed into a size-$(docv) hardware graph before solving, on the \
+       same capacity ladder $(b,serve) tiles with (0 = solve the logical \
+       problem directly).  The graph family comes from --topology: Chimera \
+       C$(docv) or Pegasus P$(docv).") () =
   Arg.(value & opt int default & info [ "physical" ] ~docv:"M" ~doc)
 
 let topology_arg =
@@ -173,15 +173,21 @@ let broken_arg =
   in
   Arg.(value & opt (list int) [] & info [ "broken" ] ~docv:"QUBITS" ~doc)
 
-let make_graph ~topology ~broken m =
-  match topology with
-  | `Chimera -> Qac_chimera.Chimera.create ~broken m
-  | `Pegasus -> Qac_chimera.Pegasus.create ~broken m
-
-let graph_label ~topology m =
-  match topology with
-  | `Chimera -> Printf.sprintf "C%d" m
-  | `Pegasus -> Printf.sprintf "P%d" m
+(* The one hardware-graph term: --physical, --topology and --broken become
+   [Some graph], or [None] for --physical 0.  A size the family cannot
+   build is a usage error. *)
+let graph_term ?default ?doc () =
+  let make m topology broken =
+    try
+      Ok
+        (match (m, topology) with
+         | 0, _ -> None
+         | _, `Chimera -> Some (Qac_chimera.Chimera.create ~broken m)
+         | _, `Pegasus -> Some (Qac_chimera.Pegasus.create ~broken m))
+    with Invalid_argument msg -> Error (`Msg msg)
+  in
+  Term.(term_result ~usage:true
+          (const make $ physical_arg ?default ?doc () $ topology_arg $ broken_arg))
 
 let roof_arg =
   let doc = "Apply roof duality to elide determined qubits before embedding." in
@@ -193,9 +199,11 @@ let all_arg =
 
 let threads_arg =
   let doc =
-    "Split annealing reads (SA/SQA/tabu) and minor-embedding tries \
-     (--physical) across $(docv) OCaml domains.  Results are deterministic \
-     for a given seed, whatever the thread count."
+    "Split annealing reads (SA/SQA/tabu) and the embedding ladder's CMR \
+     tries (--physical) across $(docv) OCaml domains.  $(b,serve) solves \
+     up to $(docv) jobs of a batch at once and gives threads its jobs \
+     leave idle to their CMR tries.  Results are deterministic for a given \
+     seed, whatever the thread count."
   in
   Arg.(value & opt int 1 & info [ "threads" ] ~docv:"N" ~doc)
 
@@ -241,14 +249,9 @@ let solver_term =
   in
   Term.(const make $ solver_arg $ reads_arg $ sweeps_arg $ seed_arg)
 
-let make_target ?(roof = false) ~topology ~broken physical =
-  if physical = 0 then P.Logical
-  else
-    P.Physical
-      { graph = make_graph ~topology ~broken physical;
-        embed_params = None;
-        chain_strength = None;
-        roof_duality = roof }
+let target_of ?(roof_duality = false) = function
+  | None -> P.Logical
+  | Some graph -> P.Physical { graph; chain_strength = None; roof_duality }
 
 (* Pins in QMASM syntax ("C[7:0] := 10001111") go to the QMASM parser
    verbatim; the "name=value" shorthand becomes an integer port pin. *)
@@ -273,8 +276,8 @@ let split_pins specs =
     specs
 
 let run_cmd =
-  let run src top steps no_optimize pins solver physical topology broken roof all threads
-      timeout_ms store_dir postprocess chain_break trace trace_json =
+  let run src top steps no_optimize pins solver graph roof all threads timeout_ms store_dir
+      postprocess chain_break trace trace_json =
     handle_errors @@ fun () ->
     let tr = make_trace ~trace ~trace_json in
     let store = Option.map Qac_embed.Store.open_dir store_dir in
@@ -282,7 +285,7 @@ let run_cmd =
     let qmasm_pins, int_pins = split_pins pins in
     let pin_source = String.concat "\n" qmasm_pins in
     let pins = int_pins in
-    let target = make_target ~roof ~topology ~broken physical in
+    let target = target_of ~roof_duality:roof graph in
     let cache =
       (* With a store, use a dedicated store-backed cache: the embedding
          persists across process restarts, not just within this one. *)
@@ -336,7 +339,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(ret
             (const run $ src_arg $ top_arg $ steps_arg $ no_optimize_arg $ pins_arg
-             $ solver_term $ physical_arg () $ topology_arg $ broken_arg $ roof_arg $ all_arg
+             $ solver_term $ graph_term () $ roof_arg $ all_arg
              $ threads_arg $ timeout_arg $ store_arg $ postprocess_arg $ chain_break_arg
              $ trace_arg $ trace_json_arg))
 
@@ -356,7 +359,7 @@ let maxsat_arg =
   Arg.(value & flag & info [ "maxsat" ] ~doc)
 
 let sat_cmd =
-  let run file maxsat solver physical topology broken threads timeout_ms chain_break =
+  let run file maxsat solver graph threads timeout_ms chain_break =
     handle_errors @@ fun () ->
     let formula = Dimacs.parse_file file in
     let compiled = Sat.compile formula in
@@ -364,7 +367,7 @@ let sat_cmd =
     let exact = match solver with P.Exact_solver -> true | _ -> false in
     let solved =
       P.solve ~num_threads:threads ?timeout_ms ~chain_break ~solver
-        ~target:(make_target ~topology ~broken physical) p
+        ~target:(target_of graph) p
     in
     (* Decode every read and keep the cheapest assignment; [cost] ranks by
        the same objective the Hamiltonian encodes, so a read whose
@@ -441,8 +444,8 @@ let sat_cmd =
   let doc = "solve a DIMACS CNF/WCNF formula on the annealing substrate" in
   Cmd.v (Cmd.info "sat" ~doc)
     Term.(ret
-            (const run $ sat_file_arg $ maxsat_arg $ solver_term $ physical_arg ()
-             $ topology_arg $ broken_arg $ threads_arg $ timeout_arg $ chain_break_arg))
+            (const run $ sat_file_arg $ maxsat_arg $ solver_term $ graph_term () $ threads_arg
+             $ timeout_arg $ chain_break_arg))
 
 (* --- qmasm ------------------------------------------------------------------ *)
 
@@ -525,7 +528,7 @@ let jobs_arg =
      Required unless --listen is given (a server takes jobs over the \
      socket)."
   in
-  Arg.(value & opt (some file) None & info [ "jobs" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some non_dir_file) None & info [ "jobs" ] ~docv:"FILE" ~doc)
 
 let batch_jobs_arg =
   let doc = "Flush a batch once $(docv) jobs are pending (at most $(docv) per batch)." in
@@ -675,7 +678,10 @@ let build_jobs ?store ?trace jobs_file =
   List.map
     (fun pj ->
        let id = Printf.sprintf "%s#%d" (Filename.basename pj.path) pj.line_no in
-       let src = read_file pj.path in
+       let src =
+         try read_file pj.path
+         with Sys_error msg -> failwith (Printf.sprintf "jobs line %d: %s" pj.line_no msg)
+       in
        let key =
          Option.map
            (fun _ ->
@@ -774,11 +780,11 @@ let usage_checked create =
   try create () with Invalid_argument msg -> raise (Usage msg)
 
 let serve_cmd =
-  let run jobs_file physical topology broken solver threads batch_jobs
+  let run jobs_file graph solver threads batch_jobs
       batch_window_ms queue_capacity listen shards routing store_dir postprocess
       chain_break trace trace_json =
     handle_errors @@ fun () ->
-    if shards < 1 then failwith "--shards must be >= 1";
+    if shards < 1 then raise (Usage "--shards must be >= 1");
     (* Only the single-shard job-file run has one trace to write. *)
     if (trace || trace_json) && (shards > 1 || listen <> None) then
       raise (Usage "--trace and --trace-json need a single-shard --jobs run");
@@ -788,7 +794,9 @@ let serve_cmd =
        composite wrapper honors each job's own deadline inside the
        polish loop. *)
     let solver = P.composite_solve ~postprocess solver in
-    let graph = make_graph ~topology ~broken physical in
+    let graph =
+      match graph with Some g -> g | None -> raise (Usage "--physical must be >= 1")
+    in
     let batch_window_s = batch_window_ms /. 1000.0 in
     (match listen with
      | Some addr ->
@@ -870,10 +878,10 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(ret
             (const run $ jobs_arg
-             $ physical_arg ~default:16
+             $ graph_term ~default:16
                  ~doc:"Tile jobs onto a size-$(docv) hardware graph (family from --topology)."
                  ()
-             $ topology_arg $ broken_arg $ solver_term $ threads_arg
+             $ solver_term $ threads_arg
              $ batch_jobs_arg $ batch_window_arg $ queue_capacity_arg
              $ listen_arg $ shards_arg $ routing_arg $ store_arg
              $ postprocess_arg $ chain_break_arg $ trace_arg $ trace_json_arg))
@@ -1000,7 +1008,7 @@ let cells_cmd =
 (* --- stats ------------------------------------------------------------------ *)
 
 let stats_cmd =
-  let run src top steps no_optimize physical topology broken =
+  let run src top steps no_optimize graph =
     handle_errors @@ fun () ->
     let t = compile ?top ?steps ~optimize:(not no_optimize) src in
     let props = P.static_properties t in
@@ -1010,27 +1018,27 @@ let stats_cmd =
       props.P.stdcell_lines;
     Printf.printf "logical variables:    %d\n" props.P.logical_vars;
     Printf.printf "logical terms:        %d\n" props.P.logical_terms;
-    if physical > 0 then begin
-      let graph = make_graph ~topology ~broken physical in
-      let label = graph_label ~topology physical in
-      let problem = t.P.program.Qac_qmasm.Assemble.problem in
-      match
-        Qac_embed.Cmr.find ~params:(Qac_embed.Cmr.params_for graph) graph problem
-      with
-      | Some e ->
-        let phys = Qac_embed.Embedding.apply graph problem e in
-        Printf.printf "physical qubits:      %d (%s)\n"
-          (Qac_embed.Embedding.num_physical_qubits e)
-          label;
-        Printf.printf "physical terms:       %d\n" (Qac_ising.Problem.num_terms phys);
-        Printf.printf "max chain length:     %d\n" (Qac_embed.Embedding.max_chain_length e)
-      | None -> Printf.printf "physical: no embedding found on %s\n" label
-    end
+    match graph with
+    | None -> ()
+    | Some graph ->
+      (* The embedding [vqa run --physical] solves on: a batch of one on the
+         tiler's ladder. *)
+      let module Tiler = Qac_embed.Tiler in
+      let name = graph.Qac_chimera.Topology.name in
+      let family = Qac_chimera.Family.of_topology graph in
+      (match (Tiler.tile family [| t.P.program.Qac_qmasm.Assemble.problem |]).Tiler.outcomes.(0) with
+       | Tiler.Placed { region; embedding = e; physical; _ } ->
+         Printf.printf "ladder block:         %d\n" region.Tiler.block;
+         Printf.printf "physical qubits:      %d (%s)\n"
+           (Qac_embed.Embedding.num_physical_qubits e) name;
+         Printf.printf "physical terms:       %d\n" (Qac_ising.Problem.num_terms physical);
+         Printf.printf "max chain length:     %d\n" (Qac_embed.Embedding.max_chain_length e)
+       | Tiler.Failed msg -> Printf.printf "physical: %s on %s\n" msg name
+       | Tiler.Deferred -> assert false (* a ladder's block always fits an empty floor *))
   in
   let doc = "print the section 6.1 static properties of a module" in
   Cmd.v (Cmd.info "stats" ~doc)
-    Term.(ret (const run $ src_arg $ top_arg $ steps_arg $ no_optimize_arg $ physical_arg ()
-               $ topology_arg $ broken_arg))
+    Term.(ret (const run $ src_arg $ top_arg $ steps_arg $ no_optimize_arg $ graph_term ()))
 
 let () =
   let doc = "compile classical Verilog code to a quantum annealer (ASPLOS'19 reproduction)" in

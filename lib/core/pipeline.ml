@@ -12,7 +12,7 @@ module E2Q = Qac_edif2qmasm.Edif2qmasm
 module Anneal = Qac_anneal
 module Chimera = Qac_chimera.Chimera
 module Embedding = Qac_embed.Embedding
-module Cmr = Qac_embed.Cmr
+module Tiler = Qac_embed.Tiler
 module Qpbo = Qac_roofdual.Qpbo
 open Qac_ising
 
@@ -217,7 +217,6 @@ type target =
   | Logical
   | Physical of {
       graph : Chimera.t;
-      embed_params : Cmr.params option;
       chain_strength : float option;
       roof_duality : bool;
     }
@@ -225,7 +224,6 @@ type target =
 let dwave_target =
   Physical
     { graph = Chimera.dwave_2000q;
-      embed_params = None;
       chain_strength = None;
       roof_duality = false }
 
@@ -279,15 +277,15 @@ let composite_solve ?(num_threads = 1) ?(postprocess = `None) solver ~deadline p
     ~solve:(fun p -> dispatch_solver ~num_threads ?deadline solver p)
 
 (* Solve stages, each a traced span: (qpbo -> embed) -> solve -> unembed.
-   Logical targets skip the embedding spans.  The embed stage consults
-   [embed_cache] first (keyed on problem structure + topology identity +
-   embedder params): a hit skips the embed span entirely and records the
-   [embed-cache-hit] counter instead.  [timeout_ms] bounds the solve stage:
-   the absolute deadline is computed when the solve span opens, the
-   samplers return best-so-far on expiry, and the [timed-out] counter (0/1)
-   lands on the solve span. *)
+   Logical targets skip the embedding spans.  A physical target is a batch
+   of one on the tiler's capacity ladder ({!Qac_embed.Tiler}), the same
+   embedding and solve a served job gets; the ladder records the embed
+   span and the cache counters (a warm cache has no embed span).
+   [timeout_ms] bounds the solve stage: the absolute deadline is computed
+   when the solve span opens, the samplers return best-so-far on expiry,
+   and the [timed-out] counter (0/1) lands on the solve span. *)
 let solve ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ()) ?timeout_ms
-    ?postprocess ?(chain_break = Embedding.Vote) ~solver ~target logical =
+    ?postprocess ?chain_break ~solver ~target logical =
   let span name f = Trace.with_span_opt trace name f in
   let count key v = Trace.counter_opt trace key v in
   let solve_span problem =
@@ -318,7 +316,7 @@ let solve ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ()) ?
             (fun (s : Anneal.Sampler.sample) ->
                ((s.Anneal.Sampler.spins, 0), s.Anneal.Sampler.num_occurrences))
             response.Anneal.Sampler.samples))
-  | Physical { graph; embed_params; chain_strength; roof_duality } ->
+  | Physical { graph; chain_strength; roof_duality } ->
     let num_logical_vars = logical.Problem.num_vars in
     let simplified =
       span "qpbo" (fun () ->
@@ -333,67 +331,25 @@ let solve ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ()) ?
           count "fixed-vars" (List.length simplified.Qpbo.fixed);
           simplified)
     in
-    let to_embed = simplified.Qpbo.reduced in
-    (* vqa's --threads reaches the embedder here: an explicit embed_params
-       wins, otherwise the run-level thread count parallelizes the tries
-       (which by contract cannot change the embedding found). *)
-    let eparams =
-      match embed_params with
-      | Some p -> p
-      | None -> { (Cmr.params_for graph) with Cmr.num_threads }
-    in
-    let cache_key = Qac_embed.Cache.key graph to_embed ~params:eparams in
-    let embedding =
-      match Qac_embed.Cache.find embed_cache cache_key with
-      | Some embedding ->
-        count "embed-cache-hit" 1;
-        count "physical-qubits" (Embedding.num_physical_qubits embedding);
-        embedding
-      | None ->
-        let embedding =
-          span "embed" (fun () ->
-              count "embed-cache-miss" 1;
-              let embedding =
-                match Cmr.find ~params:eparams graph to_embed with
-                | Some e -> e
-                | None ->
-                  (* Dense interaction graphs defeat the path-based heuristic;
-                     fall back to the deterministic clique template when it
-                     applies. *)
-                  (match Qac_embed.Clique.find graph to_embed with
-                   | Some e -> e
-                   | None ->
-                     error "no minor embedding found (problem too large for the topology?)")
-              in
-              count "physical-qubits" (Embedding.num_physical_qubits embedding);
-              count "max-chain-length" (Embedding.max_chain_length embedding);
-              embedding)
-        in
-        Qac_embed.Cache.add embed_cache cache_key embedding;
-        embedding
-    in
-    let physical = Embedding.apply ?chain_strength graph to_embed embedding in
-    let compacted, old_of_new = Embedding.compact physical in
-    let response = solve_span compacted in
-    let reads =
-      span "unembed" (fun () ->
-          let kept =
-            Embedding.unembed_reads ~policy:chain_break ~old_of_new ~problem:physical
-              embedding response.Anneal.Sampler.samples
-          in
-          count "discarded-reads"
-            (response.Anneal.Sampler.num_reads
-             - List.fold_left (fun acc (_, n) -> acc + n) 0 kept);
-          expand
-            (List.map
-               (fun ((u : Embedding.unembedded), n) ->
-                  ( ( Qpbo.restore ~original_num_vars:num_logical_vars simplified
-                        u.Embedding.logical,
-                      u.Embedding.broken_chains ),
-                    n ))
-               kept))
-    in
-    result ~num_physical_qubits:(Embedding.num_physical_qubits embedding) response reads
+    let family = Qac_chimera.Family.of_topology graph in
+    let params = { Tiler.default_params with Tiler.chain_strength } in
+    let jobs = [| simplified.Qpbo.reduced |] in
+    (* vqa's --threads reaches the embedder here: a one-job ladder hands
+       every thread to CMR's tries. *)
+    let ladders = Tiler.ladders ~params ~cache:embed_cache ?trace ~num_threads family jobs in
+    (match (Tiler.place ~params family jobs ladders).Tiler.outcomes.(0) with
+     | Tiler.Placed p ->
+       let kept, response = Tiler.solve_placed ?trace ?chain_break ~solver:solve_span p in
+       let restore (u : Embedding.unembedded) =
+         ( Qpbo.restore ~original_num_vars:num_logical_vars simplified u.Embedding.logical,
+           u.Embedding.broken_chains )
+       in
+       result
+         ~num_physical_qubits:(Embedding.num_physical_qubits p.Tiler.embedding)
+         response
+         (expand (List.map (fun (u, n) -> (restore u, n)) kept))
+     | Tiler.Failed msg -> error "no minor embedding found: %s" msg
+     | Tiler.Deferred -> assert false (* a ladder's block always fits an empty floor *))
 
 (* Re-assemble with the pins appended (the --pin workflow of section
    4.3.6: program code stays separate from program inputs), reusing the

@@ -99,13 +99,21 @@ type target =
   | Logical  (** solve the logical problem directly *)
   | Physical of {
       graph : Qac_chimera.Chimera.t;
-      embed_params : Qac_embed.Cmr.params option;
+          (** a Chimera or Pegasus graph ({!Qac_chimera.Family.of_topology}
+              raises [Invalid_argument] for anything else) *)
       chain_strength : float option;
       roof_duality : bool;  (** elide a-priori-determined qubits (section 4.4) *)
     }
+      (** a batch of one on the tiler's capacity ladder
+          ({!Qac_embed.Tiler.ladders} at {!Qac_embed.Tiler.default_params}
+          with this [chain_strength]): the embedding a one-job
+          [Qac_serve.Serve] on [graph] finds, so a job's response is
+          bit-identical locally and served.  A chip with broken qubits
+          bounds the job by its largest clean block. *)
 
 val dwave_target : target
-(** C16 Chimera, default embedder, auto chain strength, roof duality off. *)
+(** C16 Chimera, the tiler's default ladder, auto chain strength, roof
+    duality off. *)
 
 (** [dispatch_solver ?num_threads ?deadline solver problem] runs one solver
     on one problem.  SA/SQA/tabu read batches go through
@@ -148,12 +156,16 @@ type solve_result = {
     any logical Ising problem — a compiled circuit, a SAT formula or a
     QMASM program.  [trace] records the spans (qpbo, embed — physical
     targets only,) solve, unembed.  [num_threads] is forwarded to
-    {!dispatch_solver} and — when [embed_params] is not given — to the
-    embedder's parallel tries ({!Qac_embed.Cmr.params.num_threads}).
-    Physical targets consult [embed_cache] (default: the process-wide
-    {!Qac_embed.Cache.shared}) before embedding: a hit returns the cached
-    embedding, skips the [embed] span, and records an [embed-cache-hit]
-    counter; a miss records [embed-cache-miss] and populates the cache.
+    {!dispatch_solver} and, on physical targets, to the ladder's CMR tries
+    ({!Qac_embed.Cmr.params.num_threads}); neither changes the result.
+    A physical target embeds through {!Qac_embed.Tiler.ladders} with
+    [embed_cache] (default: the process-wide {!Qac_embed.Cache.shared}),
+    places the job on the empty chip ({!Qac_embed.Tiler.place}) and solves
+    it with {!Qac_embed.Tiler.solve_placed}: the ladder records an
+    [embed-cache-hit] counter on a warm cache and no [embed] span, or an
+    [embed] span with [embed-cache-miss], [physical-qubits] and
+    [max-chain-length] counters.  A problem the ladder cannot place raises
+    [Qac_diag.Diag.Error].
     [timeout_ms] bounds the solve stage: the absolute deadline is computed
     when solving starts, samplers return best-so-far on expiry, and
     [timed_out] (plus a [timed-out] counter on the solve span) reports

@@ -15,6 +15,7 @@ module Family = Qac_chimera.Family
 module Sampler = Qac_anneal.Sampler
 module Parallel = Qac_anneal.Parallel
 module Rng = Qac_anneal.Rng
+module Trace = Qac_diag.Trace
 open Qac_ising
 
 type params = {
@@ -102,30 +103,73 @@ let mark_used free ~r0 ~c0 ~fp =
 let attempt_seed base ~block ~attempt =
   Rng.next_seed (Rng.create (((base * 1_000_003) + block) * 1_000_003 + attempt))
 
-let try_embed ?cache local problem eparams =
-  let search () =
-    match Cmr.find ~params:eparams local problem with
-    | Some e -> Some e
-    | None -> None
-  in
-  match cache with
-  | None -> search ()
-  | Some c ->
-    let key = Cache.key local problem ~params:eparams in
-    (match Cache.find c key with
-     | Some e -> Some e
-     | None ->
-       (match search () with
-        | Some e ->
-          Cache.add c key e;
-          Some e
-        | None -> None))
-
 (* Find (block, embedding) for one problem — grid-independent.  The ladder
    starts at the smallest block whose capacity covers [slack * num_vars] and
    grows on failure; dense problems get the deterministic clique template as
-   a last resort at each size (mirroring [Pipeline.run]'s fallback). *)
-let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
+   a last resort at each size.  Each attempt looks in [cache] first.  With
+   [trace], a hit records [embed-cache-hit]; the first miss opens the
+   [embed] span, which then holds the rest of the ladder, its
+   [embed-cache-miss] count and the embedding's size counters. *)
+let ladder ?cache ?trace ~params ~seed ~cmr_threads ~fam ~kmax ~kclean problem =
+  let count key v = Trace.counter_opt trace key v in
+  let record r =
+    Result.iter
+      (fun (_, e) ->
+         count "physical-qubits" (Embedding.num_physical_qubits e);
+         count "max-chain-length" (Embedding.max_chain_length e))
+      r;
+    r
+  in
+  let misses = ref 0 in
+  let rec grow k =
+    if k > kmax then
+      Error (Printf.sprintf "no embedding found up to block %d" kmax)
+    else if k > kclean then
+      Error
+        (Printf.sprintf
+           "problem too large for the topology (needs a %dx%d clean block; largest is %dx%d)"
+           k k kclean kclean)
+    else begin
+      let local = fam.Family.build_local k in
+      let base =
+        match params.embed_params with
+        | Some p -> p
+        | None -> Cmr.params_for local
+      in
+      let rec attempt a =
+        if a >= params.attempts_per_size then
+          (* Dense interaction graphs defeat the path-based heuristic; the
+             clique template is deterministic, so it keeps the invariance. *)
+          match Clique.find local problem with
+          | Some e -> Ok (k, e)
+          | None -> grow (k + 1)
+        else
+          let eparams =
+            { base with
+              Cmr.seed = attempt_seed seed ~block:k ~attempt:a;
+              num_threads = cmr_threads }
+          in
+          let key = Option.map (fun c -> (c, Cache.key local problem ~params:eparams)) cache in
+          match Option.bind key (fun (c, key) -> Cache.find c key) with
+          | Some e ->
+            count "embed-cache-hit" 1;
+            Ok (k, e)
+          | None ->
+            let search () =
+              incr misses;
+              count "embed-cache-miss" !misses;
+              match Cmr.find ~params:eparams local problem with
+              | Some e ->
+                Option.iter (fun (c, key) -> Cache.add c key e) key;
+                Ok (k, e)
+              | None -> attempt (a + 1)
+            in
+            if !misses > 0 then search ()
+            else Trace.with_span_opt trace "embed" (fun () -> record (search ()))
+      in
+      attempt 0
+    end
+  in
   let n = problem.Problem.num_vars in
   if n = 0 then Ok (0, { Embedding.chains = [||] })
   else begin
@@ -138,42 +182,8 @@ let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
       in
       find 1
     in
-    let rec grow k =
-      if k > kmax then
-        Error (Printf.sprintf "no embedding found up to block %d" kmax)
-      else if k > kclean then
-        Error
-          (Printf.sprintf
-             "problem too large for the topology (needs a %dx%d clean block; largest is %dx%d)"
-             k k kclean kclean)
-      else begin
-        let local = fam.Family.build_local k in
-        let base =
-          match params.embed_params with
-          | Some p -> p
-          | None -> Cmr.params_for local
-        in
-        let rec attempt a =
-          if a >= params.attempts_per_size then
-            (* Dense interaction graphs defeat the path-based heuristic; the
-               clique template is deterministic, so it keeps the invariance. *)
-            match Clique.find local problem with
-            | Some e -> Ok (k, e)
-            | None -> grow (k + 1)
-          else
-            let eparams =
-              { base with
-                Cmr.seed = attempt_seed seed ~block:k ~attempt:a;
-                num_threads = 1 }
-            in
-            match try_embed ?cache local problem eparams with
-            | Some e -> Ok (k, e)
-            | None -> attempt (a + 1)
-        in
-        attempt 0
-      end
-    in
-    grow k0
+    let r = grow k0 in
+    if !misses = 0 then record r else r
   end
 
 (* --- Tiling ----------------------------------------------------------------- *)
@@ -181,18 +191,23 @@ let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
 type ladder = (int * Embedding.t, string) result
 
 (* Phase 1 — the per-job ladders are independent of the grid and of each
-   other, so they parallelize freely (the cache is mutex-guarded). *)
-let ladders ?(params = default_params) ?cache ?seeds ?(num_threads = 1) fam problems =
+   other, so they parallelize freely (the cache is mutex-guarded).  Threads
+   the jobs leave idle go to each job's CMR tries, whose result does not
+   depend on their count. *)
+let ladders ?(params = default_params) ?cache ?trace ?seeds ?(num_threads = 1) fam problems =
   let kclean = Family.max_feasible_block fam in
   let kmax =
     min fam.Family.max_block
       (Option.value params.max_block ~default:fam.Family.max_block)
   in
   let n = Array.length problems in
+  let cmr_threads = if n > 0 && n < num_threads then num_threads / n else 1 in
   let seed_of i = match seeds with Some s -> s.(i) | None -> params.seed in
   let out = Array.make n (Error "not attempted") in
   Parallel.run_tasks ~num_workers:num_threads n (fun i ->
-      out.(i) <- ladder ?cache ~params ~seed:(seed_of i) ~fam ~kmax ~kclean problems.(i));
+      out.(i) <-
+        ladder ?cache ?trace ~params ~seed:(seed_of i) ~cmr_threads ~fam ~kmax ~kclean
+          problems.(i));
   out
 
 (* Phase 2 — sequential first-fit placement in job order. *)
@@ -258,32 +273,43 @@ let counts t =
 
 (* --- Solving and response plumbing ------------------------------------------ *)
 
-let solve ?(num_threads = 1) ?(chain_break = Embedding.Vote) ?deadline ~solver t =
+let solve_placed ?trace ?(chain_break = Embedding.Vote) ~solver p =
+  if p.region.block = 0 then
+    ( [ ({ Embedding.logical = [||]; broken_chains = 0 }, 1) ],
+      Sampler.response_of_reads Problem.empty [ [||] ] )
+  else begin
+    let compacted, old_of_new = Embedding.compact p.physical in
+    let r = solver compacted in
+    let reads =
+      Trace.with_span_opt trace "unembed" (fun () ->
+          let reads =
+            Embedding.unembed_reads ~policy:chain_break ~old_of_new ~problem:p.physical
+              p.embedding r.Sampler.samples
+          in
+          Trace.counter_opt trace "discarded-reads"
+            (r.Sampler.num_reads - List.fold_left (fun acc (_, n) -> acc + n) 0 reads);
+          reads)
+    in
+    (reads, r)
+  end
+
+let solve ?(num_threads = 1) ?chain_break ?deadline ~solver t =
   let n = Array.length t.problems in
   let results = Array.make n None in
   Parallel.run_tasks ~num_workers:num_threads n (fun i ->
       match t.outcomes.(i) with
       | Deferred | Failed _ -> ()
       | Placed p ->
-        let problem = t.problems.(i) in
+        let deadline = Option.bind deadline (fun f -> f i) in
+        let reads, r = solve_placed ?chain_break ~solver:(solver ~deadline) p in
+        (* Each logical read repeats by its occurrence count, and energies
+           re-evaluate against the job's own logical Hamiltonian. *)
         let response =
-          if p.region.block = 0 then Sampler.response_of_reads problem [ [||] ]
-          else begin
-            let job_deadline =
-              match deadline with None -> None | Some f -> f i
-            in
-            let compacted, old_of_new = Embedding.compact p.physical in
-            let r = solver ~deadline:job_deadline compacted in
-            (* Chains resolve under [chain_break], each logical read repeats
-               by its occurrence count, and energies re-evaluate against the
-               job's own logical Hamiltonian. *)
-            Embedding.unembed_reads ~policy:chain_break ~old_of_new ~problem:p.physical
-              p.embedding r.Sampler.samples
-            |> List.concat_map (fun ((u : Embedding.unembedded), n) ->
-                List.init n (fun _ -> u.Embedding.logical))
-            |> Sampler.response_of_reads problem ~elapsed_seconds:r.Sampler.elapsed_seconds
-                 ~timed_out:r.Sampler.timed_out
-          end
+          List.concat_map
+            (fun ((u : Embedding.unembedded), n) -> List.init n (fun _ -> u.Embedding.logical))
+            reads
+          |> Sampler.response_of_reads t.problems.(i) ~elapsed_seconds:r.Sampler.elapsed_seconds
+               ~timed_out:r.Sampler.timed_out
         in
         results.(i) <- Some (i, response));
   Array.to_list results |> List.filter_map Fun.id

@@ -108,13 +108,24 @@ type ladder = (int * Embedding.t, string) result
 val ladders :
   ?params:params ->
   ?cache:Cache.t ->
+  ?trace:Qac_diag.Trace.t ->
   ?seeds:int array ->
   ?num_threads:int ->
   Qac_chimera.Family.t ->
   Qac_ising.Problem.t array ->
   ladder array
 (** The first phase of {!tile}: each problem's ladder, parallel to
-    [problems], independent of the grid and of the other problems. *)
+    [problems], independent of the grid and of the other problems.  When
+    there are fewer problems than [num_threads], the spare threads go to
+    each ladder's CMR tries ({!Cmr.params.num_threads}), which cannot
+    change the embedding found.  [trace] records, per ladder, an
+    [embed-cache-hit] counter for a cache hit, or an [embed] span opened at
+    the first miss that holds the rest of the ladder, its
+    [embed-cache-miss] count, and the [physical-qubits] and
+    [max-chain-length] of the embedding found; a warm ladder has no [embed]
+    span.  A trace is not shared across domains, so pass one only when
+    the ladders run on the calling domain: one problem, or [num_threads]
+    1. *)
 
 val place :
   ?params:params -> Qac_chimera.Family.t -> Qac_ising.Problem.t array -> ladder array -> t
@@ -130,17 +141,30 @@ val occupancy : t -> float
 val counts : t -> int * int * int
 (** [(placed, deferred, failed)]. *)
 
-(** [solve ?num_threads ?chain_break ?deadline ~solver t] solves every
-    placed job independently — compact the local physical problem, run
-    [solver], expand and resolve the chains back under [chain_break]
-    ({!Embedding.chain_break}, default [Vote]; [Discard] drops broken
-    reads per job, falling back to voting when all are broken) — and
-    returns [(job, response)] pairs in job order, each response in the
-    job's own logical variable space.  [solver] receives the per-job
-    deadline ([deadline job], absolute [Unix.gettimeofday] instant, [None]
-    when absent) and must be pure up to its arguments: jobs run
-    concurrently across [num_threads] domains, and composition invariance
-    holds only if the solver output depends on the problem alone. *)
+val solve_placed :
+  ?trace:Qac_diag.Trace.t ->
+  ?chain_break:Embedding.chain_break ->
+  solver:(Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
+  placed ->
+  (Embedding.unembedded * int) list * Qac_anneal.Sampler.response
+(** [solve_placed ~solver p] solves one placed job: compact its local
+    physical problem, run [solver] on it, and resolve the chains back
+    under [chain_break] ({!Embedding.unembed_reads}, default [Vote];
+    [Discard] drops broken reads, falling back to voting when all are
+    broken).  Returns the logical reads, each with its broken-chain count
+    and occurrence count in sample order, and [solver]'s response.  A
+    zero-block job skips the solver: one empty read, no time.  [trace]
+    records an [unembed] span with a [discarded-reads] counter. *)
+
+(** [solve ?num_threads ?chain_break ?deadline ~solver t] runs
+    {!solve_placed} on every placed job and returns [(job, response)]
+    pairs in job order, each response built from the job's logical reads
+    (each repeated by its count, energies evaluated against the job's own
+    logical Hamiltonian).  [solver] receives the per-job deadline
+    ([deadline job], absolute [Unix.gettimeofday] instant, [None] when
+    absent) and must be pure up to its arguments: jobs run concurrently
+    across [num_threads] domains, and composition invariance holds only if
+    the solver output depends on the problem alone. *)
 val solve :
   ?num_threads:int ->
   ?chain_break:Embedding.chain_break ->

@@ -272,7 +272,6 @@ let physical_tests =
         let target =
           P.Physical
             { graph = Qac_chimera.Chimera.create 8;
-              embed_params = None;
               chain_strength = None;
               roof_duality = true }
         in

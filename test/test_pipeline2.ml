@@ -58,7 +58,6 @@ let suite =
         let target =
           P.Physical
             { graph = Qac_chimera.Pegasus.create 3;
-              embed_params = None;
               chain_strength = None;
               roof_duality = false }
         in
@@ -113,26 +112,4 @@ let suite =
          | None -> Alcotest.fail "expected a TTS");
         Alcotest.(check (option (float 0.0))) "unreachable target" None
           (Sampler.time_to_solution r ~target_energy:(-100.0)));
-    Alcotest.test_case "clique-template fallback in the pipeline" `Quick (fun () ->
-        (* A dense module whose interaction graph defeats the path heuristic
-           on a small graph: equality over 3-bit words compiled and embedded
-           into a C4 with few CMR tries. *)
-        let t = P.compile eq_src in
-        let target =
-          P.Physical
-            { graph = Qac_chimera.Chimera.create 4;
-              embed_params =
-                Some { Qac_embed.Cmr.default_params with Qac_embed.Cmr.tries = 1; max_passes = 1 };
-              chain_strength = None;
-              roof_duality = false }
-        in
-        let solver =
-          P.Sa { Qac_anneal.Sa.default_params with Qac_anneal.Sa.num_reads = 60; num_sweeps = 500 }
-        in
-        (* Either the heuristic succeeds in its single try or the clique
-           template catches it; both must produce a working run. *)
-        let result = P.run t ~pins:[ ("a", 3); ("b", 3) ] ~solver ~target in
-        match P.valid_solutions result with
-        | s :: _ -> Alcotest.(check int) "y" 1 (List.assoc "y" s.P.ports)
-        | [] -> Alcotest.fail "no valid solution");
   ]

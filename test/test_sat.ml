@@ -558,7 +558,6 @@ let chain_break_tests =
          let target =
            P.Physical
              { graph = Chimera.create 4;
-               embed_params = None;
                chain_strength = Some 0.5;
                roof_duality = false }
          in

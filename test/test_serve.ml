@@ -710,7 +710,86 @@ let flush_tests =
               check_flush_sum s)
            [ 1e300; Float.infinity ]) ]
 
+(* Local ≡ served: [Pipeline.solve ~target:Physical] is a batch of one on
+   the tiler's ladder, so a job's response is bit-identical to the one a
+   one-job service on the same graph returns, with the same solver and the
+   default tiler params.  Each side gets its own fresh embed cache. *)
+module P = Qac_core.Pipeline
+
+let circuits =
+  lazy
+    (List.map P.compile
+       [ "module circuit (s, a, b, c); input s, a, b; output [1:0] c;\n\
+          assign c = s ? a + b : a - b; endmodule";
+         "module add (a, b, c); input [1:0] a, b; output [2:0] c; assign c = a + b; endmodule";
+         "module mul (a, b, c); input [1:0] a, b; output [3:0] c; assign c = a * b; endmodule" ])
+
+(* A circuit with every port pinned to a random value (its inputs, or its
+   output, so some jobs run backward), or a random 3-SAT formula. *)
+let local_problem rng kind =
+  let circuits = Lazy.force circuits in
+  if kind < List.length circuits then begin
+    let t = List.nth circuits kind in
+    let netlist = t.P.netlist in
+    let ports =
+      if Random.State.bool rng then List.map fst netlist.Qac_netlist.Netlist.inputs
+      else List.map fst netlist.Qac_netlist.Netlist.outputs
+    in
+    let pins =
+      List.map
+        (fun name -> (name, Random.State.int rng (1 lsl Option.get (P.port_width t name))))
+        ports
+    in
+    (P.assemble_with_pins ~pins t).Qac_qmasm.Assemble.problem
+  end
+  else begin
+    let n = 4 + Random.State.int rng 3 in
+    let lit () = (1 + Random.State.int rng n) * if Random.State.bool rng then 1 else -1 in
+    let clauses =
+      List.init (2 * n) (fun _ -> Printf.sprintf "%d %d %d 0" (lit ()) (lit ()) (lit ()))
+    in
+    let dimacs = Printf.sprintf "p cnf %d %d\n%s\n" n (2 * n) (String.concat "\n" clauses) in
+    (Qac_sat.Compile.compile (Qac_sat.Dimacs.parse dimacs)).Qac_sat.Compile.problem
+  end
+
+let local_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:16 ~name:"local solve == one-job serve"
+         QCheck.(pair (int_bound 100_000) (int_bound 5))
+         (fun (seed, kind) ->
+            let rng = Random.State.make [| seed |] in
+            let problem = local_problem rng kind in
+            let graph =
+              if Random.State.bool rng then Chimera.create 4 else Qac_chimera.Pegasus.create 4
+            in
+            let chain_break =
+              [| Qac_embed.Embedding.Vote; Discard; Polish |].(Random.State.int rng 3)
+            in
+            let solver =
+              P.Sa { Sa.default_params with Sa.num_reads = 16; num_sweeps = 60; seed }
+            in
+            let local =
+              P.solve ~embed_cache:(Qac_embed.Cache.create ()) ~chain_break ~solver
+                ~target:(P.Physical { graph; chain_strength = None; roof_duality = false })
+                problem
+            in
+            let service =
+              Serve.create ~chain_break ~embed_cache:(Qac_embed.Cache.create ())
+                ~solver:(P.composite_solve solver) ~graph ()
+            in
+            Serve.submit service (job "j" problem);
+            match Serve.drain service with
+            | [ { Serve.response = Some served; status = Serve.Done; _ } ] ->
+              let local_response =
+                Sampler.response_of_reads problem (List.map fst local.P.reads)
+              in
+              local_response.Sampler.samples = served.Sampler.samples
+              && local_response.Sampler.num_reads = served.Sampler.num_reads
+              && local.P.num_reads = served.Sampler.num_reads
+              && local.P.timed_out = served.Sampler.timed_out
+            | _ -> QCheck.Test.fail_report "the served job did not finish")) ]
+
 let suite =
   basic_tests @ deadline_tests @ failure_tests @ trace_tests @ pegasus_tests
   @ ticket_tests @ coalesce_tests @ unsupported_topology_tests @ retained_tests
-  @ flush_tests
+  @ flush_tests @ local_tests

@@ -352,6 +352,31 @@ let ladder_tests =
            (Invalid_argument "Tiler.place: one ladder per problem") (fun () ->
              ignore (Tiler.place ~params fam jobs (pick ladders)))) ]
 
+(* Appended after every earlier case, so their indices stay put. *)
+let fallback_tests =
+  [ Alcotest.test_case "ladder falls back to the clique" `Quick (fun () ->
+        (* One CMR try with one pass fails both attempts for K8 on the first
+           rung (a C2 block), so the ladder must take the clique template
+           there.  (The 3-bit equality module is not dense enough: CMR
+           embeds it in a single pass.) *)
+        let problem = dense_problem 8 in
+        let fam = Family.of_topology (Chimera.create 4) in
+        let params =
+          { Tiler.default_params with
+            Tiler.embed_params =
+              Some { Qac_embed.Cmr.default_params with tries = 1; max_passes = 1 } }
+        in
+        match (Tiler.ladders ~params fam [| problem |]).(0) with
+        | Ok (block, e) ->
+          let local = fam.Family.build_local block in
+          Alcotest.(check int) "first rung" 2 block;
+          Alcotest.(check bool) "the clique template's embedding" true
+            (Qac_embed.Clique.find local problem = Some e);
+          Alcotest.(check bool) "a valid minor" true
+            (Qac_embed.Embedding.verify local problem e = Ok ())
+        | Error m -> Alcotest.fail m) ]
+
 let suite =
   tiling_tests @ solve_tests @ reuse_tests @ ladder_tests @ pegasus_tests
   @ [ QCheck_alcotest.to_alcotest qcheck_isolation ]
+  @ fallback_tests

@@ -90,7 +90,6 @@ let suite =
          let target =
            P.Physical
              { graph = Qac_chimera.Chimera.create 4;
-               embed_params = None;
                chain_strength = None;
                roof_duality = false }
          in
@@ -119,7 +118,6 @@ let suite =
         let target =
           P.Physical
             { graph = Qac_chimera.Chimera.create 4;
-              embed_params = None;
               chain_strength = None;
               roof_duality = false }
         in
