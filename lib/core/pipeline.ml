@@ -110,21 +110,23 @@ let compile ?top ?steps ?(optimize = true) ?(options = default_options) ?trace v
    source plus the structural options; the compiled value is immutable and
    shared by reference. *)
 
-type compile_cache = {
-  cc_lock : Mutex.t;
-  cc_table : (string * string option * int option * bool * Qmasm.Assemble.options, t) Hashtbl.t;
-  mutable cc_hits : int;
-  mutable cc_misses : int;
-}
-
 type compile_cache_stats = {
   hits : int;
   misses : int;
   entries : int;
 }
 
+type compile_cache = {
+  cc_lock : Mutex.t;
+  cc_table : (string * string option * int option * bool * Qmasm.Assemble.options, t) Hashtbl.t;
+  mutable cc_counts : compile_cache_stats;
+      (* lock-guarded; [entries] stays 0, {!compile_cache_stats} fills it *)
+}
+
 let compile_cache_create () =
-  { cc_lock = Mutex.create (); cc_table = Hashtbl.create 16; cc_hits = 0; cc_misses = 0 }
+  { cc_lock = Mutex.create ();
+    cc_table = Hashtbl.create 16;
+    cc_counts = { hits = 0; misses = 0; entries = 0 } }
 
 (* Created when the module is initialised, before any domain can start:
    concurrent first calls must all see the same cache. *)
@@ -133,7 +135,7 @@ let shared_compile_cache () = shared_compile_cache_v
 
 let compile_cache_stats c =
   Mutex.lock c.cc_lock;
-  let s = { hits = c.cc_hits; misses = c.cc_misses; entries = Hashtbl.length c.cc_table } in
+  let s = { c.cc_counts with entries = Hashtbl.length c.cc_table } in
   Mutex.unlock c.cc_lock;
   s
 
@@ -151,12 +153,12 @@ let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_opt
   Mutex.lock c.cc_lock;
   match Hashtbl.find_opt c.cc_table key with
   | Some t ->
-    c.cc_hits <- c.cc_hits + 1;
+    c.cc_counts <- { c.cc_counts with hits = c.cc_counts.hits + 1 };
     Mutex.unlock c.cc_lock;
     bump_summary trace "compile-cache-hits";
     t
   | None ->
-    c.cc_misses <- c.cc_misses + 1;
+    c.cc_counts <- { c.cc_counts with misses = c.cc_counts.misses + 1 };
     Mutex.unlock c.cc_lock;
     (* Compile outside the lock: a slow compile must not serialize other
        shards' lookups.  Concurrent same-key misses both compile; last
@@ -260,9 +262,15 @@ type run_result = {
    count: the chunk decomposition depends only on the seed, so the sample set
    is identical whether the chunks run on 1 domain or many.  [deadline] is an
    absolute instant; the exact solver ignores it (enumeration is not
-   interruptible mid-subtree, and its size cap already bounds its runtime). *)
+   interruptible mid-subtree, and its size cap already bounds its runtime).
+   A problem above that cap is the user's choice of solver, not a bug, so
+   it is a diagnostic. *)
 let dispatch_solver ?(num_threads = 1) ?deadline solver problem =
   match solver with
+  | Exact_solver when problem.Problem.num_vars > Exact.max_vars ->
+    Diag.error ~stage:"pipeline"
+      "the exact solver enumerates at most %d variables; this problem has %d"
+      Exact.max_vars problem.Problem.num_vars
   | Exact_solver -> Anneal.Exact_sampler.sample problem
   | Sa params -> Anneal.Parallel.sample_sa ~num_threads ?deadline ~params problem
   | Sqa params -> Anneal.Parallel.sample_sqa ~num_threads ?deadline ~params problem

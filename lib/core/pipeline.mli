@@ -122,7 +122,9 @@ val dwave_target : target
     default) or many.  Exact and qbsolv solvers always run sequentially.
     [deadline] (absolute [Unix.gettimeofday] instant) makes the annealers
     return best-so-far with [Sampler.response.timed_out] set; the exact
-    solver ignores it (its size cap already bounds runtime). *)
+    solver ignores it (its size cap already bounds runtime).  Raises
+    [Diag.Error] (stage ["pipeline"]) when the exact solver is given more
+    than {!Qac_ising.Exact.max_vars} variables. *)
 val dispatch_solver :
   ?num_threads:int ->
   ?deadline:float ->

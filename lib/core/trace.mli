@@ -1,10 +1,11 @@
 (** Span-based tracing for the compilation/execution pipeline.
 
-    [with_span t "synth" (fun () -> ...)] records the wall time of the
-    callback under the name ["synth"]; [counter t "gates" n] attaches a
-    named integer to the innermost open span.  A trace accumulates
-    completed spans in execution order and exports them as aligned text
-    or JSON. *)
+    [with_span_opt trace "synth" (fun () -> ...)] records the wall time of
+    the callback under the name ["synth"]; [counter_opt trace "gates" n]
+    attaches a named integer to the innermost open span.  Both are no-ops
+    when [trace] is [None], so an untraced run costs one option match.  A
+    trace accumulates completed spans in execution order and exports them
+    as aligned text or JSON. *)
 
 type span = {
   name : string;
@@ -15,13 +16,6 @@ type span = {
 type t
 
 val create : unit -> t
-
-val with_span : t -> string -> (unit -> 'a) -> 'a
-(** Time [f] under a named span.  Spans nest; the span is recorded even
-    when [f] raises. *)
-
-val counter : t -> string -> int -> unit
-(** Attach (or overwrite) a counter on the innermost open span. *)
 
 val spans : t -> span list
 (** Completed spans, in completion order. *)
@@ -42,10 +36,12 @@ val summary : t -> (string * float) list
 
 val find_summary : t -> string -> float option
 
-(** No-op variants for optionally-traced code paths. *)
-
 val with_span_opt : t option -> string -> (unit -> 'a) -> 'a
+(** Time [f] under a named span.  Spans nest; the span is recorded even
+    when [f] raises. *)
+
 val counter_opt : t option -> string -> int -> unit
+(** Attach (or overwrite) a counter on the innermost open span. *)
 
 val to_text : t -> string
 

@@ -71,10 +71,7 @@ type t = {
   lock : Mutex.t;
   store : Store.t option;
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable store_hits : int;
+  mutable counts : stats;  (* lock-guarded; [entries] stays 0, {!stats} fills it *)
 }
 
 let create ?(capacity = 64) ?store () =
@@ -84,10 +81,7 @@ let create ?(capacity = 64) ?store () =
     lock = Mutex.create ();
     store;
     tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    store_hits = 0 }
+    counts = { hits = 0; misses = 0; evictions = 0; entries = 0; store_hits = 0 } }
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -117,7 +111,7 @@ let insert_locked t key embedding =
       match !victim with
       | Some (k, _) ->
         Hashtbl.remove t.table k;
-        t.evictions <- t.evictions + 1
+        t.counts <- { t.counts with evictions = t.counts.evictions + 1 }
       | None -> ()
     end
 
@@ -127,7 +121,7 @@ let find t key =
       match Hashtbl.find_opt t.table key with
       | Some entry ->
         entry.last_used <- t.tick;
-        t.hits <- t.hits + 1;
+        t.counts <- { t.counts with hits = t.counts.hits + 1 };
         Some entry.embedding
       | None ->
         (* Fall through to the persistent store and promote: a warm corpus
@@ -136,11 +130,11 @@ let find t key =
         (match Option.bind t.store (fun s -> Store.find_embedding s key) with
          | Some embedding ->
            insert_locked t key embedding;
-           t.hits <- t.hits + 1;
-           t.store_hits <- t.store_hits + 1;
+           let c = t.counts in
+           t.counts <- { c with hits = c.hits + 1; store_hits = c.store_hits + 1 };
            Some embedding
          | None ->
-           t.misses <- t.misses + 1;
+           t.counts <- { t.counts with misses = t.counts.misses + 1 };
            None))
 
 let add t key embedding =
@@ -149,15 +143,7 @@ let add t key embedding =
       insert_locked t key embedding;
       Option.iter (fun s -> Store.put_embedding s key embedding) t.store)
 
-let length t = with_lock t (fun () -> Hashtbl.length t.table)
-
-let stats t =
-  with_lock t (fun () ->
-      { hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        entries = Hashtbl.length t.table;
-        store_hits = t.store_hits })
+let stats t = with_lock t (fun () -> { t.counts with entries = Hashtbl.length t.table })
 
 let fields (s : stats) =
   List.map

@@ -44,8 +44,6 @@ val add : t -> Digest.t -> Embedding.t -> unit
 (** Inserts (or refreshes) and evicts the least recently used entry beyond
     capacity; writes through to the backing store when one is attached. *)
 
-val length : t -> int
-
 type stats = {
   hits : int;  (** {!find} calls that returned an embedding *)
   misses : int;  (** {!find} calls that returned [None] *)
@@ -55,7 +53,7 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Counters since creation (or {!clear}); [entries] is instantaneous.
+(** Counters since creation; [entries] is instantaneous.
     Surfaced per shard by the serving tier's stats endpoint. *)
 
 val fields : stats -> (string * float) list

@@ -157,24 +157,6 @@ let decode_problem s =
 
 (* {1 Directory store} *)
 
-type t = {
-  dir : string;
-  readonly : bool;
-  lock : Mutex.t;
-  (* digest -> file path, filled by the startup scan; consulted lazily *)
-  emb_files : (Digest.t, string) Hashtbl.t;
-  prb_files : (Digest.t, string) Hashtbl.t;
-  (* decoded artifacts, shared read-only across shards *)
-  emb_mem : (Digest.t, Embedding.t) Hashtbl.t;
-  prb_mem : (Digest.t, Problem.t) Hashtbl.t;
-  mutable embed_hits : int;
-  mutable embed_misses : int;
-  mutable problem_hits : int;
-  mutable problem_misses : int;
-  mutable writes : int;
-  mutable load_failures : int;
-}
-
 type stats = {
   embeddings : int;
   problems : int;
@@ -184,6 +166,19 @@ type stats = {
   problem_misses : int;
   writes : int;
   load_failures : int;
+}
+
+type t = {
+  dir : string;
+  lock : Mutex.t;
+  (* digest -> file path, filled by the startup scan; consulted lazily *)
+  emb_files : (Digest.t, string) Hashtbl.t;
+  prb_files : (Digest.t, string) Hashtbl.t;
+  (* decoded artifacts, shared read-only across shards *)
+  emb_mem : (Digest.t, Embedding.t) Hashtbl.t;
+  prb_mem : (Digest.t, Problem.t) Hashtbl.t;
+  (* lock-guarded; [embeddings] and [problems] stay 0, {!stats} fills them *)
+  mutable counts : stats;
 }
 
 let rec mkdir_p d =
@@ -212,22 +207,18 @@ let digest_of_name ~prefix name =
     | exception Invalid_argument _ -> None
   else None
 
-let open_dir ?(readonly = false) dir =
+let open_dir dir =
   mkdir_p dir;
   let t =
     { dir;
-      readonly;
       lock = Mutex.create ();
       emb_files = Hashtbl.create 64;
       prb_files = Hashtbl.create 64;
       emb_mem = Hashtbl.create 64;
       prb_mem = Hashtbl.create 64;
-      embed_hits = 0;
-      embed_misses = 0;
-      problem_hits = 0;
-      problem_misses = 0;
-      writes = 0;
-      load_failures = 0 }
+      counts =
+        { embeddings = 0; problems = 0; embed_hits = 0; embed_misses = 0;
+          problem_hits = 0; problem_misses = 0; writes = 0; load_failures = 0 } }
   in
   Array.iter
     (fun name ->
@@ -275,24 +266,25 @@ let write_file path data =
     (try Sys.remove tmp with Sys_error _ -> ());
     false
 
-(* Shared find/put over the two artifact kinds. *)
+(* Shared find/put over the two artifact kinds.  [hit] and [miss] bump
+   the kind's own counter. *)
 
 let find_generic t ~files ~mem ~decode ~hit ~miss digest =
   with_lock t (fun () ->
+      let bump f = t.counts <- f t.counts in
       match Hashtbl.find_opt mem digest with
       | Some v ->
-        hit ();
+        bump hit;
         Some v
       | None ->
         (match Hashtbl.find_opt files digest with
          | None ->
-           miss ();
+           bump miss;
            None
          | Some path ->
            let refuse () =
              Hashtbl.remove files digest;
-             t.load_failures <- t.load_failures + 1;
-             miss ();
+             bump (fun c -> miss { c with load_failures = c.load_failures + 1 });
              None
            in
            (match read_file path with
@@ -302,25 +294,24 @@ let find_generic t ~files ~mem ~decode ~hit ~miss digest =
                | Error _ -> refuse ()
                | Ok v ->
                  Hashtbl.replace mem digest v;
-                 hit ();
+                 bump hit;
                  Some v))))
 
 let put_generic t ~files ~mem ~encode ~prefix digest v =
   with_lock t (fun () ->
-      if (not t.readonly) && not (Hashtbl.mem mem digest) && not (Hashtbl.mem files digest)
-      then begin
+      if not (Hashtbl.mem mem digest || Hashtbl.mem files digest) then begin
         let path = path_of t ~prefix digest in
         if write_file path (encode v) then begin
           Hashtbl.replace files digest path;
           Hashtbl.replace mem digest v;
-          t.writes <- t.writes + 1
+          t.counts <- { t.counts with writes = t.counts.writes + 1 }
         end
       end)
 
 let find_embedding t digest =
   find_generic t ~files:t.emb_files ~mem:t.emb_mem ~decode:decode_embedding
-    ~hit:(fun () -> t.embed_hits <- t.embed_hits + 1)
-    ~miss:(fun () -> t.embed_misses <- t.embed_misses + 1)
+    ~hit:(fun c -> { c with embed_hits = c.embed_hits + 1 })
+    ~miss:(fun c -> { c with embed_misses = c.embed_misses + 1 })
     digest
 
 let put_embedding t digest e =
@@ -329,8 +320,8 @@ let put_embedding t digest e =
 
 let find_problem t digest =
   find_generic t ~files:t.prb_files ~mem:t.prb_mem ~decode:decode_problem
-    ~hit:(fun () -> t.problem_hits <- t.problem_hits + 1)
-    ~miss:(fun () -> t.problem_misses <- t.problem_misses + 1)
+    ~hit:(fun c -> { c with problem_hits = c.problem_hits + 1 })
+    ~miss:(fun c -> { c with problem_misses = c.problem_misses + 1 })
     digest
 
 let put_problem t digest p =
@@ -344,14 +335,9 @@ let stats t =
         Hashtbl.iter (fun d _ -> if not (Hashtbl.mem files d) then incr n) mem;
         !n
       in
-      { embeddings = count t.emb_files t.emb_mem;
-        problems = count t.prb_files t.prb_mem;
-        embed_hits = t.embed_hits;
-        embed_misses = t.embed_misses;
-        problem_hits = t.problem_hits;
-        problem_misses = t.problem_misses;
-        writes = t.writes;
-        load_failures = t.load_failures })
+      { t.counts with
+        embeddings = count t.emb_files t.emb_mem;
+        problems = count t.prb_files t.prb_mem })
 
 let fields (s : stats) =
   List.map

@@ -43,13 +43,11 @@ val version : int
 (** Current codec version.  Bumped on any format change; older files are
     refused with [Error], never misread. *)
 
-val open_dir : ?readonly:bool -> string -> t
+val open_dir : string -> t
 (** [open_dir dir] creates [dir] (and parents) if needed and indexes the
     artifacts already present; artifact payloads are decoded lazily on
-    first access.  With [~readonly:true] (default [false]) the [put_*]
-    operations become no-ops — e.g. a replica pointed at a shared corpus
-    it must not mutate.  Raises [Sys_error] only if the directory cannot
-    be created or listed. *)
+    first access.  Raises [Sys_error] only if the directory cannot be
+    created or listed. *)
 
 val dir : t -> string
 
@@ -58,8 +56,7 @@ val find_embedding : t -> Digest.t -> Embedding.t option
     counts as a miss plus a [load_failures] tick and drops the entry. *)
 
 val put_embedding : t -> Digest.t -> Embedding.t -> unit
-(** Write-through; no-op when the digest is already stored or the store is
-    read-only.  I/O errors are swallowed (the store is an accelerator, not
+(** Write-through; no-op when the digest is already stored.  I/O errors are swallowed (the store is an accelerator, not
     a source of truth). *)
 
 val find_problem : t -> Digest.t -> Qac_ising.Problem.t option

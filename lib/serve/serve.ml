@@ -96,6 +96,7 @@ let restore { result; packed } =
 type pending = {
   pjob : job;
   index : int;  (* submission order; doubles as the caller-facing ticket *)
+  key : string;  (* {!coalesce_key} of [pjob] *)
   submitted_at : float;
   deadline : float option;  (* absolute; fixed at submit *)
   tries : int;  (* embedding-failure retries so far *)
@@ -125,7 +126,6 @@ type t = {
   tiler_params : Tiler.params;
   chain_break : Qac_embed.Embedding.chain_break;
   embed_cache : Cache.t option;
-  max_retries : int;
   trace : Trace.t option;
   solver : deadline:float option -> Problem.t -> Sampler.response;
   family : Family.t;  (* built once; its local fabrics are shared by every batch *)
@@ -136,28 +136,16 @@ type t = {
   mutable pipe_closed : bool;
   results : (int, retained) Hashtbl.t;
   (* In-flight coalescing, all mutex-guarded.  A *work* is a queue entry
-     (identified by its leader's ticket = [pending.index]); [active] maps a
-     job's content digest to its live work while that work is queued or in
-     flight, [subscribers] lists the work's deliveries in attach order
-     (leader first), and [work_of_ticket] lets [cancel] find any ticket's
-     work. *)
+     (identified by its leader's ticket = [pending.index]); while it is
+     queued or in flight, [active] maps its coalesce key to it and [works]
+     maps it to that key and its deliveries in attach order (leader
+     first); [work_of_ticket] lets [cancel] find any ticket's work. *)
   active : (string, int) Hashtbl.t;
-  key_of_work : (int, string) Hashtbl.t;
-  subscribers : (int, subscriber list) Hashtbl.t;
+  works : (int, string * subscriber list) Hashtbl.t;
   work_of_ticket : (int, int) Hashtbl.t;
-  (* counters, all mutex-guarded *)
-  mutable n_batches : int;
-  mutable n_full_flushes : int;
-  mutable n_idle_flushes : int;
-  mutable n_window_flushes : int;
-  mutable n_drain_flushes : int;
-  mutable n_placed : int;
-  mutable n_deferrals : int;
-  mutable n_retries : int;
-  mutable n_failures : int;
-  mutable n_timeouts : int;
-  mutable n_canceled : int;
-  mutable n_coalesced : int;
+  (* Mutex-guarded, like the two accumulators the derived rates come from.
+     The derived fields of [counts] stay 0; {!stats} fills them in. *)
+  mutable counts : stats;
   mutable occupancy_sum : float;
   mutable busy_seconds : float;
   mutable scheduler : unit Domain.t option;
@@ -173,6 +161,9 @@ let expired deadline t =
    never-failing job tiles identically to a plain [Tiler.tile] call — the
    composition-invariance contract is preserved. *)
 let retry_seed base tries = base + (7919 * tries)
+
+(* Embedding-failure retries, each with a fresh seed, before a job fails. *)
+let max_retries = 2
 
 (* Full-content digest for request coalescing: variable count, every
    coefficient's exact bit pattern, and the relative timeout.  Within one
@@ -240,19 +231,25 @@ let wait_wake t timeout =
 
 (* --- Result recording ------------------------------------------------------- *)
 
+(* Requires [mutex] held.  Drop a work: its [works] entry and its [active]
+   entry, which maps its key to it for as long as it is live. *)
+let release t ~work ~key =
+  Hashtbl.remove t.works work;
+  Hashtbl.remove t.active key
+
 (* Requires [mutex] held: the results table and the latency histogram are
    written together.  Latency is end-to-end (submit to recording), so queue
    wait, tiling, solving and unembedding all count — what a client sees.
 
    One call terminates a *work*: the shared outcome fans out to every
    remaining subscriber (the leader and any coalesced followers), each
-   under its own ticket, id and wait clock.  A missing subscriber list
-   means every delivery was already canceled while the work was in flight;
+   under its own ticket, id and wait clock.  A work missing from [works]
+   was released when its last delivery canceled while it was in flight;
    their Canceled results stand and the late outcome is dropped. *)
 let record t (p : pending) ~status ~response ~batch ~batch_start ~solve_seconds =
-  match Hashtbl.find_opt t.subscribers p.index with
+  match Hashtbl.find_opt t.works p.index with
   | None -> ()
-  | Some subs ->
+  | Some (_, subs) ->
     let finished = now () in
     (* Packed once; every subscriber's retained result shares it. *)
     let response, packed = pack_response response in
@@ -272,14 +269,7 @@ let record t (p : pending) ~status ~response ~batch ~batch_start ~solve_seconds 
              packed };
          Hashtbl.remove t.work_of_ticket s.ticket)
       subs;
-    Hashtbl.remove t.subscribers p.index;
-    (match Hashtbl.find_opt t.key_of_work p.index with
-     | Some key ->
-       Hashtbl.remove t.key_of_work p.index;
-       (match Hashtbl.find_opt t.active key with
-        | Some w when w = p.index -> Hashtbl.remove t.active key
-        | _ -> ())
-     | None -> ())
+    release t ~work:p.index ~key:p.key
 
 let rec take n = function
   | [] -> ([], [])
@@ -301,7 +291,7 @@ let process_batch t batch ~batch_no ~queue_depth =
   Mutex.lock t.mutex;
   List.iter
     (fun p ->
-       t.n_timeouts <- t.n_timeouts + 1;
+       t.counts <- { t.counts with timeouts = t.counts.timeouts + 1 };
        record t p ~status:Timed_out ~response:None ~batch:(-1) ~batch_start
          ~solve_seconds:0.0)
     stale;
@@ -354,26 +344,25 @@ let process_batch t batch ~batch_no ~queue_depth =
              match tiling.Tiler.outcomes.(i) with
              | Tiler.Placed _ ->
                let response = List.assoc i responses in
-               let status =
-                 if response.Sampler.timed_out then begin
-                   t.n_timeouts <- t.n_timeouts + 1;
-                   Timed_out
-                 end
-                 else Done
+               let c = { t.counts with placed = t.counts.placed + 1 } in
+               let status, c =
+                 if response.Sampler.timed_out then
+                   (Timed_out, { c with timeouts = c.timeouts + 1 })
+                 else (Done, c)
                in
-               t.n_placed <- t.n_placed + 1;
+               t.counts <- c;
                record t p ~status ~response:(Some response) ~batch:batch_no
                  ~batch_start ~solve_seconds:response.Sampler.elapsed_seconds
              | Tiler.Deferred ->
-               t.n_deferrals <- t.n_deferrals + 1;
+               t.counts <- { t.counts with deferrals = t.counts.deferrals + 1 };
                requeue := p :: !requeue
              | Tiler.Failed msg ->
-               if p.tries < t.max_retries then begin
-                 t.n_retries <- t.n_retries + 1;
+               if p.tries < max_retries then begin
+                 t.counts <- { t.counts with retries = t.counts.retries + 1 };
                  requeue := { p with tries = p.tries + 1; ladder = None } :: !requeue
                end
                else begin
-                 t.n_failures <- t.n_failures + 1;
+                 t.counts <- { t.counts with failures = t.counts.failures + 1 };
                  record t p ~status:(Failed msg) ~response:None ~batch:batch_no
                    ~batch_start ~solve_seconds:0.0
                end)
@@ -387,24 +376,13 @@ let process_batch t batch ~batch_no ~queue_depth =
   Mutex.unlock t.mutex
 
 let stats_locked t =
+  let c = t.counts in
   let jobs_done = Hashtbl.length t.results in
-  { batches = t.n_batches;
-    full_flushes = t.n_full_flushes;
-    idle_flushes = t.n_idle_flushes;
-    window_flushes = t.n_window_flushes;
-    drain_flushes = t.n_drain_flushes;
+  { c with
     jobs_done;
-    placed = t.n_placed;
-    deferrals = t.n_deferrals;
-    retries = t.n_retries;
-    failures = t.n_failures;
-    timeouts = t.n_timeouts;
-    canceled = t.n_canceled;
-    coalesced = t.n_coalesced;
     queue_depth = List.length t.queue;
     mean_occupancy =
-      (if t.n_batches = 0 then 0.0
-       else t.occupancy_sum /. float_of_int t.n_batches);
+      (if c.batches = 0 then 0.0 else t.occupancy_sum /. float_of_int c.batches);
     jobs_per_second =
       (if t.busy_seconds <= 0.0 then 0.0
        else float_of_int jobs_done /. t.busy_seconds) }
@@ -432,12 +410,6 @@ let latency t =
   let h = Hist.copy t.latency in
   Mutex.unlock t.mutex;
   h
-
-let queue_depth t =
-  Mutex.lock t.mutex;
-  let d = List.length t.queue in
-  Mutex.unlock t.mutex;
-  d
 
 (* Final service-wide summary, written from the scheduler domain just
    before it exits (the trace is single-domain by contract): every
@@ -486,13 +458,14 @@ let rec scheduler_loop t =
     in
     match cause with
     | Some cause ->
-      (match cause with
-       | `Full -> t.n_full_flushes <- t.n_full_flushes + 1
-       | `Idle -> t.n_idle_flushes <- t.n_idle_flushes + 1
-       | `Window -> t.n_window_flushes <- t.n_window_flushes + 1
-       | `Drain -> t.n_drain_flushes <- t.n_drain_flushes + 1);
-      let batch_no = t.n_batches in
-      t.n_batches <- batch_no + 1;
+      let batch_no = t.counts.batches in
+      let c = { t.counts with batches = batch_no + 1 } in
+      t.counts <-
+        (match cause with
+         | `Full -> { c with full_flushes = c.full_flushes + 1 }
+         | `Idle -> { c with idle_flushes = c.idle_flushes + 1 }
+         | `Window -> { c with window_flushes = c.window_flushes + 1 }
+         | `Drain -> { c with drain_flushes = c.drain_flushes + 1 });
       let batch, rest = take t.batch_jobs t.queue in
       t.queue <- rest;
       Condition.broadcast t.not_full;
@@ -508,8 +481,7 @@ let rec scheduler_loop t =
 
 let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
     ?(num_threads = 1) ?(tiler_params = Tiler.default_params)
-    ?(chain_break = Qac_embed.Embedding.Vote) ?embed_cache
-    ?(max_retries = 2) ?trace ~solver ~graph () =
+    ?(chain_break = Qac_embed.Embedding.Vote) ?embed_cache ?trace ~solver ~graph () =
   if queue_capacity < 1 then invalid_arg "Serve.create: queue_capacity must be >= 1";
   if batch_jobs < 1 then invalid_arg "Serve.create: batch_jobs must be >= 1";
   if Float.is_nan batch_window_s || batch_window_s < 0.0 then
@@ -532,7 +504,6 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
       tiler_params;
       chain_break;
       embed_cache;
-      max_retries;
       trace;
       solver;
       family;
@@ -543,21 +514,13 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
       pipe_closed = false;
       results = Hashtbl.create 64;
       active = Hashtbl.create 64;
-      key_of_work = Hashtbl.create 64;
-      subscribers = Hashtbl.create 64;
+      works = Hashtbl.create 64;
       work_of_ticket = Hashtbl.create 64;
-      n_batches = 0;
-      n_full_flushes = 0;
-      n_idle_flushes = 0;
-      n_window_flushes = 0;
-      n_drain_flushes = 0;
-      n_placed = 0;
-      n_deferrals = 0;
-      n_retries = 0;
-      n_failures = 0;
-      n_timeouts = 0;
-      n_canceled = 0;
-      n_coalesced = 0;
+      counts =
+        { batches = 0; full_flushes = 0; idle_flushes = 0; window_flushes = 0;
+          drain_flushes = 0; jobs_done = 0; placed = 0; deferrals = 0; retries = 0;
+          failures = 0; timeouts = 0; canceled = 0; coalesced = 0; queue_depth = 0;
+          mean_occupancy = 0.0; jobs_per_second = 0.0 };
       occupancy_sum = 0.0;
       busy_seconds = 0.0;
       scheduler = None }
@@ -566,11 +529,12 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
   t
 
 (* Requires [mutex] held; enqueues a fresh work and wakes the scheduler. *)
-let enqueue_locked t job =
+let enqueue_locked t ~key (job : job) =
   let submitted_at = now () in
   let pending =
     { pjob = job;
       index = t.next_index;
+      key;
       submitted_at;
       deadline = Option.map (fun ms -> submitted_at +. (ms /. 1000.0)) job.timeout_ms;
       tries = 0;
@@ -578,11 +542,9 @@ let enqueue_locked t job =
   in
   t.next_index <- t.next_index + 1;
   t.queue <- t.queue @ [ pending ];
-  let key = coalesce_key job in
   Hashtbl.replace t.active key pending.index;
-  Hashtbl.replace t.key_of_work pending.index key;
-  Hashtbl.replace t.subscribers pending.index
-    [ { ticket = pending.index; sub_id = job.id; joined_at = submitted_at } ];
+  Hashtbl.replace t.works pending.index
+    (key, [ { ticket = pending.index; sub_id = job.id; joined_at = submitted_at } ]);
   Hashtbl.replace t.work_of_ticket pending.index pending.index;
   wake t;
   pending.index
@@ -591,26 +553,27 @@ let enqueue_locked t job =
    (queued or in flight), attach as a follower: a fresh ticket that shares
    the leader's eventual response without consuming a queue slot or a
    solve.  Followers ride the leader's absolute deadline. *)
-let try_attach_locked t job =
-  match Hashtbl.find_opt t.active (coalesce_key job) with
+let try_attach_locked t ~key (job : job) =
+  match Hashtbl.find_opt t.active key with
   | None -> None
   | Some work ->
     let ticket = t.next_index in
     t.next_index <- ticket + 1;
-    let sub = { ticket; sub_id = job.id; joined_at = now () } in
-    let subs = Option.value ~default:[] (Hashtbl.find_opt t.subscribers work) in
-    Hashtbl.replace t.subscribers work (subs @ [ sub ]);
+    let _, subs = Hashtbl.find t.works work in
+    Hashtbl.replace t.works work
+      (key, subs @ [ { ticket; sub_id = job.id; joined_at = now () } ]);
     Hashtbl.replace t.work_of_ticket ticket work;
-    t.n_coalesced <- t.n_coalesced + 1;
+    t.counts <- { t.counts with coalesced = t.counts.coalesced + 1 };
     Some ticket
 
 let submit_ticket t job =
+  let key = coalesce_key job in
   Mutex.lock t.mutex;
   if t.draining then begin
     Mutex.unlock t.mutex;
     invalid_arg "Serve.submit: service is draining"
   end;
-  match try_attach_locked t job with
+  match try_attach_locked t ~key job with
   | Some ticket ->
     Mutex.unlock t.mutex;
     ticket
@@ -624,9 +587,9 @@ let submit_ticket t job =
     end;
     (* An identical job may have arrived while we were blocked. *)
     let ticket =
-      match try_attach_locked t job with
+      match try_attach_locked t ~key job with
       | Some ticket -> ticket
-      | None -> enqueue_locked t job
+      | None -> enqueue_locked t ~key job
     in
     Mutex.unlock t.mutex;
     ticket
@@ -634,6 +597,7 @@ let submit_ticket t job =
 let submit t job = ignore (submit_ticket t job)
 
 let try_submit t job =
+  let key = coalesce_key job in
   Mutex.lock t.mutex;
   if t.draining then begin
     Mutex.unlock t.mutex;
@@ -642,11 +606,11 @@ let try_submit t job =
   let r =
     (* Coalescing needs no queue slot, so a duplicate is admitted even at
        capacity — it adds no work. *)
-    match try_attach_locked t job with
+    match try_attach_locked t ~key job with
     | Some ticket -> Some ticket
     | None ->
       if List.length t.queue >= t.queue_capacity then None
-      else Some (enqueue_locked t job)
+      else Some (enqueue_locked t ~key job)
   in
   Mutex.unlock t.mutex;
   r
@@ -659,58 +623,47 @@ let peek t ticket =
 
 (* Cancel one *delivery*.  A follower may leave at any point before its
    result is recorded — it owns no work.  The leader's delivery can be
-   withdrawn while its work is queued; the work itself is released from
-   the queue only when no subscribers remain (coalescing contract: a
-   cancellation releases the underlying solve only when no followers
-   remain).  An in-flight leader is refused as before: in-flight work is
-   never interrupted. *)
+   withdrawn while its work is queued; the work itself is released only
+   when no subscribers remain (coalescing contract: a cancellation
+   releases the underlying solve only when no followers remain), and a
+   queued one leaves the queue.  An in-flight leader is refused: in-flight
+   work is never interrupted.  [work_of_ticket] holds exactly the tickets
+   of live deliveries, so a finished ticket is not found. *)
 let cancel t ticket =
   Mutex.lock t.mutex;
   let canceled =
-    if Hashtbl.mem t.results ticket then false
-    else
-      match Hashtbl.find_opt t.work_of_ticket ticket with
-      | None -> false
-      | Some work ->
-        let in_queue = List.exists (fun p -> p.index = work) t.queue in
-        if ticket = work && not in_queue then false
-        else begin
-          let subs = Option.value ~default:[] (Hashtbl.find_opt t.subscribers work) in
-          (match List.find_opt (fun s -> s.ticket = ticket) subs with
-           | None -> false
-           | Some sub ->
-             let at = now () in
-             Hist.add t.latency (at -. sub.joined_at);
-             Hashtbl.replace t.results ticket
-               { result =
-                   { id = sub.sub_id;
-                     status = Canceled;
-                     response = None;
-                     batch = -1;
-                     wait_seconds = at -. sub.joined_at;
-                     solve_seconds = 0.0 };
-                 packed = [] };
-             t.n_canceled <- t.n_canceled + 1;
-             Hashtbl.remove t.work_of_ticket ticket;
-             (match List.filter (fun s -> s.ticket <> ticket) subs with
-              | [] ->
-                (* Last delivery gone: release the work. *)
-                Hashtbl.remove t.subscribers work;
-                (match Hashtbl.find_opt t.key_of_work work with
-                 | Some key ->
-                   Hashtbl.remove t.key_of_work work;
-                   (match Hashtbl.find_opt t.active key with
-                    | Some w when w = work -> Hashtbl.remove t.active key
-                    | _ -> ())
-                 | None -> ());
-                if in_queue then begin
-                  t.queue <- List.filter (fun p -> p.index <> work) t.queue;
-                  Condition.broadcast t.not_full;
-                  wake t
-                end
-              | rest -> Hashtbl.replace t.subscribers work rest);
-             true)
-        end
+    match Hashtbl.find_opt t.work_of_ticket ticket with
+    | None -> false
+    | Some work ->
+      let in_queue = List.exists (fun p -> p.index = work) t.queue in
+      if ticket = work && not in_queue then false
+      else begin
+        let key, subs = Hashtbl.find t.works work in
+        let sub = List.find (fun s -> s.ticket = ticket) subs in
+        let at = now () in
+        Hist.add t.latency (at -. sub.joined_at);
+        Hashtbl.replace t.results ticket
+          { result =
+              { id = sub.sub_id;
+                status = Canceled;
+                response = None;
+                batch = -1;
+                wait_seconds = at -. sub.joined_at;
+                solve_seconds = 0.0 };
+            packed = [] };
+        t.counts <- { t.counts with canceled = t.counts.canceled + 1 };
+        Hashtbl.remove t.work_of_ticket ticket;
+        (match List.filter (fun s -> s.ticket <> ticket) subs with
+         | [] ->
+           release t ~work ~key;
+           if in_queue then begin
+             t.queue <- List.filter (fun p -> p.index <> work) t.queue;
+             Condition.broadcast t.not_full;
+             wake t
+           end
+         | rest -> Hashtbl.replace t.works work (key, rest));
+        true
+      end
   in
   Mutex.unlock t.mutex;
   canceled

@@ -41,7 +41,7 @@
     ({!Qac_embed.Tiler.ladders}) runs once, in its first batch, and its
     (block, embedding) rides along across deferrals.  Jobs whose embedding
     fails retry with a fresh tiling seed — and a fresh ladder — up to
-    [max_retries] times before failing for good.
+    twice before failing for good.
 
     The solver is a closure so this layer stays independent of the compiler
     ([Qac_core]); callers typically wrap [Pipeline.dispatch_solver].  For
@@ -127,8 +127,7 @@ type t
     above); [num_threads] also parallelizes tiling ladders and per-job
     solves; [tiler_params]/[embed_cache] are handed to {!Qac_embed.Tiler};
     [chain_break] ({!Qac_embed.Embedding.chain_break}, default [Vote])
-    sets how broken chains resolve when responses unembed;
-    [max_retries] (default 2) caps embedding-failure retries.
+    sets how broken chains resolve when responses unembed.
     Raises [Invalid_argument] when [queue_capacity], [batch_jobs] or
     [num_threads] is below 1, or [batch_window_s] is NaN or negative (an
     infinite window is allowed: batches then leave only by the other
@@ -146,7 +145,6 @@ val create :
   ?tiler_params:Qac_embed.Tiler.params ->
   ?chain_break:Qac_embed.Embedding.chain_break ->
   ?embed_cache:Qac_embed.Cache.t ->
-  ?max_retries:int ->
   ?trace:Qac_diag.Trace.t ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   graph:Qac_chimera.Topology.t ->
@@ -182,8 +180,6 @@ val cancel : t -> int -> bool
     work.  Canceling the leader while followers remain withdraws only the
     leader's delivery — the solve still runs for the followers; the queued
     work itself is released exactly when its last subscriber cancels. *)
-
-val queue_depth : t -> int
 
 val latency : t -> Qac_diag.Hist.t
 (** Snapshot of the end-to-end latency histogram (submit to result

@@ -76,18 +76,16 @@ let rendezvous ~digest ~num_shards =
 (* --- Pool ------------------------------------------------------------------- *)
 
 let create ?(num_shards = 1) ?(routing = Affinity) ?queue_capacity ?batch_jobs
-    ?batch_window_s ?num_threads ?tiler_params ?chain_break
-    ?(cache_capacity = 64) ?store ?max_retries ~solver ~graph () =
+    ?batch_window_s ?num_threads ?tiler_params ?chain_break ?store ~solver ~graph () =
   if num_shards < 1 then invalid_arg "Shard.create: num_shards must be >= 1";
   let shards =
     Array.init num_shards (fun id ->
-        (* One store behind all shards; each shard's LRU copy-promotes out
-           of it independently. *)
-        let cache = Cache.create ~capacity:cache_capacity ?store () in
+        (* One store behind all shards; each shard's LRU (of the default
+           capacity) copy-promotes out of it independently. *)
+        let cache = Cache.create ?store () in
         let serve =
           Serve.create ?queue_capacity ?batch_jobs ?batch_window_s ?num_threads
-            ?tiler_params ?chain_break ~embed_cache:cache ?max_retries ~solver
-            ~graph ()
+            ?tiler_params ?chain_break ~embed_cache:cache ~solver ~graph ()
         in
         { id; serve; cache })
   in

@@ -47,8 +47,9 @@ type shard_stats = {
 
 (** [create ~solver ~graph ()] starts [num_shards] (default 1) {!Serve}
     schedulers.  Every optional parameter mirrors {!Serve.create} and is
-    applied to each shard; [cache_capacity] (default 64) sizes each
-    shard's private embedding cache; [num_threads] is {e per shard}.
+    applied to each shard; each shard's private embedding cache holds
+    {!Qac_embed.Cache.create}'s default 64 entries; [num_threads] is {e per
+    shard}.
     [store] plugs one shared {!Qac_embed.Store} behind every shard's
     cache: misses fall through to the persistent corpus and promote into
     the missing shard's own LRU, and every fresh embedding is written
@@ -67,9 +68,7 @@ val create :
   ?num_threads:int ->
   ?tiler_params:Qac_embed.Tiler.params ->
   ?chain_break:Qac_embed.Embedding.chain_break ->
-  ?cache_capacity:int ->
   ?store:Qac_embed.Store.t ->
-  ?max_retries:int ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   graph:Qac_chimera.Topology.t ->
   unit ->

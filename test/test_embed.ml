@@ -377,7 +377,7 @@ let cache_tests =
         Cache.add cache (key 1) e;
         ignore (Cache.find cache (key 0));  (* refresh 0: now 1 is coldest *)
         Cache.add cache (key 2) e;
-        Alcotest.(check int) "capacity" 2 (Cache.length cache);
+        Alcotest.(check int) "capacity" 2 (Cache.stats cache).Cache.entries;
         Alcotest.(check bool) "0 kept" true (Cache.find cache (key 0) <> None);
         Alcotest.(check bool) "1 evicted" true (Cache.find cache (key 1) = None);
         Alcotest.(check bool) "2 kept" true (Cache.find cache (key 2) <> None);

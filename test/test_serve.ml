@@ -345,7 +345,7 @@ let ticket_tests =
            (Serve.try_submit t (job "b" (chain_problem 4)) <> None);
          Alcotest.(check (option int)) "third sheds" None
            (Serve.try_submit t (job "c" (chain_problem 5)));
-         Alcotest.(check int) "queue depth visible" 2 (Serve.queue_depth t);
+         Alcotest.(check int) "queue depth visible" 2 (Serve.stats t).Serve.queue_depth;
          Gate.release gate;
          ignore (Serve.drain t));
     Alcotest.test_case "latency histogram counts every finished job" `Quick
@@ -430,7 +430,7 @@ let coalesce_tests =
         let b = Serve.submit_ticket t (job "b" p) in
         Alcotest.(check bool) "leader cancels" true (Serve.cancel t a);
         Alcotest.(check bool) "last follower cancels" true (Serve.cancel t b);
-        Alcotest.(check int) "slot released" 0 (Serve.queue_depth t);
+        Alcotest.(check int) "slot released" 0 (Serve.stats t).Serve.queue_depth;
         Alcotest.(check bool) "a fresh job fits" true
           (Serve.try_submit t (job "c" (chain_problem 5)) <> None);
         Gate.release gate;
@@ -455,7 +455,50 @@ let coalesce_tests =
            List.find (fun (r : Serve.result) -> r.Serve.id = id) results
          in
          check_response "a2" (response_exn (by_id "a"))
-           (response_exn (by_id "a2"))) ]
+           (response_exn (by_id "a2")));
+    Alcotest.test_case "a work whose last delivery cancels in flight is dropped"
+      `Quick (fun () ->
+        (* One thread solves in submission order: the first solve is the
+           blocker's, the second the coalesced work's.  Each waits at its
+           own gate; later solves run straight through. *)
+        let blocker_gate = Gate.create () and work_gate = Gate.create () in
+        let solves = Atomic.make 0 in
+        let gated ~deadline p =
+          match Atomic.fetch_and_add solves 1 with
+          | 0 -> Gate.solver blocker_gate solver ~deadline p
+          | 1 -> Gate.solver work_gate solver ~deadline p
+          | _ -> solver ~deadline p
+        in
+        let t =
+          Serve.create ~batch_jobs:100 ~batch_window_s:60.0 ~tiler_params
+            ~solver:gated ~graph:(Chimera.create 6) ()
+        in
+        Serve.submit t blocker;
+        Gate.await blocker_gate;
+        let p = chain_problem 4 in
+        let lead = Serve.submit_ticket t (job "lead" p) in
+        let dup = Serve.submit_ticket t (job "dup" p) in
+        Alcotest.(check bool) "queued leader delivery cancels" true (Serve.cancel t lead);
+        Gate.release blocker_gate;
+        Gate.await work_gate;
+        Alcotest.(check bool) "in-flight last follower cancels" true (Serve.cancel t dup);
+        let again = Serve.submit_ticket t (job "again" p) in
+        Gate.release work_gate;
+        ignore (Serve.drain t);
+        List.iter
+          (fun (name, ticket) ->
+             match Serve.peek t ticket with
+             | Some { Serve.status = Serve.Canceled; response = None; _ } -> ()
+             | _ -> Alcotest.fail (name ^ ": the late outcome should be dropped"))
+          [ ("lead", lead); ("dup", dup) ];
+        (match Serve.peek t again with
+         | Some { Serve.status = Serve.Done; id = "again"; response = Some _; _ } -> ()
+         | _ -> Alcotest.fail "the later duplicate should be solved");
+        let stats = Serve.stats t in
+        Alcotest.(check int) "both deliveries canceled" 2 stats.Serve.canceled;
+        Alcotest.(check int) "only dup attached" 1 stats.Serve.coalesced;
+        Alcotest.(check int) "blocker, dropped work and fresh work solved" 3
+          stats.Serve.placed) ]
 
 let unsupported_topology_tests =
   [ Alcotest.test_case "create refuses a graph that is neither Chimera nor Pegasus"

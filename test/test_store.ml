@@ -267,16 +267,7 @@ let dir_tests =
          let s2 = Store.open_dir dir in
          let st = Store.stats s2 in
          Alcotest.(check int) "no embeddings" 0 st.Store.embeddings;
-         Alcotest.(check int) "no problems" 0 st.Store.problems);
-    Alcotest.test_case "read-only stores never write" `Quick (fun () ->
-        let dir = temp_dir () in
-        let key = Digest.string "ro" in
-        let s = Store.open_dir ~readonly:true dir in
-        Store.put_embedding s key { Embedding.chains = [| [| 4 |] |] };
-        Alcotest.(check int) "no writes" 0 (Store.stats s).Store.writes;
-        let s2 = Store.open_dir dir in
-        Alcotest.(check bool) "nothing on disk" true
-          (Store.find_embedding s2 key = None)) ]
+         Alcotest.(check int) "no problems" 0 st.Store.problems) ]
 
 (* --- Cache integration ------------------------------------------------------- *)
 

@@ -19,11 +19,12 @@ let mult_src =
 let suite =
   [ Alcotest.test_case "spans record order, nesting and counters" `Quick (fun () ->
         let t = Trace.create () in
+        let tr = Some t in
         let v =
-          Trace.with_span t "outer" (fun () ->
-              Trace.counter t "a" 1;
-              Trace.with_span t "inner" (fun () -> Trace.counter t "b" 2);
-              Trace.counter t "a" 3;
+          Trace.with_span_opt tr "outer" (fun () ->
+              Trace.counter_opt tr "a" 1;
+              Trace.with_span_opt tr "inner" (fun () -> Trace.counter_opt tr "b" 2);
+              Trace.counter_opt tr "a" 3;
               17)
         in
         Alcotest.(check int) "value" 17 v;
@@ -37,7 +38,7 @@ let suite =
           (Trace.spans t));
     Alcotest.test_case "span recorded when the callback raises" `Quick (fun () ->
         let t = Trace.create () in
-        (match Trace.with_span t "failing" (fun () -> Diag.error ~stage:"s" "no") with
+        (match Trace.with_span_opt (Some t) "failing" (fun () -> Diag.error ~stage:"s" "no") with
          | _ -> Alcotest.fail "expected raise"
          | exception Diag.Error _ -> ());
         Alcotest.(check (list string)) "recorded" [ "failing" ] (span_names t));
