@@ -293,7 +293,6 @@ let run_cmd =
       | Some _ -> Qac_embed.Cache.create ?store ()
       | None -> Qac_embed.Cache.shared ()
     in
-    let stats0 = Qac_embed.Cache.stats cache in
     let result =
       P.run t ~pins ~pin_source ?trace:tr ~num_threads:threads ~embed_cache:cache
         ?timeout_ms ~postprocess ~chain_break ~solver ~target
@@ -301,11 +300,9 @@ let run_cmd =
     (match tr with
      | None -> ()
      | Some trace ->
-       let stats = Qac_embed.Cache.stats cache in
-       Trace.set_summary trace "embed-cache-hits"
-         (float_of_int (stats.Qac_embed.Cache.hits - stats0.Qac_embed.Cache.hits));
-       Trace.set_summary trace "embed-cache-misses"
-         (float_of_int (stats.Qac_embed.Cache.misses - stats0.Qac_embed.Cache.misses));
+       (* One process makes one run, so the cache has counted only it. *)
+       Trace.set_summaries trace ~prefix:"embed-cache-"
+         (Qac_embed.Cache.fields (Qac_embed.Cache.stats cache));
        (match target, result.P.num_physical_qubits with
         | P.Physical { graph; _ }, Some q ->
           let working = Qac_chimera.Topology.num_working_qubits graph in
@@ -758,24 +755,28 @@ let print_store_summary = function
       st.Qac_embed.Store.writes st.Qac_embed.Store.load_failures
 
 let print_pool_summary pool =
-  let stats = Shard.stats pool in
   Array.iter
     (fun (s : Shard.shard_stats) ->
        let sv = s.Shard.serve and c = s.Shard.cache in
-       let lookups = c.Qac_embed.Cache.hits + c.Qac_embed.Cache.misses in
        Printf.printf
-         "# shard %d: %d jobs in %d batches, occupancy %.1f%%, cache %d/%d hits\n"
-         s.Shard.shard sv.Serve.jobs_done sv.Serve.batches
-         (100.0 *. sv.Serve.mean_occupancy) c.Qac_embed.Cache.hits lookups)
-    stats;
+         "# shard %d: %d jobs in %d batches: %d placed, %d deferrals, %d retries, \
+          %d failures, %d timeouts, occupancy %.1f%%, throughput %.1f jobs/s, \
+          cache %d/%d hits\n"
+         s.Shard.shard sv.Serve.jobs_done sv.Serve.batches sv.Serve.placed
+         sv.Serve.deferrals sv.Serve.retries sv.Serve.failures sv.Serve.timeouts
+         (100.0 *. sv.Serve.mean_occupancy) sv.Serve.jobs_per_second
+         c.Qac_embed.Cache.hits (c.Qac_embed.Cache.hits + c.Qac_embed.Cache.misses))
+    (Shard.stats pool);
   let lat = Shard.latency pool in
   if Qac_diag.Hist.count lat > 0 then
-    Printf.printf "# latency p50 %.1f ms  p99 %.1f ms\n"
-      (1000.0 *. Qac_diag.Hist.p50 lat) (1000.0 *. Qac_diag.Hist.p99 lat)
+    print_endline
+      (String.concat " "
+         ("# latency"
+          :: List.map (fun (k, v) -> Printf.sprintf "%s=%g" k v) (Serve.latency_fields lat)))
 
-(* [Serve.create] and [Shard.create] reject a bad setting (a limit or
-   thread count below 1, a NaN or negative window) with
-   [Invalid_argument]: a usage error, not an internal one. *)
+(* [Shard.create] rejects a bad setting (a limit or thread count below 1,
+   a NaN or negative window) with [Invalid_argument]: a usage error, not
+   an internal one. *)
 let usage_checked create =
   try create () with Invalid_argument msg -> raise (Usage msg)
 
@@ -797,79 +798,38 @@ let serve_cmd =
     let graph =
       match graph with Some g -> g | None -> raise (Usage "--physical must be >= 1")
     in
-    let batch_window_s = batch_window_ms /. 1000.0 in
+    (* The trace is created before job building so the compile-cache
+       hit/miss summaries land on it alongside the serve counters. *)
+    let tr = make_trace ~trace ~trace_json in
+    let jobs =
+      match listen, jobs_file with
+      | Some _, _ -> []
+      | None, Some f -> build_jobs ?store ?trace:tr f
+      | None, None -> failwith "--jobs is required (or --listen to run as a server)"
+    in
+    let pool =
+      usage_checked (fun () ->
+          Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
+            ~batch_window_s:(batch_window_ms /. 1000.0) ~num_threads:threads ~chain_break
+            ?store ?trace:tr ~solver ~graph ())
+    in
     (match listen with
      | Some addr ->
-       let pool =
-         usage_checked (fun () ->
-             Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
-               ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
-               ~graph ())
-       in
        let server = Server.create ~pool ~sockaddr:(parse_addr addr) () in
        Printf.printf "listening on %s (%d shard%s, %s routing)\n%!"
          (string_of_addr (Server.sockaddr server))
          shards (if shards = 1 then "" else "s")
          (match routing with Shard.Affinity -> "affinity" | Shard.Round_robin -> "round-robin");
        let results = Server.run server in
-       Printf.printf "# served %d job(s)\n" (List.length results);
-       print_pool_summary pool;
-       print_store_summary store
+       Printf.printf "# served %d job(s)\n" (List.length results)
      | None ->
-       let jobs_file =
-         match jobs_file with
-         | Some f -> f
-         | None -> failwith "--jobs is required (or --listen to run as a server)"
-       in
-       (* The trace is created before job building so the compile-cache
-          hit/miss summaries land on it alongside the serve counters. *)
-       let tr = make_trace ~trace ~trace_json in
-       let jobs = build_jobs ?store ?trace:tr jobs_file in
-       if shards > 1 then begin
-         let pool =
-           usage_checked (fun () ->
-               Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
-                 ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver
-                 ~graph ())
-         in
-         List.iter (fun (_, job) -> ignore (Shard.submit pool job)) jobs;
-         let results = Shard.drain pool in
-         (* Tickets are assigned in submission order, so drain's ticket
-            order matches the job-file order. *)
-         List.iter2 (fun (tp, _) (_, r) -> print_serve_result tp r) jobs results;
-         print_pool_summary pool;
-         print_store_summary store
-       end
-       else begin
-         let cache = Qac_embed.Cache.create ?store () in
-         let service =
-           usage_checked (fun () ->
-               Serve.create ~queue_capacity ~batch_jobs ~batch_window_s
-                 ~num_threads:threads ~chain_break ~embed_cache:cache ?trace:tr
-                 ~solver ~graph ())
-         in
-         List.iter (fun (_, job) -> Serve.submit service job) jobs;
-         let results = Serve.drain service in
-         (match tr with
-          | None -> ()
-          | Some trace ->
-            let stats = Qac_embed.Cache.stats cache in
-            Trace.set_summary trace "embed-cache-hits"
-              (float_of_int stats.Qac_embed.Cache.hits);
-            Trace.set_summary trace "embed-cache-misses"
-              (float_of_int stats.Qac_embed.Cache.misses));
-         List.iter2 (fun (tp, _) r -> print_serve_result tp r) jobs results;
-         let st = Serve.stats service in
-         Printf.printf
-           "# %d jobs in %d batches: %d placed, %d deferrals, %d retries, %d failures, \
-            %d timeouts\n"
-           st.Serve.jobs_done st.Serve.batches st.Serve.placed st.Serve.deferrals
-           st.Serve.retries st.Serve.failures st.Serve.timeouts;
-         Printf.printf "# mean occupancy %.1f%%  throughput %.1f jobs/s\n"
-           (100.0 *. st.Serve.mean_occupancy) st.Serve.jobs_per_second;
-         print_store_summary store;
-         emit_trace ~trace_json tr
-       end)
+       ignore (Shard.submit_all pool (List.map snd jobs));
+       (* Tickets are assigned in submission order, so drain's ticket
+          order matches the job-file order. *)
+       List.iter2 (fun (tp, _) (_, r) -> print_serve_result tp r) jobs (Shard.drain pool));
+    print_pool_summary pool;
+    print_store_summary store;
+    emit_trace ~trace_json tr
   in
   let doc =
     "serve jobs tiled onto one annealer graph — from a job file, or as a \

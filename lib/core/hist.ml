@@ -110,10 +110,12 @@ let clear t =
   t.value_sum <- 0.0;
   t.value_max <- 0.0
 
-let buckets t =
-  let out = ref [] in
-  for i = num_buckets t - 1 downto 0 do
-    if t.counts.(i) > 0 then
-      out := (lower_bound t i, upper_bound t i, t.counts.(i)) :: !out
+(* Prometheus classic-histogram form.  The overflow bucket's upper bound
+   is +Inf, so its observations count only in the one closing entry. *)
+let cumulative t =
+  let seen = ref 0 and out = ref [] in
+  for i = 0 to num_buckets t - 2 do
+    seen := !seen + t.counts.(i);
+    if t.counts.(i) > 0 then out := (upper_bound t i, !seen) :: !out
   done;
-  !out
+  List.rev ((infinity, t.total) :: !out)

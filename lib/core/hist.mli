@@ -55,7 +55,9 @@ val copy : t -> t
 
 val clear : t -> unit
 
-val buckets : t -> (float * float * int) list
-(** Non-empty buckets as [(lower, upper, count)] in ascending order — the
-    underflow bucket reports [(0, min_value, n)], the overflow bucket
-    [(max_value, infinity, n)].  The raw export used by metrics surfaces. *)
+val cumulative : t -> (float * int) list
+(** The Prometheus classic-histogram form: [(le, n)] pairs in ascending
+    [le], where [n] counts the observations below [le].  One entry per
+    non-empty bucket below the overflow bucket, then exactly one
+    [(infinity, count t)] entry, which holds the overflow observations
+    too; an empty histogram gives [[(infinity, 0)]]. *)

@@ -306,10 +306,12 @@ let solve ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ()) ?
         count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
         r)
   in
+  (* [num_reads] counts the reads returned, as a served response does;
+     the solve span's [reads] counter keeps the sampler's figure. *)
   let result ?num_physical_qubits (response : Anneal.Sampler.response) reads : solve_result =
     { reads;
       num_physical_qubits;
-      num_reads = response.Anneal.Sampler.num_reads;
+      num_reads = List.length reads;
       elapsed_seconds = response.Anneal.Sampler.elapsed_seconds;
       timed_out = response.Anneal.Sampler.timed_out }
   in

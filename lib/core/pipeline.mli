@@ -150,6 +150,11 @@ type solve_result = {
           read's broken-chain count (0 on logical targets) *)
   num_physical_qubits : int option;  (** [Some] for physical targets *)
   num_reads : int;
+      (** the length of [reads]: the reads returned, the figure a served
+          response reports.  Under [Discard] that is the reads kept after
+          dropping broken ones; the sampler's own count stays on the solve
+          span's [reads] counter, and the reads dropped on the unembed
+          span's [discarded-reads] counter. *)
   elapsed_seconds : float;
   timed_out : bool;
 }
@@ -215,7 +220,7 @@ type run_result = {
   solutions : solution list;
       (** distinct, by ascending energy, then ports; equal keys keep the
           order their first reads arrived in *)
-  num_reads : int;
+  num_reads : int;  (** {!solve_result.num_reads}: the reads verified *)
   elapsed_seconds : float;
   num_logical_vars : int;
   num_physical_qubits : int option;  (** [Some] for physical runs *)

@@ -77,6 +77,11 @@ let total_seconds t =
    ...) that belong to the run, not to any one span. *)
 let set_summary t key value = t.summaries <- assoc_set key value t.summaries
 
+let set_summaries t ~prefix fields =
+  List.iter
+    (fun (k, v) -> set_summary t (prefix ^ String.map (function '_' -> '-' | c -> c) k) v)
+    fields
+
 let summary t = t.summaries
 let find_summary t key = List.assoc_opt key t.summaries
 

@@ -31,6 +31,11 @@ val set_summary : t -> string -> float -> unit
     Summaries export as a top-level ["summary"] object in {!to_json} and a
     trailing [summary:] line in {!pp}. *)
 
+val set_summaries : t -> prefix:string -> (string * float) list -> unit
+(** {!set_summary} for each [(field, value)] of a [fields] declaration,
+    under [prefix ^ field] with underscores as dashes: [~prefix:"serve-"]
+    sets [jobs_done] as [serve-jobs-done]. *)
+
 val summary : t -> (string * float) list
 (** Summary key/values, in the order first set. *)
 

@@ -3,7 +3,6 @@
 module Problem = Qac_ising.Problem
 module Sampler = Qac_anneal.Sampler
 module Cache = Qac_embed.Cache
-module Hist = Qac_diag.Hist
 
 exception Protocol_error = Qac_diag.Json.Error
 
@@ -152,18 +151,11 @@ let stats_to_json (stats : Shard.shard_stats array) =
     (Array.to_list
        (Array.map
           (fun (s : Shard.shard_stats) ->
-             let sv = s.Shard.serve and c = s.Shard.cache and lat = s.Shard.latency in
              Obj
                [ ("shard", Num (float_of_int s.Shard.shard));
-                 ("serve", obj (Serve.fields sv));
-                 ("cache", obj (Cache.fields c));
-                 ( "latency",
-                   obj
-                     [ ("count", float_of_int (Hist.count lat));
-                       ("sum_seconds", Hist.sum lat);
-                       ("p50_seconds", Hist.p50 lat);
-                       ("p90_seconds", Hist.p90 lat);
-                       ("p99_seconds", Hist.p99 lat) ] ) ])
+                 ("serve", obj (Serve.fields s.Shard.serve));
+                 ("cache", obj (Cache.fields s.Shard.cache));
+                 ("latency", obj (Serve.latency_fields s.Shard.latency)) ])
           stats))
 
 (* --- Requests and replies ---------------------------------------------------- *)

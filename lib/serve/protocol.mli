@@ -73,7 +73,8 @@ val result_of_json : json -> Serve.result
 
 val stats_to_json : Shard.shard_stats array -> json
 (** One object per shard: [serve] renders {!Serve.fields}, [cache]
-    renders {!Qac_embed.Cache.fields}, and [latency] is a summary (count/sum/p50/p90/p99 — the full
+    renders {!Qac_embed.Cache.fields}, and [latency] renders
+    {!Serve.latency_fields} (count, sum and p50/p90/p99; the full
     histogram stays on the {!Metrics} surface). *)
 
 (** {1 Framing} *)

@@ -405,6 +405,10 @@ let fields s =
     int "queue_depth" s.queue_depth; ("mean_occupancy", s.mean_occupancy);
     ("jobs_per_second", s.jobs_per_second) ]
 
+let latency_fields h =
+  [ ("seconds_count", float_of_int (Hist.count h)); ("seconds_sum", Hist.sum h);
+    ("p50_seconds", Hist.p50 h); ("p90_seconds", Hist.p90 h); ("p99_seconds", Hist.p99 h) ]
+
 let latency t =
   Mutex.lock t.mutex;
   let h = Hist.copy t.latency in
@@ -412,21 +416,16 @@ let latency t =
   h
 
 (* Final service-wide summary, written from the scheduler domain just
-   before it exits (the trace is single-domain by contract): every
-   {!fields} entry as [serve-<field>], plus latency percentiles. *)
+   before it exits (the trace is single-domain by contract). *)
 let write_summary t =
-  match t.trace with
-  | None -> ()
-  | Some trace ->
-    List.iter
-      (fun (k, v) ->
-         Trace.set_summary trace ("serve-" ^ String.map (function '_' -> '-' | c -> c) k) v)
-      (fields (stats t));
-    let lat = latency t in
-    if Hist.count lat > 0 then begin
-      Trace.set_summary trace "serve-latency-p50-seconds" (Hist.p50 lat);
-      Trace.set_summary trace "serve-latency-p99-seconds" (Hist.p99 lat)
-    end
+  Option.iter
+    (fun trace ->
+       Trace.set_summaries trace ~prefix:"serve-" (fields (stats t));
+       Trace.set_summaries trace ~prefix:"serve-latency-" (latency_fields (latency t));
+       Option.iter
+         (fun c -> Trace.set_summaries trace ~prefix:"embed-cache-" (Cache.fields (Cache.stats c)))
+         t.embed_cache)
+    t.trace
 
 let rec scheduler_loop t =
   Mutex.lock t.mutex;
@@ -566,33 +565,29 @@ let try_attach_locked t ~key (job : job) =
     t.counts <- { t.counts with coalesced = t.counts.coalesced + 1 };
     Some ticket
 
-let submit_ticket t job =
-  let key = coalesce_key job in
+(* Requires [mutex] held.  Attach or enqueue, blocking while the queue is
+   full; an identical job may arrive while we are blocked, so each wake
+   tries to attach again.  [None] once a drain has started. *)
+let rec submit_locked t ~key job =
+  if t.draining then None
+  else
+    match try_attach_locked t ~key job with
+    | Some ticket -> Some ticket
+    | None when List.length t.queue >= t.queue_capacity ->
+      Condition.wait t.not_full t.mutex;
+      submit_locked t ~key job
+    | None -> Some (enqueue_locked t ~key job)
+
+let submit_all t jobs =
+  let keyed = List.map (fun job -> (coalesce_key job, job)) jobs in
   Mutex.lock t.mutex;
-  if t.draining then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Serve.submit: service is draining"
-  end;
-  match try_attach_locked t ~key job with
-  | Some ticket ->
-    Mutex.unlock t.mutex;
-    ticket
-  | None ->
-    while List.length t.queue >= t.queue_capacity && not t.draining do
-      Condition.wait t.not_full t.mutex
-    done;
-    if t.draining then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Serve.submit: service is draining"
-    end;
-    (* An identical job may have arrived while we were blocked. *)
-    let ticket =
-      match try_attach_locked t ~key job with
-      | Some ticket -> ticket
-      | None -> enqueue_locked t ~key job
-    in
-    Mutex.unlock t.mutex;
-    ticket
+  let tickets = List.map (fun (key, job) -> submit_locked t ~key job) keyed in
+  Mutex.unlock t.mutex;
+  List.map
+    (function Some ticket -> ticket | None -> invalid_arg "Serve.submit: service is draining")
+    tickets
+
+let submit_ticket t job = List.hd (submit_all t [ job ])
 
 let submit t job = ignore (submit_ticket t job)
 

@@ -133,10 +133,14 @@ type t
     infinite window is allowed: batches then leave only by the other
     causes).
     [trace] records one ["batch"] span per flush (counters: jobs, placed,
-    deferred, failed, queue-depth, occupancy-pct) plus service-wide summary
-    values ({!fields} as [serve-<field>], and [serve-latency-p50-seconds] /
-    [serve-latency-p99-seconds]); it is written only from the scheduler
-    domain, so read it after {!drain}. *)
+    deferred, failed, queue-depth, occupancy-pct) and, at exit, the
+    service-wide summary values, underscores as dashes
+    ({!Qac_diag.Trace.set_summaries}): {!fields} as [serve-<field>],
+    {!latency_fields} as [serve-latency-<field>] (e.g.
+    [serve-latency-p50-seconds]) and, with an [embed_cache],
+    {!Qac_embed.Cache.fields} as [embed-cache-<field>] (e.g.
+    [embed-cache-hits]).  It is written only from the scheduler domain, so
+    read it after {!drain}. *)
 val create :
   ?queue_capacity:int ->
   ?batch_jobs:int ->
@@ -158,6 +162,13 @@ val submit : t -> job -> unit
 val submit_ticket : t -> job -> int
 (** Like {!submit}, returning the job's ticket — its index in submission
     order, usable with {!peek} and {!cancel} while the service runs. *)
+
+val submit_all : t -> job list -> int list
+(** Like {!submit_ticket} for each job in order, but the jobs enter the
+    queue under one lock hold, so the scheduler sees them together: a job
+    file's batches do not depend on when the scheduler wakes.  Only a full
+    queue lets a batch leave part-way (the call then blocks like
+    {!submit}). *)
 
 val try_submit : t -> job -> int option
 (** Non-blocking admission: [None] when the queue is at capacity (the
@@ -199,3 +210,11 @@ val fields : stats -> (string * float) list
     one declaration the views render from: the [serve] object of the
     [stats] reply, the [qac_serve_<field>] Prometheus lines, and the
     [serve-<field>] trace summaries (underscores as dashes). *)
+
+val latency_fields : Qac_diag.Hist.t -> (string * float) list
+(** The latency declaration, in order: [seconds_count], [seconds_sum],
+    [p50_seconds], [p90_seconds], [p99_seconds].  Every latency view
+    renders it: the [latency] object of the [stats] reply, the
+    [qac_serve_latency_<field>] Prometheus lines (after the
+    [qac_serve_latency_seconds_bucket] lines), the [serve-latency-<field>]
+    trace summaries and [vqa serve]'s latency line. *)

@@ -76,8 +76,11 @@ let rendezvous ~digest ~num_shards =
 (* --- Pool ------------------------------------------------------------------- *)
 
 let create ?(num_shards = 1) ?(routing = Affinity) ?queue_capacity ?batch_jobs
-    ?batch_window_s ?num_threads ?tiler_params ?chain_break ?store ~solver ~graph () =
+    ?batch_window_s ?num_threads ?tiler_params ?chain_break ?store ?trace ~solver ~graph () =
   if num_shards < 1 then invalid_arg "Shard.create: num_shards must be >= 1";
+  (* A trace is written from one scheduler domain. *)
+  if Option.is_some trace && num_shards > 1 then
+    invalid_arg "Shard.create: a trace needs num_shards = 1";
   let shards =
     Array.init num_shards (fun id ->
         (* One store behind all shards; each shard's LRU (of the default
@@ -85,7 +88,7 @@ let create ?(num_shards = 1) ?(routing = Affinity) ?queue_capacity ?batch_jobs
         let cache = Cache.create ?store () in
         let serve =
           Serve.create ?queue_capacity ?batch_jobs ?batch_window_s ?num_threads
-            ?tiler_params ?chain_break ~embed_cache:cache ~solver ~graph ()
+            ?tiler_params ?chain_break ~embed_cache:cache ?trace ~solver ~graph ()
         in
         { id; serve; cache })
   in
@@ -121,10 +124,20 @@ let register t ~shard ~local =
   Mutex.unlock t.mutex;
   ticket
 
-let submit t job =
-  let s = choose t job in
-  let local = Serve.submit_ticket t.shards.(s).serve job in
-  register t ~shard:s ~local
+let submit_all t jobs =
+  let routed = List.map (fun job -> (choose t job, job)) jobs in
+  (* One [Serve.submit_all] per shard: each scheduler sees its share of the
+     jobs together. *)
+  let locals =
+    Array.map
+      (fun (s : shard) ->
+         let mine = List.filter_map (fun (i, job) -> if i = s.id then Some job else None) routed in
+         Queue.of_seq (List.to_seq (Serve.submit_all s.serve mine)))
+      t.shards
+  in
+  List.map (fun (s, _) -> register t ~shard:s ~local:(Queue.pop locals.(s))) routed
+
+let submit t job = List.hd (submit_all t [ job ])
 
 (* Retry-after: how long until the target shard plausibly frees a slot —
    one queue's worth of work at its measured throughput, or a conservative
@@ -214,27 +227,13 @@ let metrics t =
        let labels = Printf.sprintf "{shard=\"%d\"}" shard in
        lines "serve_" labels (Serve.fields sv);
        lines "embed_cache_" labels (Cache.fields c);
-       (* Cumulative histogram, Prometheus classic shape. *)
-       let cumulative = ref 0 in
        List.iter
-         (fun (_, upper, count) ->
-            cumulative := !cumulative + count;
-            let le =
-              if upper = infinity then "+Inf" else Printf.sprintf "%g" upper
-            in
+         (fun (le, n) ->
             Buffer.add_string b
-              (Printf.sprintf "qac_serve_latency_seconds_bucket{shard=\"%d\",le=%S} %d\n"
-                 shard le !cumulative))
-         (Hist.buckets lat);
-       if Hist.count lat > 0 then
-         Buffer.add_string b
-           (Printf.sprintf "qac_serve_latency_seconds_bucket{shard=\"%d\",le=\"+Inf\"} %d\n"
-              shard (Hist.count lat));
-       lines "serve_latency_" labels
-         [ ("seconds_sum", Hist.sum lat);
-           ("seconds_count", float_of_int (Hist.count lat));
-           ("p50_seconds", Hist.p50 lat);
-           ("p99_seconds", Hist.p99 lat) ])
+              (Printf.sprintf "qac_serve_latency_seconds_bucket{shard=\"%d\",le=\"%s\"} %d\n"
+                 shard (if le = infinity then "+Inf" else Printf.sprintf "%g" le) n))
+         (Hist.cumulative lat);
+       lines "serve_latency_" labels (Serve.latency_fields lat))
     (stats t);
   (* The artifact store is pool-wide, so its counters carry no shard label. *)
   Option.iter (fun store -> lines "store_" "" (Store.fields (Store.stats store))) t.store;

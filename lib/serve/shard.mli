@@ -58,7 +58,11 @@ type shard_stats = {
     contract makes a job's response independent of the shard that serves
     it, so any routing policy (and any shard count) returns bit-identical
     results.  Like {!Serve.create}, raises [Invalid_argument] when [graph]
-    is neither Chimera nor Pegasus, before any shard starts. *)
+    is neither Chimera nor Pegasus, before any shard starts.
+    [trace] goes to the one shard's {!Serve.create}: its ["batch"] spans
+    and exit summary ([serve-<field>], [serve-latency-<field>],
+    [embed-cache-<field>]).  A trace is written from a single domain, so
+    [trace] with [num_shards > 1] raises [Invalid_argument]. *)
 val create :
   ?num_shards:int ->
   ?routing:routing ->
@@ -69,6 +73,7 @@ val create :
   ?tiler_params:Qac_embed.Tiler.params ->
   ?chain_break:Qac_embed.Embedding.chain_break ->
   ?store:Qac_embed.Store.t ->
+  ?trace:Qac_diag.Trace.t ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   graph:Qac_chimera.Topology.t ->
   unit ->
@@ -88,6 +93,11 @@ val route : t -> Qac_ising.Problem.t -> int
 val submit : t -> Serve.job -> int
 (** Route and enqueue; blocks on the target shard's backpressure.  Returns
     a pool-global ticket. *)
+
+val submit_all : t -> Serve.job list -> int list
+(** {!submit} for each job in order, tickets in the same order; each
+    shard's share enters its queue together ({!Serve.submit_all}), so a
+    job file's batches do not depend on when a scheduler wakes. *)
 
 val try_submit : t -> Serve.job -> admission
 (** Route and enqueue without blocking: load is shed (with a retry-after
@@ -112,8 +122,12 @@ val metrics : t -> string
     [qac_<name>{shard="<i>"} <value>] line per counter per shard — every
     {!Serve.fields} entry as [qac_serve_<field>], every
     {!Qac_embed.Cache.fields} entry as [qac_embed_cache_<field>], and the
-    log-bucketed latency histogram (cumulative [_bucket{le="..."}] lines
-    plus [_sum]/[_count] and p50/p99 gauges).  When the pool was created
+    log-bucketed latency histogram: one cumulative
+    [qac_serve_latency_seconds_bucket{shard="<i>",le="..."}] line per
+    {!Qac_diag.Hist.cumulative} entry, so exactly one [le="+Inf"] line per
+    shard, then every {!Serve.latency_fields} entry as
+    [qac_serve_latency_<field>] ([_seconds_count], [_seconds_sum] and the
+    p50/p90/p99 gauges).  When the pool was created
     with a [store], unlabeled pool-wide [qac_store_<field>] lines follow,
     one per {!Qac_embed.Store.fields} entry. *)
 

@@ -14,7 +14,8 @@ let basic_tests =
         Alcotest.(check (float 0.0)) "max" 0.0 (Hist.max_seen h);
         Alcotest.(check (float 0.0)) "p50" 0.0 (Hist.p50 h);
         Alcotest.(check (float 0.0)) "p99" 0.0 (Hist.p99 h);
-        Alcotest.(check int) "no buckets" 0 (List.length (Hist.buckets h)));
+        Alcotest.(check bool) "only the +Inf entry" true
+          (Hist.cumulative h = [ (infinity, 0) ]));
     Alcotest.test_case "count, sum, mean, max track observations" `Quick
       (fun () ->
          let h = Hist.create () in
@@ -114,34 +115,40 @@ let range_tests =
          Alcotest.(check int) "both counted" 2 (Hist.count h);
          Alcotest.(check (float 0.0)) "max exact despite clamping" 1e9
            (Hist.max_seen h);
-         let buckets = Hist.buckets h in
-         Alcotest.(check int) "two occupied buckets" 2 (List.length buckets);
-         (match buckets with
-          | [ (lo0, hi0, n0); (lo1, hi1, n1) ] ->
+         (match Hist.cumulative h with
+          | [ (le0, n0); (le1, n1) ] ->
             (* Edges are reconstructed through exp/log, so compare with
                relative tolerance. *)
             let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
-            Alcotest.(check (float 0.0)) "underflow lower edge" 0.0 lo0;
-            Alcotest.(check bool) "underflow upper edge ~ 1e-3" true (close hi0 1e-3);
+            Alcotest.(check bool) "underflow upper edge ~ 1e-3" true (close le0 1e-3);
             Alcotest.(check int) "underflow count" 1 n0;
-            Alcotest.(check bool) "overflow lower edge ~ 1e3" true (close lo1 1e3);
-            Alcotest.(check bool) "overflow upper edge" true (hi1 = infinity);
-            Alcotest.(check int) "overflow count" 1 n1
+            Alcotest.(check bool) "overflow closes at +Inf" true (le1 = infinity);
+            Alcotest.(check int) "+Inf counts both" 2 n1
           | _ -> Alcotest.fail "expected exactly the two edge buckets"));
     Alcotest.test_case "occupied buckets partition counts" `Quick (fun () ->
         let h = Hist.create () in
         for i = 1 to 100 do
           Hist.add h (0.0001 *. float_of_int i)
         done;
-        let total =
-          List.fold_left (fun acc (_, _, n) -> acc + n) 0 (Hist.buckets h)
-        in
-        Alcotest.(check int) "bucket counts sum to total" 100 total;
-        List.iter
-          (fun (lo, hi, n) ->
-             Alcotest.(check bool) "bucket non-empty" true (n > 0);
-             Alcotest.(check bool) "edges ordered" true (lo < hi))
-          (Hist.buckets h)) ]
+        let entries = Hist.cumulative h in
+        Alcotest.(check bool) "closes with +Inf = total" true
+          (List.nth entries (List.length entries - 1) = (infinity, 100));
+        ignore
+          (List.fold_left
+             (fun (prev_le, prev_n) (le, n) ->
+                Alcotest.(check bool) "edges ascend" true (le > prev_le);
+                Alcotest.(check bool) "counts never fall" true (n >= prev_n);
+                (le, n))
+             (0.0, 0) entries));
+    Alcotest.test_case "an overflow observation adds no second +Inf entry" `Quick
+      (fun () ->
+         let h = Hist.create () in
+         List.iter (Hist.add h) [ 0.004; 2e4 ];
+         let entries = Hist.cumulative h in
+         Alcotest.(check int) "one +Inf entry" 1
+           (List.length (List.filter (fun (le, _) -> le = infinity) entries));
+         Alcotest.(check bool) "it closes the list and counts both" true
+           (List.nth entries (List.length entries - 1) = (infinity, 2))) ]
 
 let merge_tests =
   [ Alcotest.test_case "merge equals adding everything to one histogram"

@@ -672,6 +672,22 @@ let flush_tests =
          let s = Serve.stats t in
          Alcotest.(check int) "two batches" 2 s.Serve.batches;
          check_flush_sum s);
+    Alcotest.test_case "one thread: a submit_all list leaves as one batch" `Quick
+      (fun () ->
+         (* Per-job submits race the scheduler: it may take the first job
+            alone before the next is queued. *)
+         let graph = Chimera.create 6 in
+         let t = Serve.create ~batch_window_s:60.0 ~tiler_params ~solver ~graph () in
+         let tickets =
+           Serve.submit_all t
+             (List.map (fun n -> job (string_of_int n) (chain_problem n)) [ 3; 4; 5 ])
+         in
+         Alcotest.(check (list int)) "tickets in order" [ 0; 1; 2 ] tickets;
+         Alcotest.(check (list int)) "one batch" [ 0; 0; 0 ]
+           (List.map (fun (r : Serve.result) -> r.Serve.batch) (Serve.drain t));
+         let s = Serve.stats t in
+         Alcotest.(check int) "released by the idle thread" 1 s.Serve.idle_flushes;
+         check_flush_sum s);
     Alcotest.test_case "a deferred job keeps its ladder: one embed lookup per job"
       `Quick (fun () ->
           (* Each 34-spin job needs a block-2 Pegasus region, and one such
@@ -795,42 +811,58 @@ let local_problem rng kind =
     (Qac_sat.Compile.compile (Qac_sat.Dimacs.parse dimacs)).Qac_sat.Compile.problem
   end
 
+(* One generated case: the same problem solved by [Pipeline.solve] and as
+   a one-job service, on a random fabric and chain-break policy.  [Error]
+   names the first figure that differs. *)
+let local_vs_served (seed, kind) =
+  let rng = Random.State.make [| seed |] in
+  let problem = local_problem rng kind in
+  let graph =
+    if Random.State.bool rng then Chimera.create 4 else Qac_chimera.Pegasus.create 4
+  in
+  let chain_break =
+    [| Qac_embed.Embedding.Vote; Discard; Polish |].(Random.State.int rng 3)
+  in
+  let solver =
+    P.Sa { Sa.default_params with Sa.num_reads = 16; num_sweeps = 60; seed }
+  in
+  let local =
+    P.solve ~embed_cache:(Qac_embed.Cache.create ()) ~chain_break ~solver
+      ~target:(P.Physical { graph; chain_strength = None; roof_duality = false })
+      problem
+  in
+  let service =
+    Serve.create ~chain_break ~embed_cache:(Qac_embed.Cache.create ())
+      ~solver:(P.composite_solve solver) ~graph ()
+  in
+  Serve.submit service (job "j" problem);
+  match Serve.drain service with
+  | [ { Serve.response = Some served; status = Serve.Done; _ } ] ->
+    let local_response = Sampler.response_of_reads problem (List.map fst local.P.reads) in
+    if local_response.Sampler.samples <> served.Sampler.samples then Error "samples"
+    else if local_response.Sampler.num_reads <> served.Sampler.num_reads then
+      Error "num_reads of the local reads"
+    else if local.P.num_reads <> served.Sampler.num_reads then
+      Error (Printf.sprintf "num_reads: local %d, served %d" local.P.num_reads
+               served.Sampler.num_reads)
+    else if local.P.timed_out <> served.Sampler.timed_out then Error "timed_out"
+    else Ok ()
+  | _ -> Error "the served job did not finish"
+
 let local_tests =
   [ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:16 ~name:"local solve == one-job serve"
          QCheck.(pair (int_bound 100_000) (int_bound 5))
-         (fun (seed, kind) ->
-            let rng = Random.State.make [| seed |] in
-            let problem = local_problem rng kind in
-            let graph =
-              if Random.State.bool rng then Chimera.create 4 else Qac_chimera.Pegasus.create 4
-            in
-            let chain_break =
-              [| Qac_embed.Embedding.Vote; Discard; Polish |].(Random.State.int rng 3)
-            in
-            let solver =
-              P.Sa { Sa.default_params with Sa.num_reads = 16; num_sweeps = 60; seed }
-            in
-            let local =
-              P.solve ~embed_cache:(Qac_embed.Cache.create ()) ~chain_break ~solver
-                ~target:(P.Physical { graph; chain_strength = None; roof_duality = false })
-                problem
-            in
-            let service =
-              Serve.create ~chain_break ~embed_cache:(Qac_embed.Cache.create ())
-                ~solver:(P.composite_solve solver) ~graph ()
-            in
-            Serve.submit service (job "j" problem);
-            match Serve.drain service with
-            | [ { Serve.response = Some served; status = Serve.Done; _ } ] ->
-              let local_response =
-                Sampler.response_of_reads problem (List.map fst local.P.reads)
-              in
-              local_response.Sampler.samples = served.Sampler.samples
-              && local_response.Sampler.num_reads = served.Sampler.num_reads
-              && local.P.num_reads = served.Sampler.num_reads
-              && local.P.timed_out = served.Sampler.timed_out
-            | _ -> QCheck.Test.fail_report "the served job did not finish")) ]
+         (fun case ->
+            match local_vs_served case with
+            | Ok () -> true
+            | Error what -> QCheck.Test.fail_report what));
+    (* A 13-variable SAT problem under [Discard] where a chain breaks: the
+       sampler takes 16 reads and 15 are kept, and both paths report 15. *)
+    Alcotest.test_case "local solve == one-job serve: case (61537, 3)" `Quick (fun () ->
+        match local_vs_served (61537, 3) with
+        | Ok () -> ()
+        | Error what -> Alcotest.fail what) ]
 
 let suite =
   basic_tests @ deadline_tests @ failure_tests @ trace_tests @ pegasus_tests

@@ -306,7 +306,19 @@ let pool_tests =
          in
          Alcotest.(check int) "jobs land somewhere" 3 total;
          Alcotest.(check int) "merged latency counts every job" 3
-           (Qac_diag.Hist.count (Shard.latency pool)));
+           (Qac_diag.Hist.count (Shard.latency pool));
+         (* Prometheus reads a repeated series as a conflict: one +Inf
+            bucket per shard, holding that shard's job count. *)
+         Array.iter
+           (fun (s : Shard.shard_stats) ->
+              let prefix =
+                Printf.sprintf "qac_serve_latency_seconds_bucket{shard=\"%d\",le=\"+Inf\"} "
+                  s.Shard.shard
+              in
+              Alcotest.(check (list string)) "one +Inf line"
+                [ prefix ^ string_of_int (Qac_diag.Hist.count s.Shard.latency) ]
+                (List.filter (String.starts_with ~prefix) (String.split_on_char '\n' text)))
+           st);
     Alcotest.test_case "stats reply, metrics and trace summary name the same counters"
       `Quick (fun () ->
         let graph = Chimera.create 6 in
@@ -315,15 +327,17 @@ let pool_tests =
         List.iter (fun j -> ignore (Shard.submit pool j)) jobs;
         ignore (Shard.drain pool);
         let trace = Qac_diag.Trace.create () in
-        let service = Serve.create ~trace ~tiler_params ~solver ~graph () in
-        List.iter (Serve.submit service) jobs;
-        ignore (Serve.drain service);
-        (* The one declaration, spelled the way each view spells it. *)
-        let declared prefix sep =
-          List.map
-            (fun (k, _) -> prefix ^ String.map (function '_' -> sep | c -> c) k)
-            (Serve.fields (Serve.stats service))
+        let traced = Shard.create ~trace ~tiler_params ~solver ~graph () in
+        List.iter (fun j -> ignore (Shard.submit traced j)) jobs;
+        ignore (Shard.drain traced);
+        (* Each declaration, spelled the way each view spells it. *)
+        let spell prefix sep fields =
+          List.map (fun (k, _) -> prefix ^ String.map (function '_' -> sep | c -> c) k) fields
         in
+        let st = (Shard.stats pool).(0) in
+        let serve_fields = Serve.fields st.Shard.serve in
+        let latency_fields = Serve.latency_fields st.Shard.latency in
+        let cache_fields = Qac_embed.Cache.fields st.Shard.cache in
         let starts prefix s = String.starts_with ~prefix s in
         (match Protocol.stats_to_json (Shard.stats pool) with
          | Protocol.Arr shards ->
@@ -331,11 +345,15 @@ let pool_tests =
            List.iter
              (function
                | Protocol.Obj kv ->
-                 (match List.assoc "serve" kv with
-                  | Protocol.Obj serve ->
-                    Alcotest.(check (list string)) "stats reply keys"
-                      (declared "" '_') (List.map fst serve)
-                  | _ -> Alcotest.fail "serve is not an object")
+                 let keys name =
+                   match List.assoc name kv with
+                   | Protocol.Obj o -> List.map fst o
+                   | _ -> Alcotest.fail (name ^ " is not an object")
+                 in
+                 Alcotest.(check (list string)) "stats reply serve keys"
+                   (spell "" '_' serve_fields) (keys "serve");
+                 Alcotest.(check (list string)) "stats reply latency keys"
+                   (spell "" '_' latency_fields) (keys "latency")
                | _ -> Alcotest.fail "shard entry is not an object")
              shards
          | _ -> Alcotest.fail "stats is not an array");
@@ -345,33 +363,37 @@ let pool_tests =
                match String.index_opt line '{' with
                | Some k
                  when starts "qac_serve_" line
-                      && (not (starts "qac_serve_latency" line))
                       && starts "{shard=\"0\"}" (String.sub line k (String.length line - k)) ->
                  Some (String.sub line 0 k)
                | _ -> None)
             (String.split_on_char '\n' (Shard.metrics pool))
         in
-        Alcotest.(check (list string)) "metric names" (declared "qac_serve_" '_')
+        Alcotest.(check (list string)) "metric names"
+          (spell "qac_serve_" '_' serve_fields @ spell "qac_serve_latency_" '_' latency_fields)
           metric_names;
-        let summary_keys =
-          List.filter
-            (fun k -> starts "serve-" k && not (starts "serve-latency" k))
-            (List.map fst (Qac_diag.Trace.summary trace))
+        let summary_keys prefix =
+          List.filter (starts prefix) (List.map fst (Qac_diag.Trace.summary trace))
         in
-        Alcotest.(check (list string)) "trace summary keys" (declared "serve-" '-')
-          summary_keys;
+        Alcotest.(check (list string)) "serve trace summary keys"
+          (spell "serve-" '-' serve_fields @ spell "serve-latency-" '-' latency_fields)
+          (summary_keys "serve-");
+        Alcotest.(check (list string)) "embed-cache trace summary keys"
+          (spell "embed-cache-" '-' cache_fields) (summary_keys "embed-cache-");
+        Alcotest.check_raises "a trace is single-domain"
+          (Invalid_argument "Shard.create: a trace needs num_shards = 1") (fun () ->
+            ignore (Shard.create ~num_shards:2 ~trace ~tiler_params ~solver ~graph ()));
         (* What released each batch is part of that declaration, and every
            batch has exactly one cause. *)
         List.iter
           (fun k ->
-             Alcotest.(check bool) (k ^ " declared") true (List.mem k (declared "" '_')))
+             Alcotest.(check bool) (k ^ " declared") true (List.mem_assoc k serve_fields))
           [ "full_flushes"; "idle_flushes"; "window_flushes"; "drain_flushes" ];
         let causes_sum (s : Serve.stats) =
           s.Serve.full_flushes + s.Serve.idle_flushes + s.Serve.window_flushes
           + s.Serve.drain_flushes
         in
-        let st = Serve.stats service in
-        Alcotest.(check int) "flush causes sum to batches" st.Serve.batches (causes_sum st);
+        let sv = (Shard.stats traced).(0).Shard.serve in
+        Alcotest.(check int) "flush causes sum to batches" sv.Serve.batches (causes_sum sv);
         Array.iter
           (fun (x : Shard.shard_stats) ->
              Alcotest.(check int) "per shard, causes sum to batches"
