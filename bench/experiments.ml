@@ -151,12 +151,13 @@ let e2 () =
   List.iter
     (fun (kind, n) -> row "  %-5s x %d\n" (Qac_netlist.Netlist.kind_name kind) n)
     (Qac_netlist.Netlist.cells_by_kind t.P.netlist);
-  row "measured EDIF: %d lines (paper: 112); first lines:\n" (Qac_edif.Edif.line_count t.P.edif);
-  String.split_on_char '\n' t.P.edif
+  let edif = Qac_edif.Edif.to_string t.P.netlist in
+  row "measured EDIF: %d lines (paper: 112); first lines:\n" (Qac_edif.Edif.line_count edif);
+  String.split_on_char '\n' edif
   |> List.filteri (fun i _ -> i < 6)
   |> List.iter (fun line -> row "  | %s\n" line);
   (* Round-trip sanity. *)
-  let reparsed = Qac_edif.Edif.of_string t.P.edif in
+  let reparsed = Qac_edif.Edif.of_string edif in
   row "EDIF parses back to a netlist with %d cells (round-trip ok: %b)\n"
     (Qac_netlist.Netlist.num_cells reparsed)
     (Qac_netlist.Netlist.num_cells reparsed = Qac_netlist.Netlist.num_cells t.P.netlist)

@@ -106,7 +106,7 @@ let compile_cmd =
        let t = compile ?top ?steps ~optimize:(not no_optimize) ?trace:tr src in
        (match format with
         | `Qmasm -> print_string t.P.qmasm_src
-        | `Edif -> print_string t.P.edif
+        | `Edif -> print_string (Qac_edif.Edif.to_string t.P.netlist)
         | `Minizinc -> print_string (Qac_qmasm.Qmasm.to_minizinc t.P.program)
         | `Stdcell -> assert false);
        emit_trace ~trace_json tr)
@@ -522,8 +522,8 @@ let jobs_arg =
      $(i,top=), $(i,steps=) and $(i,deadline_ms=) select the top module, \
      the unroll depth and a per-job deadline.  Blank lines and lines \
      starting with # are skipped.  Job ids are $(i,basename#lineno).  \
-     Required unless --listen is given (a server takes jobs over the \
-     socket)."
+     Required unless --listen is given, and refused with it (a server \
+     takes its jobs over the socket)."
   in
   Arg.(value & opt (some non_dir_file) None & info [ "jobs" ] ~docv:"FILE" ~doc)
 
@@ -786,6 +786,10 @@ let serve_cmd =
       chain_break trace trace_json =
     handle_errors @@ fun () ->
     if shards < 1 then raise (Usage "--shards must be >= 1");
+    (match listen, jobs_file with
+     | Some _, Some _ -> raise (Usage "--jobs and --listen exclude each other")
+     | None, None -> raise (Usage "--jobs is required unless --listen is given")
+     | _ -> ());
     (* Only the single-shard job-file run has one trace to write. *)
     if (trace || trace_json) && (shards > 1 || listen <> None) then
       raise (Usage "--trace and --trace-json need a single-shard --jobs run");
@@ -801,12 +805,7 @@ let serve_cmd =
     (* The trace is created before job building so the compile-cache
        hit/miss summaries land on it alongside the serve counters. *)
     let tr = make_trace ~trace ~trace_json in
-    let jobs =
-      match listen, jobs_file with
-      | Some _, _ -> []
-      | None, Some f -> build_jobs ?store ?trace:tr f
-      | None, None -> failwith "--jobs is required (or --listen to run as a server)"
-    in
+    let jobs = match jobs_file with Some f -> build_jobs ?store ?trace:tr f | None -> [] in
     let pool =
       usage_checked (fun () ->
           Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs

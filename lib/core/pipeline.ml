@@ -22,7 +22,6 @@ type t = {
   netlist : N.t;
   ff_names : string array;
   steps : int option;
-  edif : string;
   qmasm_src : string;
   statements : Qmasm.Ast.stmt list;
   program : Qmasm.Assemble.t;
@@ -66,16 +65,16 @@ let compile ?top ?steps ?(optimize = true) ?(options = default_options) ?trace v
         count "gates" (Array.length netlist.N.cells);
         (netlist, steps))
   in
-  let edif, reparsed =
+  let reread =
     span "edif-roundtrip" (fun () ->
-        let edif = Qac_edif.Edif.to_string netlist in
-        (* Round-trip through EDIF, as the paper's toolchain does: the QMASM
-           is generated from the parsed EDIF, not the in-memory netlist. *)
-        let reparsed = Qac_edif.Edif.of_string edif in
-        count "edif-lines" (Qac_edif.Edif.line_count edif);
-        (edif, reparsed))
+        (* The QMASM is generated from the netlist the paper's EDIF hand-off
+           would deliver, built without the text; only a trace renders the
+           text, to count its lines. *)
+        if trace <> None then
+          count "edif-lines" (Qac_edif.Edif.line_count (Qac_edif.Edif.to_string netlist));
+        Qac_edif.Edif.reread netlist)
   in
-  let qmasm_src = span "e2q" (fun () -> E2Q.convert reparsed) in
+  let qmasm_src = span "e2q" (fun () -> E2Q.convert reread) in
   let statements =
     span "expand" (fun () ->
         let stmts =
@@ -96,7 +95,6 @@ let compile ?top ?steps ?(optimize = true) ?(options = default_options) ?trace v
     netlist;
     ff_names;
     steps;
-    edif;
     qmasm_src;
     statements;
     program;
@@ -510,7 +508,7 @@ let count_code_lines src =
 
 let static_properties t =
   { verilog_lines = count_code_lines t.verilog_src;
-    edif_lines = Qac_edif.Edif.line_count t.edif;
+    edif_lines = Qac_edif.Edif.line_count (Qac_edif.Edif.to_string t.netlist);
     qmasm_lines = Qmasm.Parser.line_count t.qmasm_src;
     stdcell_lines = Qac_cells.Stdcell.line_count ();
     logical_vars = t.program.Qmasm.Assemble.problem.Problem.num_vars;

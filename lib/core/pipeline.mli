@@ -6,7 +6,10 @@
     Stages (section 4): Verilog -> elaborated module -> optimized gate
     netlist (time-unrolled when sequential) -> EDIF -> QMASM -> logical
     Ising problem -> (optionally) minor-embedded physical Ising problem ->
-    samples -> named, verified solutions.
+    samples -> named, verified solutions.  The EDIF stage parses no text:
+    QMASM is generated from {!Qac_edif.Edif.reread}, the netlist the EDIF
+    reader would return for the text (a tested equation), and the text
+    itself is rendered only on demand with {!Qac_edif.Edif.to_string}.
 
     Every stage failure raises [Qac_diag.Diag.Error], tagged with the stage
     that failed (["verilog-parse"], ["qmasm-assemble"], ["pipeline"], ...).
@@ -17,10 +20,11 @@
 type t = {
   verilog_src : string;
   elaborated : Qac_verilog.Elab.t;
-  netlist : Qac_netlist.Netlist.t;  (** optimized; combinational (post-unroll) *)
+  netlist : Qac_netlist.Netlist.t;
+      (** optimized; combinational (post-unroll); its EDIF text is
+          [Qac_edif.Edif.to_string netlist] *)
   ff_names : string array;
   steps : int option;  (** unroll depth used, for sequential sources *)
-  edif : string;
   qmasm_src : string;
   statements : Qac_qmasm.Ast.stmt list;  (** flat (macro-expanded) program *)
   program : Qac_qmasm.Assemble.t;  (** the logical Ising problem + symbols *)
@@ -34,7 +38,9 @@ type t = {
     [options] control QMASM assembly; the default merges chains (qmasm's
     variable-merging optimization), which is what the paper's section 6.1
     variable counts reflect.  [trace] records the spans
-    parse, elab, synth, unroll, edif-roundtrip, e2q, expand, assemble. *)
+    parse, elab, synth, unroll, edif-roundtrip, e2q, expand, assemble;
+    only a traced compile renders the EDIF text, once, for the
+    edif-roundtrip span's [edif-lines] counter. *)
 val compile :
   ?top:string ->
   ?steps:int ->

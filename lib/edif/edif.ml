@@ -602,6 +602,91 @@ let of_sexp sexp =
     port_order;
   N.Builder.build b
 
+(* --- Rereading without text ----------------------------------------------- *)
+
+(* A netlist the reader would treat differently from the fast path below:
+   it keys ports by the base name a bit name parses to, so a port name
+   with a '[' can merge with or split from another port, a name shared by
+   an input and an output merges, and a port of width 0 vanishes; and it
+   raises on an undriven net or a combinational cycle. *)
+exception Irregular
+
+let regular_ports (t : N.t) =
+  let seen = Hashtbl.create 16 in
+  let regular (name, width) =
+    width > 0 && (not (String.contains name '[')) && not (Hashtbl.mem seen name)
+    && (Hashtbl.add seen name (); true)
+  in
+  List.for_all (fun (name, nets) -> regular (name, Array.length nets)) t.N.inputs
+  && List.for_all (fun (name, signals) -> regular (name, Array.length signals)) t.N.outputs
+
+(* The reader's construction, step for step, on the netlist itself: inputs
+   in port order, a placeholder per flip-flop in cell order, each
+   flip-flop's D cone in cell order, then the outputs in port order.  A
+   cone is built depth first, inputs in pin order, and a net takes its
+   first driver: an input bit before any cell, then the lowest cell. *)
+let reread_regular (t : N.t) =
+  if not (regular_ports t) then raise Irregular;
+  let cells = t.N.cells in
+  let b = N.Builder.create t.N.name in
+  let net_signal = Array.make t.N.num_nets None in
+  List.iter
+    (fun (name, nets) ->
+       let signals = N.Builder.add_input b name (Array.length nets) in
+       Array.iteri
+         (fun i n -> if net_signal.(n) = None then net_signal.(n) <- Some signals.(i))
+         nets)
+    t.N.inputs;
+  let driver = Array.make t.N.num_nets (-1) in
+  Array.iteri
+    (fun idx (c : N.cell) -> if driver.(c.N.out) < 0 then driver.(c.N.out) <- idx)
+    cells;
+  let cell_signal =
+    Array.map
+      (fun (c : N.cell) ->
+         match c.N.kind with
+         | N.Dff_p -> Some (N.Builder.dff_placeholder b ~edge:`Pos)
+         | N.Dff_n -> Some (N.Builder.dff_placeholder b ~edge:`Neg)
+         | _ -> None)
+      cells
+  in
+  let busy = Array.make (Array.length cells) false in
+  let rec signal = function
+    | (N.Zero | N.One) as s -> s
+    | N.Net n ->
+      (match net_signal.(n) with
+       | Some s -> s
+       | None ->
+         if driver.(n) < 0 then raise Irregular;
+         let s = built driver.(n) in
+         net_signal.(n) <- Some s;
+         s)
+  and built idx =
+    match cell_signal.(idx) with
+    | Some s -> s
+    | None ->
+      if busy.(idx) then raise Irregular;
+      busy.(idx) <- true;
+      let c = cells.(idx) in
+      let s = N.Builder.raw_cell b c.N.kind (Array.map signal c.N.inputs) in
+      cell_signal.(idx) <- Some s;
+      s
+  in
+  Array.iteri
+    (fun idx (c : N.cell) ->
+       match c.N.kind, cell_signal.(idx) with
+       | (N.Dff_p | N.Dff_n), Some q -> N.Builder.connect_dff b ~q ~d:(signal c.N.inputs.(0))
+       | _ -> ())
+    cells;
+  List.iter
+    (fun (name, signals) -> N.Builder.set_output b name (Array.map signal signals))
+    t.N.outputs;
+  N.Builder.build b
+
+(* An irregular netlist goes through the reader itself, on the tree rather
+   than the text, for its exact result or error. *)
+let reread t = try reread_regular t with Irregular -> of_sexp (to_sexp t)
+
 let of_string src =
   match S.parse_string src with
   | sexp -> of_sexp sexp

@@ -37,6 +37,18 @@ val to_string : Qac_netlist.Netlist.t -> string
     hostile bit index can make it allocate. *)
 val of_string : string -> Qac_netlist.Netlist.t
 
+(** [reread n] is [of_string (to_string n)], built without the text: the
+    netlist the EDIF reader returns for [n], raising what it raises.  That
+    is not [n] itself, since the reader rebuilds the netlist demand-driven
+    through [Builder.raw_cell] (cells renumbered, dead cells dropped,
+    duplicates merged, commutative inputs sorted).  Like the reader, it
+    adds the inputs in port order, a flip-flop placeholder per flip-flop
+    in cell order, each flip-flop's D cone in cell order, then the outputs
+    in port order.  A port name containing ['['], a name both an input and
+    an output carry, or a zero-width port takes the reader's own path on
+    the {!to_sexp} tree, as does a netlist the reader rejects. *)
+val reread : Qac_netlist.Netlist.t -> Qac_netlist.Netlist.t
+
 val line_count : string -> int
 (** Lines in a rendered EDIF file — the section 6.1 size metric: the
     newlines, plus one for a last line without one. *)

@@ -235,4 +235,64 @@ let fuzz_tests =
            [ ("unclosed", String.make n '(');
              ("closed", String.make n '(' ^ String.make n ')') ]) ]
 
-let suite = suite @ property_suite @ fuzz_tests
+(* [Edif.reread n] must be the netlist the reader returns for [n]'s text,
+   and what the compile path emits must match what the text round trip
+   would. *)
+let reread_tests =
+  let reader n = Edif.of_string (Edif.to_string n) in
+  let outcome f n =
+    match f n with
+    | n' -> Ok n'
+    | exception Qac_diag.Diag.Error d -> Error (Qac_diag.Diag.to_string d)
+  in
+  let same_as_reader what n =
+    if outcome Edif.reread n <> outcome reader n then Alcotest.failf "%s: reread differs" what
+  in
+  let random_equation ~name prepare =
+    QCheck.Test.make ~name ~count:300 (QCheck.make Test_netlist.random_netlist_gen)
+      (fun spec ->
+         let n = prepare (Test_netlist.build_random spec) in
+         Edif.reread n = reader n)
+  in
+  let compile_equation =
+    QCheck.Test.make ~name:"compile emits the QMASM of the EDIF text round trip" ~count:40
+      QCheck.(pair (make Test_verilog.random_module_gen) bool)
+      (fun (seed, optimize) ->
+         let t = Qac_core.Pipeline.compile ~optimize (Test_verilog.generate_random_module seed) in
+         t.Qac_core.Pipeline.qmasm_src = Qac_edif2qmasm.Edif2qmasm.convert (reader t.netlist))
+  in
+  let cycle =
+    { Netlist.name = "cycle";
+      num_nets = 2;
+      cells =
+        [| { Netlist.kind = Netlist.Not; inputs = [| Netlist.Net 1 |]; out = 0 };
+           { Netlist.kind = Netlist.Not; inputs = [| Netlist.Net 0 |]; out = 1 } |];
+      inputs = [];
+      outputs = [ ("o", [| Netlist.Net 0 |]) ] }
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [ random_equation ~name:"reread equals the reader on random netlists" Fun.id;
+      random_equation ~name:"reread equals the reader on optimized random netlists"
+        Passes.optimize ]
+  @ [ Alcotest.test_case "reread equals the reader on a sequential counter" `Quick (fun () ->
+        let n =
+          verilog_netlist
+            "module c (clk, o); input clk; output [1:0] o; reg [1:0] q; \
+             always @(posedge clk) q <= q + 1; assign o = q; endmodule"
+        in
+        Alcotest.(check int) "flip-flops" 2 (Netlist.num_flip_flops n);
+        same_as_reader "counter" n);
+      Alcotest.test_case "irregular netlists take the reader's own path" `Quick (fun () ->
+        (* Bracketed escaped names merge into one port, or fail its bit check. *)
+        same_as_reader "merged"
+          (verilog_netlist
+             "module t (\\x[1] , \\x[0] , y); input \\x[1] , \\x[0] ; output y; \
+              assign y = \\x[1]  & \\x[0] ; endmodule");
+        same_as_reader "sparse"
+          (verilog_netlist
+             "module t (\\x[1] , y); input \\x[1] ; output y; assign y = ~\\x[1] ; endmodule");
+        same_as_reader "cycle" cycle;
+        same_as_reader "undriven" { cycle with cells = [||] });
+      QCheck_alcotest.to_alcotest compile_equation ]
+
+let suite = suite @ property_suite @ fuzz_tests @ reread_tests

@@ -128,7 +128,7 @@ let digests () =
        let t = P.compile ?steps src in
        let assembled = programs t in
        ( name,
-         [ Digest.to_hex (Digest.string t.P.edif);
+         [ Digest.to_hex (Digest.string (Qac_edif.Edif.to_string t.P.netlist));
            Digest.to_hex (Digest.string t.P.qmasm_src);
            md5 (fun b -> List.iter (fun a -> render_problem b a.A.problem) assembled);
            md5 (fun b -> List.iter (render_symbols b) assembled) ] ))
