@@ -4,15 +4,26 @@
     OCaml versions, so we avoid [Stdlib.Random] (whose algorithm changed in
     5.0) and implement splitmix64 directly. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes, read and written through the
+   unboxed [%caml_bytes_*64u] primitives: an [int64] record field would
+   box a fresh value on every store, and [next_int64] is inlined so its
+   result is consumed unboxed too.  Drawing a spin vector therefore
+   allocates only the vector. *)
+type t = bytes
 
-let create seed = { state = Int64.of_int seed }
+external get_state : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set_state : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 (Int64.of_int seed);
+  t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

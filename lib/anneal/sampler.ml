@@ -18,8 +18,7 @@ type response = {
 }
 
 (* One byte per spin: the dedup key (bytes compare/hash without the
-   per-element boxing an [int list] key pays) and the retained form of
-   served results. *)
+   per-element boxing an [int list] key pays). *)
 let pack spins =
   Bytes.init (Array.length spins) (fun i -> if spins.(i) > 0 then '\001' else '\000')
 

@@ -26,7 +26,15 @@ type t = {
 let make (p : Problem.t) spins =
   let energy = Problem.energy p spins in
   (* energy already validated length and spin values *)
-  let fields = Array.init p.Problem.num_vars (Problem.local_field p spins) in
+  (* [Problem.local_field], inlined: a cross-module float result is boxed. *)
+  let fields = Array.make p.Problem.num_vars 0.0 in
+  for i = 0 to p.Problem.num_vars - 1 do
+    let f = ref p.Problem.h.(i) in
+    for k = p.Problem.row_start.(i) to p.Problem.row_start.(i + 1) - 1 do
+      f := !f +. (p.Problem.weight.(k) *. float_of_int spins.(p.Problem.col.(k)))
+    done;
+    fields.(i) <- !f
+  done;
   { problem = p; spins; fields; energy }
 
 let random p rng = make p (Rng.spins rng p.Problem.num_vars)

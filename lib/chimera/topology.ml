@@ -83,17 +83,17 @@ let neighbors t q =
   if q < 0 || q >= num_qubits t then invalid_arg "Topology.neighbors: out of range";
   List.init (degree t q) (fun i -> t.col.(t.row_start.(q) + i))
 
-(* Rows are sorted, so membership is a binary search. *)
+(* Rows are sorted, so membership is a binary search: a loop, where a
+   local recursive function would allocate its closure on every call. *)
 let adjacent t a b =
   if a < 0 || a >= num_qubits t then invalid_arg "Topology.adjacent: out of range";
-  let rec search lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let v = t.col.(mid) in
-      if v = b then true else if v < b then search (mid + 1) hi else search lo mid
-  in
-  search t.row_start.(a) t.row_start.(a + 1)
+  let lo = ref t.row_start.(a) and hi = ref t.row_start.(a + 1) and found = ref false in
+  while (not !found) && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let v = t.col.(mid) in
+    if v = b then found := true else if v < b then lo := mid + 1 else hi := mid
+  done;
+  !found
 
 let edges t =
   let acc = ref [] in

@@ -12,11 +12,27 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* Decimal digits of a non-negative int, appended without an intermediate
+   string. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
 (* %.17g round-trips any finite double exactly; integral values print as
-   integers so tickets and counters stay readable. *)
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+   integers so tickets and counters stay readable.  An integral |f| < 1e15
+   is exact as an int, so its digits go straight into the buffer: the bytes
+   [Printf.sprintf "%.0f"] writes, without the format interpreter's
+   allocation (a served reply holds thousands of spins).  -0.0 takes the
+   [Printf] path, which keeps its sign. *)
+let add_number b f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0.0 && Float.sign_bit f then Buffer.add_string b (Printf.sprintf "%.0f" f)
+    else begin
+      let n = int_of_float f in
+      if n < 0 then Buffer.add_char b '-';
+      add_digits b (abs n)
+    end
+  else Buffer.add_string b (Printf.sprintf "%.17g" f)
 
 let add_quoted b s =
   Buffer.add_char b '"';
@@ -43,7 +59,7 @@ let to_string j =
     | Num f ->
       if Float.is_nan f || Float.abs f = infinity then
         fail "JSON: non-finite number"
-      else Buffer.add_string b (float_repr f)
+      else add_number b f
     | Str s -> add_quoted b s
     | Arr items ->
       Buffer.add_char b '[';
@@ -68,6 +84,27 @@ let to_string j =
   Buffer.contents b
 
 let max_depth = 512
+
+(* The value of the digits s.[first .. stop - 1] when there are 1 to 15 of
+   them and nothing else, or -1.  Such an integer is exact in a double, so
+   it is the value [float_of_string] reads, without the substring and
+   boxed float it costs. *)
+let digits_value s first stop =
+  if stop - first < 1 || stop - first > 15 then -1
+  else begin
+    let v = ref 0 and i = ref first in
+    while !i < stop && s.[!i] >= '0' && s.[!i] <= '9' do
+      v := (10 * !v) + (Char.code s.[!i] - Char.code '0');
+      incr i
+    done;
+    if !i = stop then !v else -1
+  end
+
+(* Shared values for the integers frames repeat most: spins, small
+   counts, and the sign of zero that "-0" carries. *)
+let small_nums = Array.init 256 (fun i -> Num (float_of_int i))
+let minus_one = Num (-1.0)
+let minus_zero = Num (-0.0)
 
 (* Recursive-descent parser.  [pos] always points at the next unread byte. *)
 let of_string s =
@@ -164,9 +201,16 @@ let of_string s =
     in
     while !pos < n && numchar s.[!pos] do advance () done;
     if !pos = start then fail "JSON: expected a value at byte %d" start;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "JSON: bad number at byte %d" start
+    let neg = s.[start] = '-' in
+    let v = digits_value s (if neg then start + 1 else start) !pos in
+    if v < 0 then
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> Num f
+      | None -> fail "JSON: bad number at byte %d" start
+    else if neg then
+      match v with 0 -> minus_zero | 1 -> minus_one | v -> Num (float_of_int (-v))
+    else if v < Array.length small_nums then small_nums.(v)
+    else Num (float_of_int v)
   in
   (* Nesting is capped so a hostile frame of brackets fails with [Error]
      instead of exhausting the stack. *)
@@ -219,7 +263,7 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
+    | Some _ -> parse_number ()
   in
   let v = parse_value 0 in
   skip_ws ();

@@ -31,6 +31,10 @@ type t = {
 let default_options =
   { Qmasm.Assemble.merge_chains = true; chain_strength = None; pin_strength = None }
 
+(* Lines of the EDIF text the netlist renders to, the section 6.1 size
+   metric. *)
+let edif_lines netlist = Qac_sexp.Sexp.line_count (Qac_edif.Edif.to_sexp netlist)
+
 (* Compile stages (section 4, Fig. 1), each a traced span:
    parse -> elab -> synth -> unroll -> edif-roundtrip -> e2q -> expand
    -> assemble.  Stage failures raise [Diag.Error] tagged at the raising
@@ -68,10 +72,9 @@ let compile ?top ?steps ?(optimize = true) ?(options = default_options) ?trace v
   let reread =
     span "edif-roundtrip" (fun () ->
         (* The QMASM is generated from the netlist the paper's EDIF hand-off
-           would deliver, built without the text; only a trace renders the
-           text, to count its lines. *)
-        if trace <> None then
-          count "edif-lines" (Qac_edif.Edif.line_count (Qac_edif.Edif.to_string netlist));
+           would deliver, built without the text; a trace counts the lines
+           that text would have on the EDIF tree, without rendering it. *)
+        if trace <> None then count "edif-lines" (edif_lines netlist);
         Qac_edif.Edif.reread netlist)
   in
   let qmasm_src = span "e2q" (fun () -> E2Q.convert reread) in
@@ -508,7 +511,7 @@ let count_code_lines src =
 
 let static_properties t =
   { verilog_lines = count_code_lines t.verilog_src;
-    edif_lines = Qac_edif.Edif.line_count (Qac_edif.Edif.to_string t.netlist);
+    edif_lines = edif_lines t.netlist;
     qmasm_lines = Qmasm.Parser.line_count t.qmasm_src;
     stdcell_lines = Qac_cells.Stdcell.line_count ();
     logical_vars = t.program.Qmasm.Assemble.problem.Problem.num_vars;

@@ -1,5 +1,6 @@
 open Qac_ising
 module Chimera = Qac_chimera.Chimera
+module Topology = Qac_chimera.Topology
 module Sampler = Qac_anneal.Sampler
 
 type t = { chains : int array array }
@@ -10,81 +11,69 @@ let num_physical_qubits t =
 let max_chain_length t =
   Array.fold_left (fun acc chain -> max acc (Array.length chain)) 0 t.chains
 
+(* Chain membership is one [owner] array over the qubits, and chain
+   connectivity walks the graph's CSR rows in place: {!apply} re-verifies
+   every cached embedding it places, so this runs once per served job. *)
 let verify graph (p : Problem.t) t =
-  let ( let* ) r f = Result.bind r f in
-  let* () =
+  let exception Invalid of string in
+  let invalid fmt = Printf.ksprintf (fun msg -> raise (Invalid msg)) fmt in
+  let row_start = graph.Topology.row_start and col = graph.Topology.col in
+  (* [owner.(q)]: the variable whose chain holds qubit [q], or -1. *)
+  let owner = Array.make (Chimera.num_qubits graph) (-1) in
+  let seen = Array.make (Array.length owner) false in
+  let stack = Array.make (Array.length owner) 0 in
+  try
     if Array.length t.chains <> p.Problem.num_vars then
-      Error
-        (Printf.sprintf "embedding has %d chains for %d variables"
-           (Array.length t.chains) p.Problem.num_vars)
-    else Ok ()
-  in
-  (* Nonempty, in-range, working, disjoint. *)
-  let seen = Hashtbl.create 64 in
-  let* () =
-    let rec check v =
-      if v >= Array.length t.chains then Ok ()
-      else if Array.length t.chains.(v) = 0 then
-        Error (Printf.sprintf "variable %d has an empty chain" v)
-      else begin
-        let bad =
-          Array.fold_left
-            (fun acc q ->
-               match acc with
-               | Some _ -> acc
-               | None ->
-                 if not (Chimera.is_working graph q) then
-                   Some (Printf.sprintf "chain of %d uses broken/out-of-range qubit %d" v q)
-                 else if Hashtbl.mem seen q then
-                   Some (Printf.sprintf "qubit %d appears in two chains" q)
-                 else begin
-                   Hashtbl.replace seen q v;
-                   None
-                 end)
-            None t.chains.(v)
-        in
-        match bad with
-        | Some msg -> Error msg
-        | None -> check (v + 1)
-      end
-    in
-    check 0
-  in
-  (* Connectivity of each chain. *)
-  let* () =
-    let rec check v =
-      if v >= Array.length t.chains then Ok ()
-      else begin
-        let chain = t.chains.(v) in
-        let members = Hashtbl.create 8 in
-        Array.iter (fun q -> Hashtbl.replace members q ()) chain;
-        let visited = Hashtbl.create 8 in
-        let rec dfs q =
-          if not (Hashtbl.mem visited q) then begin
-            Hashtbl.replace visited q ();
-            List.iter (fun n -> if Hashtbl.mem members n then dfs n) (Chimera.neighbors graph q)
-          end
-        in
-        dfs chain.(0);
-        if Hashtbl.length visited <> Array.length chain then
-          Error (Printf.sprintf "chain of variable %d is disconnected" v)
-        else check (v + 1)
-      end
-    in
-    check 0
-  in
-  (* Every logical coupler has a physical edge. *)
-  let has_edge u v =
-    Array.exists
-      (fun qu -> Array.exists (fun qv -> Chimera.adjacent graph qu qv) t.chains.(v))
-      t.chains.(u)
-  in
-  Array.fold_left
-    (fun acc ((u, v), _) ->
-       let* () = acc in
-       if has_edge u v then Ok ()
-       else Error (Printf.sprintf "no physical edge for logical coupler (%d, %d)" u v))
-    (Ok ()) p.Problem.couplers
+      invalid "embedding has %d chains for %d variables" (Array.length t.chains)
+        p.Problem.num_vars;
+    (* Nonempty, in-range, working, disjoint. *)
+    Array.iteri
+      (fun v chain ->
+         if Array.length chain = 0 then invalid "variable %d has an empty chain" v;
+         Array.iter
+           (fun q ->
+              if not (Chimera.is_working graph q) then
+                invalid "chain of %d uses broken/out-of-range qubit %d" v q;
+              if owner.(q) >= 0 then invalid "qubit %d appears in two chains" q;
+              owner.(q) <- v)
+           chain)
+      t.chains;
+    (* Connectivity of each chain: a depth-first walk from its first qubit
+       through the qubits it owns. *)
+    Array.iteri
+      (fun v chain ->
+         let top = ref 1 and reached = ref 1 in
+         stack.(0) <- chain.(0);
+         seen.(chain.(0)) <- true;
+         while !top > 0 do
+           decr top;
+           let q = stack.(!top) in
+           for k = row_start.(q) to row_start.(q + 1) - 1 do
+             let n = col.(k) in
+             if owner.(n) = v && not seen.(n) then begin
+               seen.(n) <- true;
+               incr reached;
+               stack.(!top) <- n;
+               incr top
+             end
+           done
+         done;
+         if !reached <> Array.length chain then invalid "chain of variable %d is disconnected" v)
+      t.chains;
+    (* Every logical coupler has a physical edge. *)
+    Array.iter
+      (fun ((u, v), _) ->
+         let found = ref false in
+         Array.iter
+           (fun qu ->
+              for k = row_start.(qu) to row_start.(qu + 1) - 1 do
+                if owner.(col.(k)) = v then found := true
+              done)
+           t.chains.(u);
+         if not !found then invalid "no physical edge for logical coupler (%d, %d)" u v)
+      p.Problem.couplers;
+    Ok ()
+  with Invalid msg -> Error msg
 
 let default_chain_strength (p : Problem.t) =
   let m =
@@ -112,30 +101,33 @@ let apply ?chain_strength graph (p : Problem.t) t =
          Array.iter (fun q -> Problem.Builder.add_h b q share) chain
        end)
     p.Problem.h;
-  (* Quadratic terms: split across the available physical edges. *)
+  (* Quadratic terms: split across the available physical edges, added
+     last edge first.  Plain loops: this runs once per served job. *)
   Array.iter
     (fun ((u, v), j) ->
-       let edges = ref [] in
-       Array.iter
-         (fun qu ->
-            Array.iter
-              (fun qv -> if Chimera.adjacent graph qu qv then edges := (qu, qv) :: !edges)
-              t.chains.(v))
-         t.chains.(u);
-       let share = j /. float_of_int (List.length !edges) in
-       List.iter (fun (qu, qv) -> Problem.Builder.add_j b qu qv share) !edges)
+       let cu = t.chains.(u) and cv = t.chains.(v) in
+       let edges = ref 0 in
+       for a = 0 to Array.length cu - 1 do
+         for c = 0 to Array.length cv - 1 do
+           if Chimera.adjacent graph cu.(a) cv.(c) then incr edges
+         done
+       done;
+       let share = j /. float_of_int !edges in
+       for a = Array.length cu - 1 downto 0 do
+         for c = Array.length cv - 1 downto 0 do
+           if Chimera.adjacent graph cu.(a) cv.(c) then Problem.Builder.add_j b cu.(a) cv.(c) share
+         done
+       done)
     p.Problem.couplers;
   (* Intra-chain ferromagnetic couplers on every internal edge. *)
   Array.iter
     (fun chain ->
-       Array.iteri
-         (fun i qi ->
-            Array.iteri
-              (fun k qk ->
-                 if i < k && Chimera.adjacent graph qi qk then
-                   Problem.Builder.add_j b qi qk (-.strength))
-              chain)
-         chain)
+       for i = 0 to Array.length chain - 1 do
+         for k = i + 1 to Array.length chain - 1 do
+           if Chimera.adjacent graph chain.(i) chain.(k) then
+             Problem.Builder.add_j b chain.(i) chain.(k) (-.strength)
+         done
+       done)
     t.chains;
   let built = Problem.Builder.build b in
   if built.Problem.num_vars = Chimera.num_qubits graph then built
@@ -167,7 +159,11 @@ let vote t physical =
   let logical =
     Array.map
       (fun chain ->
-         let up = Array.fold_left (fun acc q -> if physical.(q) > 0 then acc + 1 else acc) 0 chain in
+         let up = ref 0 in
+         for k = 0 to Array.length chain - 1 do
+           if physical.(chain.(k)) > 0 then incr up
+         done;
+         let up = !up in
          let len = Array.length chain in
          if up <> 0 && up <> len then incr broken;
          if 2 * up > len then 1
@@ -191,18 +187,21 @@ let unembed ?(policy = Vote) ?problem t physical =
    sample to the full physical index space (unused qubits +1), unembed it
    under [policy] once per distinct sample, and apply [Discard]'s drop. *)
 let unembed_reads ?(policy = Vote) ?old_of_new ~problem t samples =
+  let expand =
+    match old_of_new with
+    | None -> Fun.id
+    | Some old_of_new ->
+      (* One buffer for every sample: each writes the same positions, the
+         rest stay +1, and [unembed] keeps no reference to it. *)
+      let full = Array.make problem.Problem.num_vars 1 in
+      fun spins ->
+        Array.iteri (fun k old -> full.(old) <- spins.(k)) old_of_new;
+        full
+  in
   let resolved =
     List.map
       (fun (s : Sampler.sample) ->
-         let full =
-           match old_of_new with
-           | None -> s.Sampler.spins
-           | Some old_of_new ->
-             let full = Array.make problem.Problem.num_vars 1 in
-             Array.iteri (fun k old -> full.(old) <- s.Sampler.spins.(k)) old_of_new;
-             full
-         in
-         (unembed ~policy ~problem t full, s.Sampler.num_occurrences))
+         (unembed ~policy ~problem t (expand s.Sampler.spins), s.Sampler.num_occurrences))
       samples
   in
   match policy with

@@ -302,13 +302,14 @@ let solve ?(num_threads = 1) ?chain_break ?deadline ~solver t =
       | Placed p ->
         let deadline = Option.bind deadline (fun f -> f i) in
         let reads, r = solve_placed ?chain_break ~solver:(solver ~deadline) p in
-        (* Each logical read repeats by its occurrence count, and energies
+        (* Each logical read keeps its occurrence count, and energies
            re-evaluate against the job's own logical Hamiltonian. *)
         let response =
-          List.concat_map
-            (fun ((u : Embedding.unembedded), n) -> List.init n (fun _ -> u.Embedding.logical))
+          List.map
+            (fun ((u : Embedding.unembedded), n) ->
+               (u.Embedding.logical, Problem.energy t.problems.(i) u.Embedding.logical, n))
             reads
-          |> Sampler.response_of_reads t.problems.(i) ~elapsed_seconds:r.Sampler.elapsed_seconds
+          |> Sampler.response_of_counted_reads ~elapsed_seconds:r.Sampler.elapsed_seconds
                ~timed_out:r.Sampler.timed_out
         in
         results.(i) <- Some (i, response));

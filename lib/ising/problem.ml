@@ -65,7 +65,8 @@ let pack_key ~what i j =
 let couplers_of_terms keys vals m =
   let order = Array.init m Fun.id in
   Array.stable_sort (fun a b -> Int.compare (Array.unsafe_get keys a) (Array.unsafe_get keys b)) order;
-  let out = ref [] in
+  let out = Array.make m ((0, 0), 0.0) in
+  let count = ref 0 in
   let k = ref 0 in
   while !k < m do
     let key = keys.(order.(!k)) in
@@ -74,9 +75,12 @@ let couplers_of_terms keys vals m =
       sum := !sum +. vals.(order.(!k));
       incr k
     done;
-    if !sum <> 0.0 then out := ((key lsr 31, key land max_index), !sum) :: !out
+    if !sum <> 0.0 then begin
+      out.(!count) <- ((key lsr 31, key land max_index), !sum);
+      incr count
+    end
   done;
-  Array.of_list (List.rev !out)
+  if !count = m then out else Array.sub out 0 !count
 
 let normalize_couplers pairs =
   let m = List.length pairs in
@@ -170,15 +174,18 @@ let check_spins p sigma =
   if Array.length sigma <> p.num_vars then invalid_arg "Problem: spin vector length mismatch";
   Array.iter (fun s -> if s <> 1 && s <> -1 then invalid_arg "Problem: spin not +-1") sigma
 
+(* Plain loops, not [Array.iter]: a float accumulator captured by a
+   closure is a heap cell, and every update would box a fresh float. *)
 let energy p sigma =
   check_spins p sigma;
   let e = ref p.offset in
   for i = 0 to p.num_vars - 1 do
     e := !e +. (p.h.(i) *. float_of_int sigma.(i))
   done;
-  Array.iter
-    (fun ((i, j), v) -> e := !e +. (v *. float_of_int (sigma.(i) * sigma.(j))))
-    p.couplers;
+  for k = 0 to Array.length p.couplers - 1 do
+    let (i, j), v = p.couplers.(k) in
+    e := !e +. (v *. float_of_int (sigma.(i) * sigma.(j)))
+  done;
   !e
 
 let local_field p sigma i =

@@ -73,17 +73,32 @@ let problem_of_json j =
   try Problem.create ~num_vars ~h ~j:couplers ~offset ()
   with Invalid_argument m -> fail "bad problem: %s" m
 
+(* A reply carries thousands of spins, so each is one list cell around a
+   shared [Num] rather than a fresh [Num] and boxed float of its own. *)
+let spin_up = Num 1.0
+let spin_down = Num (-1.0)
+
 let sample_to_json (s : Sampler.sample) =
   Obj
     [ ( "spins",
         Arr
-          (Array.to_list
-             (Array.map (fun sp -> Num (float_of_int sp)) s.Sampler.spins)) );
+          (Array.fold_right
+             (fun sp acc ->
+                (match sp with 1 -> spin_up | -1 -> spin_down | sp -> Num (float_of_int sp)) :: acc)
+             s.Sampler.spins []) );
       ("energy", Num s.Sampler.energy);
       ("num_occurrences", Num (float_of_int s.Sampler.num_occurrences)) ]
 
+(* Filled in place: [Array.of_list (List.map ...)] would build a second
+   list as long as the spins. *)
+let int_array_of_json j =
+  let items = as_arr j in
+  let a = Array.make (List.length items) 0 in
+  List.iteri (fun i x -> a.(i) <- as_int x) items;
+  a
+
 let sample_of_json j =
-  { Sampler.spins = Array.of_list (List.map as_int (as_arr (field j "spins")));
+  { Sampler.spins = int_array_of_json (field j "spins");
     energy = as_num (field j "energy");
     num_occurrences = as_int (field j "num_occurrences") }
 

@@ -179,7 +179,7 @@ val try_submit : t -> job -> int option
 val peek : t -> int -> result option
 (** The result of a ticket, once its batch has been processed.  [None]
     while the job is still queued or in flight.  Safe from any domain at
-    any time.  Finished results are retained (spins packed one byte each)
+    any time.  Finished results are retained (spins packed one bit each)
     until the service is drained; each call rebuilds a fresh response. *)
 
 val cancel : t -> int -> bool

@@ -204,6 +204,25 @@ let to_string sexp =
   go 0 sexp;
   Buffer.contents buf
 
+let line_count sexp =
+  (* A quoted atom keeps its newlines verbatim. *)
+  let rec newlines = function
+    | Atom a ->
+      let n = ref 0 in
+      for i = 0 to String.length a - 1 do
+        if String.unsafe_get a i = '\n' then incr n
+      done;
+      !n
+    | List items -> List.fold_left (fun n item -> n + newlines item) 0 items
+  in
+  let rec breaks s =
+    match s with
+    | Atom _ | List [] -> newlines s
+    | List _ when fit s max_width >= 0 -> newlines s
+    | List (hd :: tl) -> List.fold_left (fun n item -> n + 1 + breaks item) (breaks hd) tl
+  in
+  1 + breaks sexp
+
 let rec equal a b =
   match a, b with
   | Atom x, Atom y -> String.equal x y

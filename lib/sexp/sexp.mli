@@ -33,6 +33,11 @@ val parse_many : string -> t list
     per item (n, not n - 1).  Runs in time linear in the output. *)
 val to_string : t -> string
 
+(** The lines {!to_string} prints, counted on the tree without rendering
+    it: one, plus a newline before each item after the head of every list
+    that does not fit on one line, plus any newline inside an atom. *)
+val line_count : t -> int
+
 (** Compact single-line rendering.  Both printers quote an atom that is
     empty, starts with [;], or holds whitespace, a parenthesis or a double
     quote, escaping backslashes and double quotes inside the quotes, so

@@ -455,6 +455,11 @@ let elaborate ?top design =
   let ports =
     List.map
       (fun port ->
+         (* EDIF names bit i of port x "x[i]", and QMASM pins say x[i] too,
+            so an escaped name such as \x[1] would read back as a bit of
+            another port. *)
+         if String.exists (fun c -> c = '[' || c = ']') port then
+           error "port %s: a port name may not contain '[' or ']'" port;
          match List.assoc_opt port nets with
          | Some { dir = Some d; width; _ } -> (port, d, width)
          | Some { dir = None; _ } -> error "port %s has no direction" port

@@ -32,4 +32,5 @@ let () =
       ("verify", Test_verify.suite);
       ("golden", Test_golden.suite);
       ("fuzz", Test_fuzz.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -113,6 +113,54 @@ let json_tests =
          | exception Protocol.Protocol_error _ -> ()
          | _ -> Alcotest.fail "unterminated nesting parsed") ]
 
+(* The writer prints integral numbers below 1e15 without [Printf]; it
+   must produce exactly the bytes this reference does.  The reader parses
+   short integer lexemes without [float_of_string]; it must produce
+   exactly that function's bits. *)
+let printf_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+let number_edges =
+  [ -0.0; 0.0; 1.0; -1.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; 9007199254740992.0;
+    -9007199254740992.0; 0.5; -2.5; 1e-7; 123456789.125; 4503599627370495.5 ]
+
+let finite_float =
+  QCheck.Gen.(
+    oneof
+      [ oneofl number_edges;
+        map Int64.float_of_bits int64;
+        (* integral values on both sides of the 1e15 cut *)
+        map float_of_int (int_range (-2_000_000_000_000_000) 2_000_000_000_000_000);
+        map float_of_int (int_range (-1000) 1000);
+        map (fun x -> Float.round x +. 0.25) (float_range (-1e6) 1e6) ])
+
+let integer_lexeme =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ "0"; "-0"; "00"; "-00"; "007"; "-007"; "1"; "-1"; "999999999999999";
+                 "-999999999999999"; "1000000000000000"; "0000000000000001";
+                 "9007199254740993"; "123456789012345678901234567890" ];
+        map2
+          (fun neg digits -> (if neg then "-" else "") ^ String.concat "" (List.map string_of_int digits))
+          bool (list_size (int_range 1 20) (int_range 0 9)) ])
+
+let number_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"number writer matches the Printf path" ~count:2000
+         (QCheck.make ~print:(Printf.sprintf "%h") finite_float)
+         (fun f ->
+            (not (Float.is_finite f))
+            || Protocol.json_to_string (Protocol.Num f) = printf_repr f));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"integer lexemes read as float_of_string reads them" ~count:2000
+         (QCheck.make ~print:Fun.id integer_lexeme)
+         (fun lexeme ->
+            match Protocol.json_of_string lexeme with
+            | Protocol.Num f ->
+              Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (float_of_string lexeme))
+            | _ -> false)) ]
+
 (* Every strict prefix and every single-byte substitution of three
    canonical request payloads either decodes or raises [Protocol_error]:
    no other exception may escape the frame decoder, because the server
@@ -307,4 +355,4 @@ let framing_tests =
          | exception Protocol.Protocol_error _ -> ()
          | _ -> Alcotest.fail "oversized write must be rejected") ]
 
-let suite = json_tests @ fuzz_tests @ codec_tests @ framing_tests
+let suite = json_tests @ fuzz_tests @ codec_tests @ framing_tests @ number_tests

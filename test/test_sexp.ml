@@ -148,6 +148,13 @@ let printer_oracle =
        && Sexp.equal s (Sexp.parse_string (Sexp.to_string s))
        && Sexp.equal s (Sexp.parse_string (Sexp.to_string_compact s)))
 
+let line_count_oracle =
+  QCheck.Test.make ~name:"line_count counts the lines to_string prints" ~count:2000
+    (QCheck.make ~print:Old_printer.to_string_compact sexp_gen)
+    (fun s ->
+       let text = Sexp.to_string s in
+       Sexp.line_count s = 1 + String.fold_left (fun n ch -> if ch = '\n' then n + 1 else n) 0 text)
+
 (* Every list width from 60 to 84: the fit test flips exactly at 72. *)
 let width_boundary =
   Alcotest.test_case "lists of every width around 72 print as before" `Quick (fun () ->
@@ -185,4 +192,5 @@ let suite =
   @ [ width_boundary;
       QCheck_alcotest.to_alcotest printer_oracle;
       check_roundtrip "512 nested lists" deepest_src deepest;
-      parse_error "513 nested lists" (fst (nested 513)) ]
+      parse_error "513 nested lists" (fst (nested 513));
+      QCheck_alcotest.to_alcotest line_count_oracle ]
