@@ -69,20 +69,22 @@ let compile ?top ?steps ?(optimize = true) ?(options = default_options) ?trace v
         count "gates" (Array.length netlist.N.cells);
         (netlist, steps))
   in
+  (* The QMASM is generated from the netlist the paper's EDIF hand-off
+     would deliver, built without the text.  A trace counts the lines that
+     text would have, on the EDIF tree and before the span opens, so the
+     span times only the reread. *)
+  let edif_lines = if trace <> None then Some (edif_lines netlist) else None in
   let reread =
     span "edif-roundtrip" (fun () ->
-        (* The QMASM is generated from the netlist the paper's EDIF hand-off
-           would deliver, built without the text; a trace counts the lines
-           that text would have on the EDIF tree, without rendering it. *)
-        if trace <> None then count "edif-lines" (edif_lines netlist);
+        Option.iter (count "edif-lines") edif_lines;
         Qac_edif.Edif.reread netlist)
   in
-  let qmasm_src = span "e2q" (fun () -> E2Q.convert reread) in
+  (* edif2qmasm writes the text and its statements in one walk, so no
+     QMASM is parsed here. *)
+  let qmasm_src, program_stmts = span "e2q" (fun () -> E2Q.convert reread) in
   let statements =
     span "expand" (fun () ->
-        let stmts =
-          Qmasm.Macro.expand ~resolve:E2Q.resolve (Qmasm.Parser.parse_string qmasm_src)
-        in
+        let stmts = Qmasm.Macro.expand ~resolve:E2Q.resolve program_stmts in
         count "statements" (List.length stmts);
         stmts)
   in

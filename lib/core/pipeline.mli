@@ -10,6 +10,10 @@
     QMASM is generated from {!Qac_edif.Edif.reread}, the netlist the EDIF
     reader would return for the text (a tested equation), and the text
     itself is rendered only on demand with {!Qac_edif.Edif.to_string}.
+    The QMASM stage parses no text either: edif2qmasm writes [qmasm_src]
+    and the statements it parses to in one walk
+    ({!Qac_edif2qmasm.Edif2qmasm.convert}), and those statements go
+    straight to macro expansion.
 
     Every stage failure raises [Qac_diag.Diag.Error], tagged with the stage
     that failed (["verilog-parse"], ["qmasm-assemble"], ["pipeline"], ...).
@@ -39,8 +43,9 @@ type t = {
     variable-merging optimization), which is what the paper's section 6.1
     variable counts reflect.  [trace] records the spans
     parse, elab, synth, unroll, edif-roundtrip, e2q, expand, assemble;
-    only a traced compile renders the EDIF text, once, for the
-    edif-roundtrip span's [edif-lines] counter. *)
+    a traced compile counts the EDIF text's lines on the EDIF tree, before
+    the edif-roundtrip span opens, and attaches the count to that span as
+    [edif-lines]. *)
 val compile :
   ?top:string ->
   ?steps:int ->

@@ -27,14 +27,20 @@ val stdcell_filename : string
     [Qmasm.load] or [Macro.expand]. *)
 val resolve : string -> Qac_qmasm.Ast.stmt list option
 
-(** [convert netlist] produces QMASM source.  The text begins with
+(** [convert netlist] produces the QMASM program as source text and as
+    statements, in one walk: the statements are exactly
+    [Qac_qmasm.Parser.parse_string text], so a compile hands them to
+    [Macro.expand] and parses no QMASM of its own.  The text begins with
     [!include "stdcell.qmasm"]; program inputs/outputs keep their port
-    names, so pins like [--pin "C[7:0] := 10001111"] can be applied by name. *)
-val convert : Qac_netlist.Netlist.t -> string
+    names, so pins like [--pin "C[7:0] := 10001111"] can be applied by name.
+    The equation holds when every port name reads back as one QMASM symbol:
+    non-empty, no leading [!], and no [#], [:=], whitespace or brackets,
+    as Verilog elaboration ensures. *)
+val convert : Qac_netlist.Netlist.t -> string * Qac_qmasm.Ast.stmt list
 
 (** [load ?options netlist] converts and assembles in one step: the
-    generated QMASM is parsed, macros expanded, and the logical Ising
-    problem produced. *)
+    generated statements are macro-expanded and the logical Ising problem
+    produced. *)
 val load : ?options:Qac_qmasm.Assemble.options -> Qac_netlist.Netlist.t -> Qac_qmasm.Assemble.t
 
 val line_count : string -> int

@@ -58,13 +58,38 @@ let pack_key ~what i j =
   if i > max_index || j > max_index then invalid_arg (what ^ ": variable index above 2^31 - 1");
   if i < j then (i lsl 31) lor j else (j lsl 31) lor i
 
-(* The first [m] (key, value) terms summed per key and sorted by key.  A
-   stable sort keeps each key's terms in arrival order, so every sum is
-   [((0.0 +. v1) +. v2) +. ...] exactly as terms arrived; sums equal to
-   0.0 are dropped. *)
-let couplers_of_terms keys vals m =
-  let order = Array.init m Fun.id in
-  Array.stable_sort (fun a b -> Int.compare (Array.unsafe_get keys a) (Array.unsafe_get keys b)) order;
+(* The first [m] (key, value) terms, over variables below [n], summed per
+   key and sorted by key.  Two stable counting passes over the variable
+   indices, by the higher index and then by the lower, sort the terms by
+   key in O(n + m) and keep each key's terms in arrival order, so every
+   sum is [((0.0 +. v1) +. v2) +. ...] exactly as terms arrived; sums
+   equal to 0.0 are dropped. *)
+let couplers_of_terms ~n keys vals m =
+  let start = Array.make (n + 1) 0 in
+  (* Moves the term numbers in [src] to [dst], stably by the index at
+     [shift] in their key. *)
+  let pass shift src dst =
+    Array.fill start 0 (n + 1) 0;
+    for k = 0 to m - 1 do
+      let d = (keys.(src.(k)) lsr shift) land max_index in
+      start.(d + 1) <- start.(d + 1) + 1
+    done;
+    for d = 1 to n - 1 do
+      start.(d) <- start.(d) + start.(d - 1)
+    done;
+    for k = 0 to m - 1 do
+      let t = src.(k) in
+      let d = (keys.(t) lsr shift) land max_index in
+      dst.(start.(d)) <- t;
+      start.(d) <- start.(d) + 1
+    done
+  in
+  let order = Array.make m 0 and by_hi = Array.make m 0 in
+  for k = 0 to m - 1 do
+    order.(k) <- k
+  done;
+  pass 0 order by_hi;
+  pass 31 by_hi order;
   let out = Array.make m ((0, 0), 0.0) in
   let count = ref 0 in
   let k = ref 0 in
@@ -82,25 +107,30 @@ let couplers_of_terms keys vals m =
   done;
   if !count = m then out else Array.sub out 0 !count
 
-let normalize_couplers pairs =
-  let m = List.length pairs in
-  let keys = Array.make m 0 and vals = Array.make m 0.0 in
-  List.iteri
-    (fun k ((i, j), v) ->
-       keys.(k) <- pack_key ~what:"Problem" i j;
-       vals.(k) <- v)
-    pairs;
-  couplers_of_terms keys vals m
-
+(* Untrusted input (a wire frame, a store file, QMASM) reaches [create],
+   and a NaN or infinite coefficient would poison every energy and the
+   annealer's schedule. *)
 let create ~num_vars ~h ~j ?(offset = 0.0) () =
   if Array.length h <> num_vars then invalid_arg "Problem.create: h length mismatch";
-  let couplers = normalize_couplers j in
+  let m = List.length j in
+  let keys = Array.make m 0 and vals = Array.make m 0.0 in
+  List.iteri
+    (fun k ((i, jj), v) ->
+       keys.(k) <- pack_key ~what:"Problem" i jj;
+       vals.(k) <- v)
+    j;
+  (* The higher index of every pair is checked before the counting passes
+     size their table by [num_vars]. *)
   Array.iter
-    (fun ((i, jj), _) ->
-       if jj >= num_vars then invalid_arg "Problem.create: coupler index out of range";
-       ignore i)
-    couplers;
-  of_parts ~num_vars ~offset ~h:(Array.copy h) ~couplers
+    (fun key ->
+       if key land max_index >= num_vars then
+         invalid_arg "Problem.create: coupler index out of range")
+    keys;
+  if not (Float.is_finite offset && Array.for_all Float.is_finite h
+          && Array.for_all Float.is_finite vals)
+  then invalid_arg "Problem.create: non-finite coefficient";
+  of_parts ~num_vars ~offset ~h:(Array.copy h)
+    ~couplers:(couplers_of_terms ~n:num_vars keys vals m)
 
 let empty = of_parts ~num_vars:0 ~offset:0.0 ~h:[||] ~couplers:[||]
 
@@ -167,7 +197,7 @@ module Builder = struct
 
   let build b =
     of_parts ~num_vars:b.n ~offset:b.off ~h:(Array.sub b.lin 0 b.n)
-      ~couplers:(couplers_of_terms b.keys b.vals b.m)
+      ~couplers:(couplers_of_terms ~n:b.n b.keys b.vals b.m)
 end
 
 let check_spins p sigma =

@@ -60,7 +60,9 @@ end
 
 val create : num_vars:int -> h:float array -> j:((int * int) * float) list -> ?offset:float -> unit -> t
 (** Convenience one-shot constructor; validates indices and merges duplicate
-    couplers. *)
+    couplers.  Raises [Invalid_argument] on a pair index at or above
+    [num_vars] (even one whose terms sum to [0.0]) and on a NaN or infinite
+    [h], coupler value or [offset]. *)
 
 val empty : t
 

@@ -79,6 +79,55 @@ type t = {
   outputs : (string * signal array) list;
 }
 
+(* Signals in [compare]'s order, Zero < One < Net 0 < Net 1 < ..., without
+   the polymorphic primitive. *)
+let signal_rank = function
+  | Zero -> -2
+  | One -> -1
+  | Net n -> n
+
+let signal_equal a b = signal_rank a = signal_rank b
+
+(* Hash-consing keys: a cell's kind and inputs. *)
+module Cell_key = struct
+  type t = kind * signal array
+
+  let equal ((k, a) : t) ((k', a') : t) =
+    k == k'
+    && Array.length a = Array.length a'
+    &&
+    let rec same i = i < 0 || (signal_equal a.(i) a'.(i) && same (i - 1)) in
+    same (Array.length a - 1)
+
+  let kind_code = function
+    | Not -> 0
+    | And -> 1
+    | Or -> 2
+    | Nand -> 3
+    | Nor -> 4
+    | Xor -> 5
+    | Xnor -> 6
+    | Mux -> 7
+    | Aoi3 -> 8
+    | Oai3 -> 9
+    | Aoi4 -> 10
+    | Oai4 -> 11
+    | Dff_p -> 12
+    | Dff_n -> 13
+
+  let hash ((k, a) : t) =
+    let h = ref (kind_code k) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 65599) + signal_rank a.(i)
+    done;
+    (* Fold the high bits down: the table indexes by the low bits. *)
+    let h = !h * 0x9E3779B1 in
+    h lxor (h lsr 29)
+end
+
+module Cell_tbl = Hashtbl.Make (Cell_key)
+module Int_tbl = Hashtbl.Make (Int)
+
 module Builder = struct
   type t = {
     name : string;
@@ -87,10 +136,10 @@ module Builder = struct
     mutable num_cells : int;
     mutable inputs_rev : (string * int array) list;
     mutable outputs_rev : (string * signal array) list;
-    hashcons : (kind * signal array, signal) Hashtbl.t;
+    hashcons : signal Cell_tbl.t;
     (* net -> the Not cell input it is the complement of, for double-negation
        and complement-detection rewrites *)
-    complement_of : (int, signal) Hashtbl.t;
+    complement_of : signal Int_tbl.t;
     mutable pending_dffs : (signal * [ `Pos | `Neg ] * signal option ref) list;
   }
 
@@ -101,8 +150,8 @@ module Builder = struct
       num_cells = 0;
       inputs_rev = [];
       outputs_rev = [];
-      hashcons = Hashtbl.create 256;
-      complement_of = Hashtbl.create 64;
+      hashcons = Cell_tbl.create 256;
+      complement_of = Int_tbl.create 64;
       pending_dffs = [] }
 
   let fresh_net b =
@@ -126,12 +175,10 @@ module Builder = struct
     | And | Or | Nand | Nor | Xor | Xnor -> true
     | Not | Mux | Aoi3 | Oai3 | Aoi4 | Oai4 | Dff_p | Dff_n -> false
 
+  (* Every commutative kind has two inputs. *)
   let canonical kind inputs =
-    if is_commutative kind then begin
-      let sorted = Array.copy inputs in
-      Array.sort compare sorted;
-      sorted
-    end
+    if is_commutative kind && signal_rank inputs.(0) > signal_rank inputs.(1) then
+      [| inputs.(1); inputs.(0) |]
     else inputs
 
   let new_cell b kind inputs =
@@ -144,19 +191,19 @@ module Builder = struct
     if Array.length inputs <> kind_arity kind then
       invalid_arg ("Builder.raw_cell: arity mismatch for " ^ kind_name kind);
     let inputs = canonical kind inputs in
-    match Hashtbl.find_opt b.hashcons (kind, inputs) with
+    match Cell_tbl.find_opt b.hashcons (kind, inputs) with
     | Some s -> s
     | None ->
       let s = new_cell b kind inputs in
-      Hashtbl.add b.hashcons (kind, inputs) s;
+      Cell_tbl.add b.hashcons (kind, inputs) s;
       (match kind, s with
        | Not, Net out ->
-         Hashtbl.replace b.complement_of out inputs.(0);
+         Int_tbl.replace b.complement_of out inputs.(0);
          (* Register the reverse direction too so not(not x) folds even when
             the inner Not was built first. *)
          (match inputs.(0) with
-          | Net inner -> if not (Hashtbl.mem b.complement_of inner) then
-              Hashtbl.replace b.complement_of inner s
+          | Net inner -> if not (Int_tbl.mem b.complement_of inner) then
+              Int_tbl.replace b.complement_of inner s
           | Zero | One -> ())
        | _ -> ());
       s
@@ -165,8 +212,8 @@ module Builder = struct
     match x, y with
     | Zero, One | One, Zero -> true
     | Net n, other | other, Net n ->
-      (match Hashtbl.find_opt b.complement_of n with
-       | Some c -> c = other
+      (match Int_tbl.find_opt b.complement_of n with
+       | Some c -> signal_equal c other
        | None -> false)
     | _ -> false
 
@@ -175,7 +222,7 @@ module Builder = struct
     | Zero -> One
     | One -> Zero
     | Net n ->
-      (match Hashtbl.find_opt b.complement_of n with
+      (match Int_tbl.find_opt b.complement_of n with
        | Some c -> c
        | None -> raw_cell b Not [| x |])
 

@@ -45,8 +45,10 @@ let push arr len x =
 
 let assemble ?(options = default_options) stmts =
   (* Pass 1: intern every symbol (first-occurrence order) and union merged
-     symbols. *)
-  let ids = Stbl.create 256 in
+     symbols.  A statement names at most two symbols, apart from pins and
+     assertions, and the table resizes only past two entries per bucket, so
+     one bucket per statement holds the symbols without a resize. *)
+  let ids = Stbl.create (max 16 (List.length stmts)) in
   let names = ref [||] and parent = ref [||] and num_symbols = ref 0 in
   let intern s =
     match Stbl.find_opt ids s with
@@ -165,7 +167,15 @@ let assemble ?(options = default_options) stmts =
        | Ast.Include _ | Ast.Begin_macro _ | Ast.End_macro _ | Ast.Use_macro _ ->
          assert false)
     stmts;
-  { problem = Problem.Builder.build builder;
+  let problem = Problem.Builder.build builder in
+  (* Finite literals can still sum, or double into a chain strength, past
+     the largest float; the annealer cannot take an infinite range. *)
+  if not
+       (List.for_all Float.is_finite
+          [ problem.Problem.offset; Problem.max_abs_h problem; Problem.max_j problem;
+            Problem.min_j problem ])
+  then error "a weight, coupler or chain strength overflows to a non-finite value";
+  { problem;
     symbols_of_var;
     pins = List.rev !pins;
     chains = List.rev !chains;

@@ -32,6 +32,9 @@ type t = {
 }
 
 val assemble : ?options:options -> Ast.stmt list -> t
+(** Raises a ["qmasm-assemble"] [Diag.Error] on unexpanded macro
+    statements, an anti-chain between merged symbols, and a coefficient
+    that sums (or doubles into a chain strength) to a non-finite value. *)
 
 val variable : t -> string -> int option
 (** Variable index of a symbol (post merging): one hash lookup. *)

@@ -260,14 +260,16 @@ let parse_line line_number line =
           (match tokens with
            | [ a; "="; b ] -> [ Ast.Chain (a, b) ]
            | [ a; "/="; b ] -> [ Ast.Anti_chain (a, b) ]
+           (* [float_of_string] also reads nan, inf and 1e400; a
+              non-finite coefficient would poison every energy. *)
            | [ a; w ] ->
              (match float_of_string_opt w with
-              | Some weight -> [ Ast.Weight (a, weight) ]
-              | None -> fail "bad weight %s" w)
+              | Some weight when Float.is_finite weight -> [ Ast.Weight (a, weight) ]
+              | _ -> fail "bad weight %s" w)
            | [ a; b; j ] ->
              (match float_of_string_opt j with
-              | Some strength -> [ Ast.Coupler (a, b, strength) ]
-              | None -> fail "bad coupler strength %s" j)
+              | Some strength when Float.is_finite strength -> [ Ast.Coupler (a, b, strength) ]
+              | _ -> fail "bad coupler strength %s" j)
            | _ -> fail "unrecognized statement: %s" trimmed)
       end
   end

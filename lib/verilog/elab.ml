@@ -460,6 +460,21 @@ let elaborate ?top design =
             another port. *)
          if String.exists (fun c -> c = '[' || c = ']') port then
            error "port %s: a port name may not contain '[' or ']'" port;
+         (* edif2qmasm's text must read back as the statements it builds,
+            so a port name must be one QMASM symbol: a '#' starts a
+            comment, ":=" a pin, a leading '!' a directive, and a line's
+            ends are trimmed of control characters. *)
+         let rec has_assign i =
+           i + 1 < String.length port
+           && ((port.[i] = ':' && port.[i + 1] = '=') || has_assign (i + 1))
+         in
+         if port = "" || port.[0] = '!' || has_assign 0
+            || String.exists (fun c -> c = '#' || c < ' ') port
+         then
+           error
+             "port %S: a port name may not be empty, start with '!', or contain '#', \":=\" \
+              or a control character"
+             port;
          match List.assoc_opt port nets with
          | Some { dir = Some d; width; _ } -> (port, d, width)
          | Some { dir = None; _ } -> error "port %s has no direction" port

@@ -259,7 +259,7 @@ let reread_tests =
       QCheck.(pair (make Test_verilog.random_module_gen) bool)
       (fun (seed, optimize) ->
          let t = Qac_core.Pipeline.compile ~optimize (Test_verilog.generate_random_module seed) in
-         t.Qac_core.Pipeline.qmasm_src = Qac_edif2qmasm.Edif2qmasm.convert (reader t.netlist))
+         t.Qac_core.Pipeline.qmasm_src = fst (Qac_edif2qmasm.Edif2qmasm.convert (reader t.netlist)))
   in
   let cycle =
     { Netlist.name = "cycle";
@@ -312,4 +312,63 @@ let reread_tests =
       QCheck_alcotest.to_alcotest compile_equation;
       QCheck_alcotest.to_alcotest line_count_equation ]
 
-let suite = suite @ property_suite @ fuzz_tests @ reread_tests
+(* edif2qmasm writes its text and its statements in one walk.  The
+   statements must be what the parser reads from the text, and a compile
+   that hands them straight to macro expansion must assemble the program
+   that loading its text would. *)
+let statement_tests =
+  let module E2Q = Qac_edif2qmasm.Edif2qmasm in
+  let module P = Qac_core.Pipeline in
+  let module A = Qac_qmasm.Assemble in
+  let module Problem = Qac_ising.Problem in
+  let parses_back n =
+    let text, stmts = E2Q.convert n in
+    stmts = Qac_qmasm.Parser.parse_string text
+  in
+  let bits = Int64.bits_of_float in
+  let same_problem (p : Problem.t) (q : Problem.t) =
+    p.Problem.num_vars = q.Problem.num_vars
+    && bits p.Problem.offset = bits q.Problem.offset
+    && Array.for_all2 (fun a b -> bits a = bits b) p.Problem.h q.Problem.h
+    && Array.length p.Problem.couplers = Array.length q.Problem.couplers
+    && Array.for_all2
+         (fun ((k, v) : (int * int) * float) (k', v') -> k = k' && bits v = bits v')
+         p.Problem.couplers q.Problem.couplers
+  in
+  let same_as_text (t : P.t) =
+    let loaded = Qac_qmasm.Qmasm.load ~options:t.P.options ~resolve:E2Q.resolve t.P.qmasm_src in
+    parses_back (Edif.reread t.P.netlist)
+    && t.P.statements
+       = Qac_qmasm.Macro.expand ~resolve:E2Q.resolve (Qac_qmasm.Parser.parse_string t.P.qmasm_src)
+    && same_problem t.P.program.A.problem loaded.A.problem
+    && t.P.program.A.symbols_of_var = loaded.A.symbols_of_var
+    && t.P.program.A.pins = loaded.A.pins
+    && t.P.program.A.chains = loaded.A.chains
+  in
+  let random_equation ~name prepare =
+    QCheck.Test.make ~name ~count:300 (QCheck.make Test_netlist.random_netlist_gen)
+      (fun spec -> parses_back (prepare (Test_netlist.build_random spec)))
+  in
+  let compile_equation =
+    QCheck.Test.make ~name:"compile assembles the program its QMASM text loads to" ~count:40
+      QCheck.(pair (make Test_verilog.random_module_gen) bool)
+      (fun (seed, optimize) ->
+         same_as_text (P.compile ~optimize (Test_verilog.generate_random_module seed)))
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [ random_equation ~name:"edif2qmasm statements equal the parse of its text" Fun.id;
+      random_equation ~name:"edif2qmasm statements equal the parse of its text, optimized"
+        Passes.optimize ]
+  @ [ Alcotest.test_case "examples compile to the program their QMASM text loads to" `Quick
+        (fun () ->
+           List.iter
+             (fun (name, src, steps) ->
+                List.iter
+                  (fun optimize ->
+                     if not (same_as_text (P.compile ?steps ~optimize src)) then
+                       Alcotest.failf "%s (optimize %b): differs from its text" name optimize)
+                  [ true; false ])
+             Test_golden.corpus);
+      QCheck_alcotest.to_alcotest compile_equation ]
+
+let suite = suite @ property_suite @ fuzz_tests @ reread_tests @ statement_tests

@@ -241,6 +241,39 @@ let term_gen ~n =
        map3 (fun i j v -> if i = j then J (i, (i + 1) mod n, v) else J (i, j, v)) index index value);
       (1, map (fun v -> Off v) value) ]
 
+(* [Builder] and [Problem.create] each agree with the reference on
+   [terms], bit for bit. *)
+let matches_reference (num_vars, terms) =
+  let b = Problem.Builder.create ~num_vars () in
+  List.iter
+    (function
+      | H (i, v) -> Problem.Builder.add_h b i v
+      | J (i, j, v) -> Problem.Builder.add_j b i j v
+      | Off v -> Problem.Builder.add_offset b v)
+    terms;
+  let p = Problem.Builder.build b in
+  let n, offset, h, couplers = reference_build ~num_vars terms in
+  let same_couplers c =
+    List.length c = Array.length p.Problem.couplers
+    && List.for_all2
+         (fun (k, v) (k', v') -> k = k' && bits v = bits v')
+         c (Array.to_list p.Problem.couplers)
+  in
+  (* [Problem.create] sums its coupler list the same way. *)
+  let created =
+    Problem.create ~num_vars:n ~h
+      ~j:(List.filter_map (function J (i, j, v) -> Some ((i, j), v) | _ -> None) terms)
+      ()
+  in
+  p.Problem.num_vars = n
+  && bits p.Problem.offset = bits offset
+  && Array.for_all2 (fun a b -> bits a = bits b) p.Problem.h h
+  && same_couplers couplers
+  && Array.length created.Problem.couplers = List.length couplers
+  && Array.for_all2
+       (fun ((k, v) : (int * int) * float) (k', v') -> k = k' && bits v = bits v')
+       created.Problem.couplers (Array.of_list couplers)
+
 let builder_oracle =
   let gen =
     QCheck.Gen.(
@@ -248,37 +281,7 @@ let builder_oracle =
       pair (int_range 0 n) (list_size (int_range 0 120) (term_gen ~n)))
   in
   QCheck.Test.make ~name:"Builder equals a naive reference, bit for bit" ~count:500
-    (QCheck.make gen)
-    (fun (num_vars, terms) ->
-       let b = Problem.Builder.create ~num_vars () in
-       List.iter
-         (function
-           | H (i, v) -> Problem.Builder.add_h b i v
-           | J (i, j, v) -> Problem.Builder.add_j b i j v
-           | Off v -> Problem.Builder.add_offset b v)
-         terms;
-       let p = Problem.Builder.build b in
-       let n, offset, h, couplers = reference_build ~num_vars terms in
-       let same_couplers c =
-         List.length c = Array.length p.Problem.couplers
-         && List.for_all2
-              (fun (k, v) (k', v') -> k = k' && bits v = bits v')
-              c (Array.to_list p.Problem.couplers)
-       in
-       (* [Problem.create] sums its coupler list the same way. *)
-       let created =
-         Problem.create ~num_vars:n ~h
-           ~j:(List.filter_map (function J (i, j, v) -> Some ((i, j), v) | _ -> None) terms)
-           ()
-       in
-       p.Problem.num_vars = n
-       && bits p.Problem.offset = bits offset
-       && Array.for_all2 (fun a b -> bits a = bits b) p.Problem.h h
-       && same_couplers couplers
-       && Array.length created.Problem.couplers = List.length couplers
-       && Array.for_all2
-            (fun ((k, v) : (int * int) * float) (k', v') -> k = k' && bits v = bits v')
-            created.Problem.couplers (Array.of_list couplers))
+    (QCheck.make gen) matches_reference
 
 let packing_tests =
   [ Alcotest.test_case "coupler indices are bounded by the key packing" `Quick (fun () ->
@@ -296,5 +299,26 @@ let packing_tests =
         Alcotest.check_raises "builder, max_int" (Invalid_argument "Builder.add_j: variable index above 2^31 - 1")
           (fun () -> Problem.Builder.add_j (Problem.Builder.create ()) 0 max_int 1.0)) ]
 
+(* Fixed cases of the reference property that the counting passes of
+   [build] must get right: a sum whose value depends on the order of its
+   terms, terms that cancel, and far more variables than terms. *)
+let merge_tests =
+  let agrees name input =
+    Alcotest.test_case name `Quick (fun () ->
+        Alcotest.(check bool) "equals the reference" true (matches_reference input))
+  in
+  [ agrees "Builder sums one key in arrival order"
+      (3,
+       [ J (2, 0, 1e16); J (1, 2, 0.5); J (0, 2, 1.0); J (2, 1, 0.5); J (0, 2, -1e16);
+         J (0, 1, 1e16); J (1, 0, -1e16); J (0, 1, 1.0) ]);
+    agrees "Builder drops couplers that cancel to 0.0"
+      (4,
+       [ J (0, 1, 0.1); J (3, 2, 1.0); J (1, 0, 0.2); J (2, 3, -1.0); J (0, 1, -0.3);
+         J (1, 0, -0.0); J (0, 3, 0.5) ]);
+    agrees "Builder merges a few terms over many variables"
+      (100_000,
+       [ J (99_999, 3, 1.0); H (50_000, 2.0); J (3, 99_999, -0.5); J (7, 50_000, 0.25);
+         J (0, 1, 1.0); J (99_998, 99_999, -1.0) ]) ]
+
 let suite = builder_tests @ energy_tests @ exact_tests @ qubo_tests @ scale_tests
-  @ packing_tests @ [ QCheck_alcotest.to_alcotest builder_oracle ]
+  @ packing_tests @ [ QCheck_alcotest.to_alcotest builder_oracle ] @ merge_tests

@@ -265,4 +265,39 @@ let unroll_tests =
         Alcotest.(check bool) "final" false (List.assoc "ff0@final" outs).(0));
   ]
 
-let suite = builder_tests @ sim_tests @ opt_tests @ property_tests @ unroll_tests
+(* Hash-consing keys a commutative cell by its inputs in [compare]'s order,
+   Zero < One < Net 0 < Net 1 < ..., whichever order they are given in. *)
+let hashcons_tests =
+  [ Alcotest.test_case "commuted inputs hash-cons to one cell in compare order" `Quick
+      (fun () ->
+         let b = B.create "t" in
+         let x = (B.add_input b "x" 1).(0) in
+         let y = (B.add_input b "y" 1).(0) in
+         let z = (B.add_input b "z" 1).(0) in
+         let pairs =
+           Netlist.[ (y, x); (x, One); (Zero, y); (One, Zero); (z, x) ]
+         in
+         let kinds = Netlist.[ And; Or; Nand; Nor; Xor; Xnor ] in
+         let outs =
+           List.concat_map
+             (fun kind ->
+                List.map
+                  (fun (p, q) ->
+                     let s = B.raw_cell b kind [| p; q |] in
+                     Alcotest.(check bool) "either order, one cell" true
+                       (B.raw_cell b kind [| q; p |] = s);
+                     s)
+                  pairs)
+             kinds
+         in
+         B.set_output b "o" (Array.of_list outs);
+         let n = B.build b in
+         Alcotest.(check int) "cells" (List.length kinds * List.length pairs) (Netlist.num_cells n);
+         Array.iter
+           (fun (c : Netlist.cell) ->
+              let sorted = Array.copy c.Netlist.inputs in
+              Array.sort compare sorted;
+              Alcotest.(check bool) "inputs in compare order" true (sorted = c.Netlist.inputs))
+           n.Netlist.cells) ]
+
+let suite = builder_tests @ sim_tests @ opt_tests @ property_tests @ unroll_tests @ hashcons_tests

@@ -355,4 +355,31 @@ let framing_tests =
          | exception Protocol.Protocol_error _ -> ()
          | _ -> Alcotest.fail "oversized write must be rejected") ]
 
-let suite = json_tests @ fuzz_tests @ codec_tests @ framing_tests @ number_tests
+(* The JSON reader takes "1e400" as infinity; a Submit frame carrying it
+   must be refused as a bad problem when it is decoded, not reach a
+   scheduler domain. *)
+let finite_tests =
+  [ Alcotest.test_case "a non-finite coefficient makes a bad problem" `Quick (fun () ->
+        let submit problem =
+          Printf.sprintf {|{"op":"submit","job":{"id":"x","problem":%s,"timeout_ms":null}}|}
+            problem
+        in
+        List.iter
+          (fun problem ->
+             match Protocol.request_of_json (Protocol.json_of_string (submit problem)) with
+             | exception Protocol.Protocol_error msg ->
+               Alcotest.(check string) problem "bad problem" (String.sub msg 0 11)
+             | _ -> Alcotest.failf "%s decoded" problem)
+          [ {|{"num_vars":2,"offset":0,"h":[1e400,1],"j":[]}|};
+            {|{"num_vars":2,"offset":0,"h":[0,-1e400],"j":[]}|};
+            {|{"num_vars":2,"offset":0,"h":[0,1],"j":[[0,1,1e400]]}|};
+            {|{"num_vars":2,"offset":-1e400,"h":[0,1],"j":[]}|} ];
+        (* The same frame with finite numbers decodes. *)
+        match
+          Protocol.request_of_json
+            (Protocol.json_of_string (submit {|{"num_vars":2,"offset":0,"h":[1e300,1],"j":[]}|}))
+        with
+        | Protocol.Submit job -> Alcotest.(check (float 0.0)) "h0" 1e300 job.Serve.problem.Problem.h.(0)
+        | _ -> Alcotest.fail "not a submit") ]
+
+let suite = json_tests @ fuzz_tests @ codec_tests @ framing_tests @ number_tests @ finite_tests

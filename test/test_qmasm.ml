@@ -266,7 +266,7 @@ let e2q_tests =
              "module t (a, b, y); input a, b; output y; assign y = a & b; endmodule")
             .Qac_verilog.Synth.netlist
         in
-        let src = E2Q.convert n ^ "y := true\n" in
+        let src = fst (E2Q.convert n) ^ "y := true\n" in
         let a = Qmasm.load ~resolve:E2Q.resolve src in
         let r = Exact.solve a.Assemble.problem in
         List.iter
@@ -310,7 +310,7 @@ let e2q_tests =
              "module t (a, o); input a; output [1:0] o; assign o = {1'b1, a}; endmodule")
             .Qac_verilog.Synth.netlist
         in
-        let src = E2Q.convert n in
+        let src = fst (E2Q.convert n) in
         Alcotest.(check bool) "has vcc weight" true
           (List.exists
              (function Ast.Weight ("$vcc", w) -> w < 0.0 | _ -> false)
@@ -322,7 +322,7 @@ let e2q_tests =
              "module mult (A, B, C); input [1:0] A, B; output [3:0] C; assign C = A * B; endmodule")
             .Qac_verilog.Synth.netlist
         in
-        let src = E2Q.convert n ^ "C[3:0] := 0110\n" in
+        let src = fst (E2Q.convert n) ^ "C[3:0] := 0110\n" in
         let a =
           Qmasm.load ~resolve:E2Q.resolve
             ~options:{ Assemble.default_options with Assemble.merge_chains = true } src
@@ -351,7 +351,7 @@ let e2q_tests =
              "module t (a, y); input a; output y; assign y = ~a; endmodule")
             .Qac_verilog.Synth.netlist
         in
-        let src = E2Q.convert n in
+        let src = fst (E2Q.convert n) in
         Alcotest.(check bool) "some lines" true (E2Q.line_count src > 3));
   ]
 
